@@ -175,9 +175,9 @@ fn main() {
 
     bench::save_bench_json(
         "breakdown",
+        1,
         Json::obj(vec![
             ("preset", Json::Str("prototype".to_string())),
-            ("quick", Json::Bool(quick)),
             ("n", Json::Int(n as i64)),
             ("p", Json::Int(p as i64)),
             ("seed", Json::Int(seed as i64)),

@@ -235,8 +235,8 @@ fn main() -> ExitCode {
 
     bench::save_bench_json(
         "durabench",
+        jobs as usize,
         Json::obj(vec![
-            ("quick", Json::Bool(quick)),
             ("jobs_per_policy", Json::Int(jobs as i64)),
             ("workers", Json::Int(4)),
             ("n", Json::Int(8)),

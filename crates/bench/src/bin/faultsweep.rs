@@ -383,8 +383,8 @@ fn main() -> ExitCode {
     }
     bench::save_bench_json(
         "faultsweep",
+        1,
         Json::obj(vec![
-            ("quick", Json::Bool(quick)),
             ("n_pes", Json::Int(cfg.n_pes as i64)),
             ("n", Json::Int(n as i64)),
             ("p", Json::Int(p as i64)),

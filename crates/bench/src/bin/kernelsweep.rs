@@ -212,7 +212,6 @@ fn main() -> ExitCode {
 
     let config = Json::obj(vec![
         ("preset", Json::Str("prototype".to_string())),
-        ("quick", Json::Bool(quick)),
         ("seed", Json::Int(seed as i64)),
         ("ref_p", Json::Int(REF_P as i64)),
         (
@@ -238,7 +237,7 @@ fn main() -> ExitCode {
         ("simd_wins", Json::Int(simd_wins as i64)),
         ("mimd_wins", Json::Int(mimd_wins as i64)),
     ]);
-    bench::save_bench_json("kernelsweep", config, metrics);
+    bench::save_bench_json("kernelsweep", 1, config, metrics);
 
     if failures.is_empty() {
         println!(

@@ -222,8 +222,8 @@ fn main() -> ExitCode {
 
     bench::save_bench_json(
         "querybench",
+        jobs as usize,
         Json::obj(vec![
-            ("quick", Json::Bool(quick)),
             ("jobs", Json::Int(jobs as i64)),
             ("workers", Json::Int(4)),
             ("n", Json::Int(8)),

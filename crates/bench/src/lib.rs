@@ -25,23 +25,64 @@ pub fn save_json<T: ToJson>(name: &str, rows: &T) {
 
 /// Schema of the top-level `BENCH_*.json` trajectory files. Bump when the
 /// document shape (not the metric values) changes.
-pub const BENCH_SCHEMA_VERSION: i64 = 1;
+pub const BENCH_SCHEMA_VERSION: i64 = 2;
 
-/// Serialize one benchmark document to `BENCH_<name>.json` at the repository
-/// root with the stable cross-PR schema
-/// `{name, config, metrics{…}, schema_version}`, so successive PRs can diff
-/// the perf trajectory mechanically. `config` records what was run (sizes,
-/// machine preset, `--quick`), `metrics` the measured numbers.
-pub fn save_bench_json(name: &str, config: Json, metrics: Json) {
+/// Serialize one benchmark document in the stable cross-PR schema
+/// `{name, run{quick, repeats, git_revision}, config, metrics{…},
+/// schema_version}`, so successive PRs can diff the perf trajectory
+/// mechanically. `run` says what produced the numbers: `repeats` is how
+/// many samples stand behind each measured figure, `git_revision` the
+/// checked-out commit. `config` records what was run (sizes, machine
+/// preset), `metrics` the measured numbers.
+///
+/// Only full runs write the recorded `BENCH_<name>.json` at the repository
+/// root; `--quick` smoke runs (what `ci.sh` runs) write the same document
+/// to `target/bench-quick/` so they never overwrite a recorded run.
+pub fn save_bench_json(name: &str, repeats: usize, config: Json, metrics: Json) {
+    let quick = quick_mode();
     let doc = Json::obj(vec![
         ("name", Json::Str(name.to_string())),
+        (
+            "run",
+            Json::obj(vec![
+                ("quick", Json::Bool(quick)),
+                ("repeats", Json::Int(repeats as i64)),
+                ("git_revision", Json::Str(git_revision())),
+            ]),
+        ),
         ("config", config),
         ("metrics", metrics),
         ("schema_version", Json::Int(BENCH_SCHEMA_VERSION)),
     ]);
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
+    let mut dir = repo_root();
+    if quick {
+        dir = dir.join("target/bench-quick");
+        fs::create_dir_all(&dir).expect("create target/bench-quick");
+    }
+    let path = dir.join(format!("BENCH_{name}.json"));
     fs::write(&path, doc.pretty()).expect("write BENCH json");
     eprintln!("(benchmark doc written to {})", path.display());
+}
+
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The checked-out commit, suffixed `-dirty` when the working tree has
+/// uncommitted changes (the numbers then come from code no commit holds);
+/// `unknown` when git or the repository is not available.
+pub fn git_revision() -> String {
+    std::process::Command::new("git")
+        .arg("-C")
+        .arg(repo_root())
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// `--quick` on the command line caps the problem-size sweep for smoke runs.

@@ -60,9 +60,12 @@ pub trait Kernel: Sync {
         false
     }
 
-    /// Check the structural constraints on `(n, p)` (divisibility, block-size
-    /// bounds, power-of-two requirements) and return a client-displayable
-    /// error. `p` range vs. the machine is checked by the caller.
+    /// Check the structural constraints on `(n, p)` of a parallel-mode run
+    /// (divisibility, block-size bounds, power-of-two requirements, p ≥ 2)
+    /// and return a client-displayable error. Every `(n, p)` it accepts
+    /// must load and run in SIMD, MIMD and S/MIMD. `p` range vs. the
+    /// machine is checked by the caller; serial runs are not validated
+    /// here.
     fn validate(&self, n: usize, p: usize) -> Result<(), String>;
 
     /// Deterministically generate the input words for problem size `n`.

@@ -98,8 +98,10 @@ impl Kernel for Matmul {
         if n == 0 || n > 512 {
             return Err(format!("matmul: n must be in 1..=512, got {n}"));
         }
-        if !p.is_power_of_two() {
-            return Err(format!("matmul: p must be a power of two, got {p}"));
+        if p < 2 || !p.is_power_of_two() {
+            return Err(format!(
+                "matmul: p must be a power of two >= 2 (serial is its own mode), got {p}"
+            ));
         }
         if !n.is_multiple_of(p) || n < p {
             return Err(format!("matmul: p must divide n (n={n}, p={p})"));
@@ -199,5 +201,8 @@ mod tests {
         assert!(k.validate(8, 3).is_err());
         assert!(k.validate(6, 4).is_err());
         assert!(k.validate(0, 1).is_err());
+        // The SIMD and MIMD programs need a ring of at least two PEs.
+        assert!(k.validate(8, 1).is_err());
+        assert!(k.validate(2, 2).is_ok());
     }
 }

@@ -215,7 +215,7 @@ pub struct PhaseSpan {
 }
 
 /// Cycle breakdown of one component (PE or MC).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleAccount {
     /// Local cycle at which the component first became runnable.
     pub started_at: u64,
@@ -297,7 +297,7 @@ impl CycleAccount {
 }
 
 /// The full machine's accounts: one [`CycleAccount`] per PE and per MC.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineAccounts {
     /// Per-PE accounts, indexed by physical PE number.
     pub pe: Vec<CycleAccount>,

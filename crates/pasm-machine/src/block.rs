@@ -56,6 +56,26 @@ pub struct InstrMeta {
     pub block: u32,
 }
 
+impl InstrMeta {
+    /// The metadata of one instruction, outside any block (`block` = 0).
+    /// The SIMD group step builds one per broadcast instruction, so queue
+    /// entries run through the same executor as compiled programs.
+    pub fn of(instr: Instr) -> InstrMeta {
+        InstrMeta {
+            instr,
+            split: cycle_split(&instr),
+            variance_min: match instr {
+                Instr::Mulu { .. } | Instr::Muls { .. } => 38,
+                Instr::Divu { .. } => 76,
+                Instr::Divs { .. } => 84,
+                _ => 0,
+            },
+            stop: is_stop(&instr),
+            block: 0,
+        }
+    }
+}
+
 /// One basic block with folded static cost.
 #[derive(Debug, Clone, Copy)]
 pub struct CompiledBlock {
@@ -152,21 +172,7 @@ pub fn fingerprint(instrs: &[Instr]) -> u64 {
 /// Compile an instruction stream into its block table.
 pub fn compile(instrs: &[Instr]) -> CompiledProgram {
     let spans = basic_blocks(instrs);
-    let mut meta: Vec<InstrMeta> = instrs
-        .iter()
-        .map(|i| InstrMeta {
-            instr: *i,
-            split: cycle_split(i),
-            variance_min: match i {
-                Instr::Mulu { .. } | Instr::Muls { .. } => 38,
-                Instr::Divu { .. } => 76,
-                Instr::Divs { .. } => 84,
-                _ => 0,
-            },
-            stop: is_stop(i),
-            block: 0,
-        })
-        .collect();
+    let mut meta: Vec<InstrMeta> = instrs.iter().map(|&i| InstrMeta::of(i)).collect();
     let blocks: Vec<CompiledBlock> = spans
         .iter()
         .enumerate()

@@ -235,6 +235,11 @@ pub fn exec<B: Bus + ?Sized>(cpu: &mut Cpu, bus: &mut B, instr: &Instr) -> StepO
 /// equal for every instruction × context — the invariant is pinned by the
 /// `pasm-isa` decomposition tests — so the fast path charges byte-identical
 /// cycles while paying only for the dynamic term.
+///
+/// Always inlined: the fast paths call it once per simulated instruction,
+/// and with two call sites for one bus type the optimizer would otherwise
+/// move it out of line, under the MIMD fast path's loop.
+#[inline(always)]
 pub fn exec_timed<B: Bus + ?Sized>(
     cpu: &mut Cpu,
     bus: &mut B,

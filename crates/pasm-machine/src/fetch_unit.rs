@@ -54,7 +54,7 @@ pub struct FucItem {
 }
 
 /// Aggregate Fetch Unit statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuStats {
     /// Entries that passed through the queue.
     pub entries: u64,

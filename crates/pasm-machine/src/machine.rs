@@ -10,7 +10,7 @@
 //! control flow while its PEs compute.
 
 use crate::account::{self, variance_cycles, Bucket, MachineAccounts};
-use crate::block::{self, CompiledProgram};
+use crate::block::{self, CompiledProgram, InstrMeta};
 use crate::config::{MachineConfig, ReleaseMode};
 use crate::cpu::{exec, exec_timed, Block, Bus, Cpu, Effect, McEffect, MemBus, StepOutcome};
 use crate::fault::{FaultPlan, PeFault};
@@ -108,7 +108,7 @@ struct Mc {
 }
 
 /// Result of a completed run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunResult {
     /// Global completion time: the latest halt over all components.
     pub makespan: u64,
@@ -197,6 +197,9 @@ pub struct Machine {
     acct: Option<MachineAccounts>,
     /// Injected per-PE fault models.
     pe_faults: Vec<Option<PeFault>>,
+    /// Per MC, the group-local mask bits of its PEs that are not dead: the
+    /// PEs a Fetch-Unit entry can wait for.
+    live: Vec<u16>,
     /// Cooperative cancellation: checked periodically by [`Machine::run`].
     interrupt: Option<Arc<AtomicBool>>,
     /// Block tables keyed by program fingerprint; components running the same
@@ -253,6 +256,7 @@ impl Machine {
         let esc = EscNetwork::new(cfg.n_pes.max(2));
         let acct = Some(MachineAccounts::new(cfg.n_pes, cfg.n_mcs));
         let pe_faults = vec![None; cfg.n_pes];
+        let live = vec![((1u32 << cfg.pes_per_mc()) - 1) as u16; cfg.n_mcs];
         Machine {
             cfg,
             pes,
@@ -262,6 +266,7 @@ impl Machine {
             esc,
             acct,
             pe_faults,
+            live,
             interrupt: None,
             block_cache: HashMap::new(),
             fast_path: true,
@@ -333,10 +338,21 @@ impl Machine {
     }
 
     /// Physical PEs controlled by an MC, in mask-bit order.
-    pub fn group_pes(&self, mc: usize) -> Vec<usize> {
-        (0..self.cfg.pes_per_mc())
-            .map(|j| j * self.cfg.n_mcs + mc)
-            .collect()
+    pub fn group_pes(&self, mc: usize) -> impl Iterator<Item = usize> {
+        self.group_members(mc, ((1u32 << self.cfg.pes_per_mc()) - 1) as u16)
+    }
+
+    /// The PEs of an MC's group whose mask bits are set in `bits` (a subset
+    /// of the group's bits), in mask-bit and so PE-index order.
+    fn group_members(&self, mc: usize, mut bits: u16) -> impl Iterator<Item = usize> {
+        let n_mcs = self.cfg.n_mcs;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let j = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                j * n_mcs + mc
+            })
+        })
     }
 
     /// Load a PE's MIMD program.
@@ -390,6 +406,10 @@ impl Machine {
         self.esc.apply_faults(&plan.net);
         for spec in &plan.pe {
             self.pe_faults[spec.pe] = Some(spec.kind);
+            if spec.kind == PeFault::Dead {
+                let mc = self.mc_of_pe(spec.pe);
+                self.live[mc] &= !(1 << self.group_bit(spec.pe));
+            }
             // A faulted PE's timing model no longer matches its block table
             // (slow-PE wait states, stuck ports): drop it so the PE re-enters
             // the per-instruction path. Unaffected PEs keep their tables.
@@ -607,52 +627,16 @@ impl Machine {
             if m.stop {
                 break;
             }
-            let instr = m.instr;
-            let r = match exec_timed(
-                &mut pe.cpu,
-                &mut MainOnlyBus(&mut pe.mem),
-                &instr,
-                Some(&m.split),
-            ) {
-                StepOutcome::Done(r) => r,
-                // MMIO touched: nothing changed — the per-instruction path
-                // re-executes this instruction against the full PE bus.
-                StepOutcome::Blocked(_) => break,
+            // MMIO touched: nothing changed — the per-instruction path
+            // re-executes this instruction against the full PE bus.
+            let Some(end) =
+                exec_main_only(pe, acc.as_deref_mut(), m, now, &clock, &clock, &mut batch)
+            else {
+                break;
             };
-            let fetch_wait = clock.burst_delay(0, r.fetch_words);
-            let data_wait = clock.burst_delay(fetch_wait, r.data_accesses);
-            let duration = r.cycles as u64 + fetch_wait + data_wait;
-            clock.advance(duration);
-            now += duration;
+            clock.advance(end - now);
+            now = end;
             executed = true;
-            batch.busy += duration;
-            batch.fetch_wait += fetch_wait;
-            batch.data_wait += data_wait;
-            if r.mulu_cycles > 0 {
-                batch.mul_count += 1;
-                batch.mul_cycles += r.mulu_cycles as u64;
-            }
-            if let Some(a) = acc.as_deref_mut() {
-                // Same value as `variance_cycles(&instr, r.mulu_cycles)`:
-                // `mulu_cycles` is nonzero only for the four opcodes whose
-                // floor is folded into `variance_min` (pinned in `block.rs`).
-                let var = r.mulu_cycles.saturating_sub(m.variance_min) as u64;
-                batch.compute += r.cycles as u64 - var;
-                batch.variance += var;
-                a.record_instr(&instr, duration);
-            }
-            match r.effect {
-                // Only `Mark` escapes the count: every other fast-path
-                // instruction is effect-free by the stop classification.
-                Effect::None => batch.instrs += 1,
-                Effect::Mark { begin, phase } => {
-                    pe.trace.mark(begin, phase, now);
-                    if let Some(a) = acc.as_deref_mut() {
-                        a.mark(begin, phase, now);
-                    }
-                }
-                other => unreachable!("fast path executed effectful {other:?}"),
-            }
         }
         pe.ready_at = now;
         batch.flush(&mut pe.trace, acc);
@@ -866,40 +850,43 @@ impl Machine {
         }
     }
 
+    /// Lockstep release, then — on the fast path — the SIMD group step for
+    /// as long as each release hands one broadcast instruction to its group
+    /// (see [`Machine::group_step`]).
+    fn check_release_lockstep(&mut self, mc: usize) {
+        let mut released = self.release_lockstep(mc);
+        if !self.fast_path {
+            return;
+        }
+        let mut budget = FAST_BATCH;
+        while let Released::One(rel) = released {
+            released = self.group_step(mc, rel, &mut budget);
+        }
+    }
+
     /// Real hardware rule: the head entry is released when every PE enabled by
     /// its mask has an outstanding request; release time = max(entry ready,
     /// slowest request) + release overhead.
-    fn check_release_lockstep(&mut self, mc: usize) {
+    fn release_lockstep(&mut self, mc: usize) -> Released {
+        let mut released = Released::Nothing;
         loop {
-            let group = self.group_pes(mc);
             let Some(&head) = self.fus[mc].queue.front() else {
-                return;
+                return released;
             };
             // Dead PEs never request, so they are masked out of the release
             // decision — a SIMD broadcast to the survivors must still release.
-            let enabled: Vec<usize> = group
-                .iter()
-                .copied()
-                .filter(|&pe| head.mask & (1 << self.group_bit(pe)) != 0 && !self.is_dead(pe))
-                .collect();
-            if enabled.is_empty() {
+            let enabled = head.mask & self.live[mc];
+            if enabled == 0 {
                 // Nobody is enabled: the entry drains with no effect.
                 self.fus[mc].pop_head(head.ready_at);
                 continue;
             }
             let mut max_req = 0u64;
-            let mut all_waiting = true;
-            for &pe in &enabled {
+            for pe in self.group_members(mc, enabled) {
                 match self.pes[pe].state {
                     PeState::AwaitSimd { since } => max_req = max_req.max(since),
-                    _ => {
-                        all_waiting = false;
-                        break;
-                    }
+                    _ => return released,
                 }
-            }
-            if !all_waiting {
-                return;
             }
             let release = head.ready_at.max(max_req) + self.cfg.simd_release_cycles;
             {
@@ -912,7 +899,7 @@ impl Machine {
                 }
             }
             self.fus[mc].pop_head(release);
-            for &pe in &enabled {
+            for pe in self.group_members(mc, enabled) {
                 let PeState::AwaitSimd { since } = self.pes[pe].state else {
                     unreachable!()
                 };
@@ -931,18 +918,155 @@ impl Machine {
                     (PeMode::Mimd, _) => None,
                 };
             }
+            released = match released {
+                Released::Nothing => Released::One(Release {
+                    kind: head.kind,
+                    enabled,
+                    at: release,
+                }),
+                _ => Released::Many,
+            };
             // The enabled PEs are no longer waiting; the next head (if any)
             // cannot release until they request again — except entries whose
             // mask excludes them, handled by the loop.
         }
     }
 
+    /// SIMD group step: run the broadcast instruction `rel` just released on
+    /// every enabled PE in one pass — the rounds the scheduler would give
+    /// each PE at `rel.at`, in the same order, with the same charges — and
+    /// return what the last round's release check released.
+    ///
+    /// Sound because a broadcast that is not a stop and touches only main
+    /// memory changes nothing but the executing PE's own registers, memory,
+    /// trace and account. The only components that can observe the order of
+    /// these rounds are the group's MC, its Fetch Unit controller and its
+    /// other PEs, so [`Machine::group_horizon_clear`] first replays the MC's
+    /// and the controller's events due before `rel.at`, and gives up if
+    /// anything else is due. Each round is preceded by the controller check
+    /// the scheduler scan makes (keeping its `fuc_blocked` side effect). A
+    /// PE whose operand is memory-mapped stays `Ready` for
+    /// [`Machine::step_pe`]. The step stops — returning
+    /// [`Released::Nothing`] — only between rounds, so the machine is always
+    /// left in a state the per-instruction path passes through.
+    fn group_step(&mut self, mc: usize, rel: Release, budget: &mut u32) -> Released {
+        let EntryKind::Instr(instr) = rel.kind else {
+            return Released::Nothing;
+        };
+        if block::is_stop(&instr)
+            || rel.at > self.cfg.max_cycles
+            || !self.group_horizon_clear(mc, rel, budget)
+        {
+            return Released::Nothing;
+        }
+        let meta = InstrMeta::of(instr);
+        let cpw = self.cfg.fuc_cycles_per_word;
+        let mut left = rel.enabled.count_ones();
+        for pe in self.group_members(mc, rel.enabled) {
+            if self.fus[mc]
+                .next_move_completion(cpw)
+                .is_some_and(|c| c < rel.at)
+            {
+                return Released::Nothing;
+            }
+            left -= 1;
+            if !self.group_exec(pe, &meta, rel.at) {
+                continue;
+            }
+            *budget -= 1;
+            let released = self.release_lockstep(mc);
+            if left == 0 {
+                return released;
+            }
+            if !matches!(released, Released::Nothing) {
+                // PEs released now would interleave with this head's
+                // remaining rounds: leave those to the scheduler.
+                return Released::Nothing;
+            }
+        }
+        Released::Nothing
+    }
+
+    /// Whether nothing of MC `mc`'s group acts before its PEs run `rel` at
+    /// `rel.at` (the group step's horizon). The MC's steps and controller
+    /// moves due earlier are replayed inline, in the scheduler's order — the
+    /// MC wins a tie with its controller, because MCs are scanned first —
+    /// as long as the release check they trigger releases nothing. The step
+    /// ends at anything else:
+    ///
+    /// * an enabled PE that is not a fault-free SIMD-mode PE;
+    /// * another PE of the group `Ready` at or before `rel.at` (a tie is
+    ///   settled by PE index, which this check does not model), or blocked
+    ///   on the network (another group can wake it at any time);
+    /// * an exhausted [`FAST_BATCH`] budget.
+    ///
+    /// The MC and the controller lose a tie at `rel.at` to the PEs, which
+    /// the scheduler scans first.
+    fn group_horizon_clear(&mut self, mc: usize, rel: Release, budget: &mut u32) -> bool {
+        let rounds = rel.enabled.count_ones();
+        for pe in self.group_members(mc, rel.enabled) {
+            if self.pes[pe].mode != PeMode::Simd || self.pe_faults[pe].is_some() {
+                return false;
+            }
+        }
+        let cpw = self.cfg.fuc_cycles_per_word;
+        loop {
+            if *budget < rounds {
+                return false;
+            }
+            for pe in self.group_members(mc, self.live[mc] & !rel.enabled) {
+                match self.pes[pe].state {
+                    PeState::Ready if self.pes[pe].ready_at <= rel.at => return false,
+                    PeState::AwaitNetTx { .. } | PeState::AwaitNetRx { .. } => return false,
+                    _ => {}
+                }
+            }
+            let fuc = self.fus[mc].next_move_completion(cpw);
+            let m = &self.mcs[mc];
+            let mc_due = (m.state == McState::Ready).then_some(m.ready_at);
+            let enqueued = match (mc_due, fuc) {
+                (Some(t), _) if t < rel.at && fuc.is_none_or(|c| t <= c) => self.mc_step(mc),
+                (_, Some(c)) if c < rel.at => {
+                    self.fuc_move(mc, c);
+                    true
+                }
+                _ => return true,
+            };
+            *budget -= 1;
+            if enqueued && !matches!(self.release_lockstep(mc), Released::Nothing) {
+                return false;
+            }
+        }
+    }
+
+    /// One round of the group step: PE `i` executes the released broadcast
+    /// `m` at `now` on the main-memory-only bus with the charges
+    /// [`Machine::step_pe`] makes for a SIMD-delivered instruction (fetch
+    /// waits from the queue SRAM, data waits from PE DRAM), then requests
+    /// its next word. Returns `false`, with nothing changed, if the
+    /// instruction touched memory-mapped space.
+    fn group_exec(&mut self, i: usize, m: &InstrMeta, now: u64) -> bool {
+        let pe = &mut self.pes[i];
+        let mut acc = self.acct.as_mut().map(|a| &mut a.pe[i]);
+        let fetch = BurstClock::new(self.cfg.fu_sram, now);
+        let data = BurstClock::new(self.cfg.pe_dram, now);
+        let mut batch = BatchCharges::default();
+        let Some(end) = exec_main_only(pe, acc.as_deref_mut(), m, now, &fetch, &data, &mut batch)
+        else {
+            return false;
+        };
+        batch.flush(&mut pe.trace, acc);
+        pe.pending = None;
+        pe.ready_at = end;
+        pe.state = PeState::AwaitSimd { since: end };
+        true
+    }
+
     /// Ablation rule: each PE receives entries at its own pace (as if it had a
     /// private queue). Entries retire once every enabled PE consumed them.
     fn check_release_decoupled(&mut self, mc: usize) {
-        let group = self.group_pes(mc);
         // Serve every waiting PE whose cursor points at an available entry.
-        for &pe in &group {
+        for pe in self.group_pes(mc) {
             let PeState::AwaitSimd { since } = self.pes[pe].state else {
                 continue;
             };
@@ -979,25 +1103,17 @@ impl Machine {
                 break;
             }
         }
-        // Retire fully consumed heads.
-        loop {
-            // Dead PEs can never consume their bit; exclude them so heads
-            // still retire (mirrors the lockstep rule's dead masking).
-            let group_mask: u16 = group
-                .iter()
-                .filter(|&&pe| !self.is_dead(pe))
-                .map(|&pe| 1u16 << self.group_bit(pe))
-                .fold(0, |a, b| a | b);
-            let Some(&head) = self.fus[mc].queue.front() else {
-                break;
-            };
-            let need = head.mask & group_mask;
+        // Retire fully consumed heads. Dead PEs can never consume their bit;
+        // they are excluded so heads still retire (mirrors the lockstep
+        // rule's dead masking).
+        while let Some(&head) = self.fus[mc].queue.front() {
+            let need = head.mask & self.live[mc];
             if need != 0 && head.consumed & need != need {
                 break;
             }
             let t = self.fus[mc].fuc_free_at;
             self.fus[mc].pop_head(t);
-            for &pe in &group {
+            for pe in self.group_pes(mc) {
                 self.pes[pe].cursor = self.pes[pe].cursor.saturating_sub(1);
             }
         }
@@ -1076,8 +1192,16 @@ impl Machine {
     }
 
     fn step_mc(&mut self, i: usize) {
+        if self.mc_step(i) {
+            self.check_release(i);
+        }
+    }
+
+    /// One MC step without the release check an enqueue command triggers;
+    /// returns whether it enqueued a block, so the caller runs that check.
+    fn mc_step(&mut self, i: usize) -> bool {
         if self.fast_path && self.try_fast_mc(i) {
-            return;
+            return false;
         }
         let now = self.mcs[i].ready_at;
         let pc = self.mcs[i].cpu.pc;
@@ -1093,7 +1217,7 @@ impl Machine {
             && !self.fus[i].command_done()
         {
             self.mcs[i].state = McState::AwaitFuc { since: now };
-            return;
+            return false;
         }
 
         let outcome = {
@@ -1144,7 +1268,7 @@ impl Machine {
                     let block = self.mcs[i].program.blocks[b as usize].clone();
                     self.fus[i].command_block(&block, new_now + self.cfg.fuc_command_cycles);
                     self.mcs[i].trace.blocks_enqueued += 1;
-                    self.check_release(i);
+                    return true;
                 }
                 McEffect::EnqueueWords(c) => {
                     self.fus[i].command_data_words(c, new_now + self.cfg.fuc_command_cycles);
@@ -1166,6 +1290,7 @@ impl Machine {
             },
             other => panic!("MC {i} produced PE effect {other:?}"),
         }
+        false
     }
 
     // ------------------------------------------------------------------
@@ -1173,8 +1298,16 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn step_fuc(&mut self, i: usize, completion: u64) {
-        self.fus[i].do_move(completion);
+        self.fuc_move(i, completion);
         self.check_release(i);
+    }
+
+    /// The controller's move into the queue, and the MC's wake-up once its
+    /// command is done. The release check reads neither `fuc_free_at`, the
+    /// pending commands nor the MC, so it may follow the wake-up — which
+    /// lets the SIMD group step see the MC's new state in its horizon.
+    fn fuc_move(&mut self, i: usize, completion: u64) {
+        self.fus[i].do_move(completion);
         if self.fus[i].command_done() {
             if let McState::AwaitFuc { since } = self.mcs[i].state {
                 let wake = self.fus[i].fuc_free_at.max(since);
@@ -1193,6 +1326,84 @@ impl Machine {
 /// cooperative interrupt checks in [`Machine::run`] stay responsive. Purely a
 /// latency bound: where the loop breaks never changes simulated state.
 const FAST_BATCH: u32 = 4096;
+
+/// A head entry the lockstep release handed to its enabled PEs.
+#[derive(Clone, Copy)]
+struct Release {
+    kind: EntryKind,
+    /// Group-local mask bits of the PEs it was released to.
+    enabled: u16,
+    /// Release time: when those PEs run it.
+    at: u64,
+}
+
+/// What one pass of the lockstep release loop released (drained entries
+/// with no enabled PE do not count).
+enum Released {
+    Nothing,
+    One(Release),
+    Many,
+}
+
+/// Execute one instruction of `pe` at `now` on the main-memory-only bus:
+/// the executor the MIMD fast path and the SIMD group step share (the
+/// interpreter it calls is always inlined, see `exec_timed`). Instruction
+/// words are priced on `fetch`, operands on `data` (both tracking `now`);
+/// sums go to `batch`, the opcode histogram and phase marks straight to the
+/// trace and account — the charges [`Machine::step_pe`] makes. Returns the
+/// end time, or `None` if a memory-mapped access escaped before any state
+/// changed.
+#[inline(always)]
+fn exec_main_only(
+    pe: &mut Pe,
+    acc: Option<&mut account::CycleAccount>,
+    m: &InstrMeta,
+    now: u64,
+    fetch: &BurstClock,
+    data: &BurstClock,
+    batch: &mut BatchCharges,
+) -> Option<u64> {
+    let r = match exec_timed(
+        &mut pe.cpu,
+        &mut MainOnlyBus(&mut pe.mem),
+        &m.instr,
+        Some(&m.split),
+    ) {
+        StepOutcome::Done(r) => r,
+        StepOutcome::Blocked(_) => return None,
+    };
+    let fetch_wait = fetch.burst_delay(0, r.fetch_words);
+    let data_wait = data.burst_delay(fetch_wait, r.data_accesses);
+    let duration = r.cycles as u64 + fetch_wait + data_wait;
+    let end = now + duration;
+    batch.busy += duration;
+    batch.fetch_wait += fetch_wait;
+    batch.data_wait += data_wait;
+    if r.mulu_cycles > 0 {
+        batch.mul_count += 1;
+        batch.mul_cycles += r.mulu_cycles as u64;
+    }
+    if let Some(a) = acc {
+        // Same value as `variance_cycles(&instr, r.mulu_cycles)`:
+        // `mulu_cycles` is nonzero only for the four opcodes whose floor is
+        // folded into `variance_min` (pinned in `block.rs`).
+        let var = r.mulu_cycles.saturating_sub(m.variance_min) as u64;
+        batch.compute += r.cycles as u64 - var;
+        batch.variance += var;
+        a.record_instr(&m.instr, duration);
+        if let Effect::Mark { begin, phase } = r.effect {
+            a.mark(begin, phase, end);
+        }
+    }
+    match r.effect {
+        // Only `Mark` escapes the count: every other instruction here is
+        // effect-free by the stop classification.
+        Effect::None => batch.instrs += 1,
+        Effect::Mark { begin, phase } => pe.trace.mark(begin, phase, end),
+        other => unreachable!("fast path executed effectful {other:?}"),
+    }
+    Some(end)
+}
 
 /// Additive trace/bucket charges of one fast batch, accumulated in locals and
 /// flushed once: the result is identical to charging per instruction, the

@@ -397,7 +397,7 @@ fn group_mapping_is_mod_q() {
     assert_eq!(m.mc_of_pe(0), 0);
     assert_eq!(m.mc_of_pe(5), 1);
     assert_eq!(m.mc_of_pe(15), 3);
-    assert_eq!(m.group_pes(0), vec![0, 4, 8, 12]);
+    assert_eq!(m.group_pes(0).collect::<Vec<_>>(), vec![0, 4, 8, 12]);
     assert_eq!(m.group_bit(12), 3);
 }
 
@@ -687,4 +687,183 @@ fn queue_empty_stall_counted_when_mc_is_slow() {
         "empty stall {}",
         r.fu[0].empty_stall_cycles
     );
+}
+
+/// xorshift64* — enough randomness for the differential test below without
+/// a dependency.
+struct TestRng(u64);
+
+impl TestRng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
+    }
+}
+
+/// One random SIMD broadcast instruction: variable-time multiplies,
+/// main-memory operands, zero-cycle phase marks (whole-group blocks only,
+/// so every PE sees both ends) and memory-mapped timer reads, which the
+/// group step must leave to the per-instruction path.
+fn random_broadcast(rng: &mut TestRng, out: &mut Vec<Instr>, marks: bool) {
+    use pasm_isa::AddrReg::A0;
+    use DataReg::*;
+    match rng.below(7) {
+        0 | 1 => out.push(Instr::Mulu {
+            src: Ea::D(D2),
+            dst: D0,
+        }),
+        2 => out.push(Instr::Addq {
+            size: Size::Word,
+            value: 1 + rng.below(8) as u8,
+            dst: Ea::D(D0),
+        }),
+        3 => out.push(Instr::Move {
+            size: Size::Word,
+            src: Ea::D(D0),
+            dst: Ea::PostInc(A0),
+        }),
+        4 => out.push(Instr::Move {
+            size: Size::Word,
+            src: Ea::Disp(-2, A0),
+            dst: Ea::D(D3),
+        }),
+        5 => out.push(Instr::Move {
+            size: Size::Word,
+            src: Ea::AbsL(map::TIMER),
+            dst: Ea::D(D4),
+        }),
+        _ if marks => {
+            let phase = 1 + rng.below(3) as u8;
+            out.push(Instr::Mark { begin: true, phase });
+            out.push(Instr::Mulu {
+                src: Ea::D(D2),
+                dst: D1,
+            });
+            out.push(Instr::Mark {
+                begin: false,
+                phase,
+            });
+        }
+        _ => out.push(Instr::Nop),
+    }
+}
+
+/// A random SIMD job on one MC's group: PEs spin a per-PE MIMD prologue
+/// (so they enter SIMD mode at different times), then run broadcast blocks
+/// under random masks — the whole group, subsets, disjoint subsets, and the
+/// empty mask that drains — while the MC computes between enqueue commands.
+fn random_simd_job(m: &mut Machine, rng: &mut TestRng, mc: usize, live: u16) {
+    use DataReg::*;
+    let mut pe = ProgramBuilder::new();
+    pe.emit(Instr::Dbra { dst: D5, target: 0 });
+    pe.emit(Instr::JmpSimd);
+    pe.emit(Instr::Halt);
+    let pe = pe.build().unwrap();
+
+    let mut prog = ProgramBuilder::new();
+    let mut blocks = Vec::new();
+    for _ in 0..1 + rng.below(24) {
+        let mask = match rng.below(5) {
+            0 => 0,
+            1 | 2 => live,
+            _ => rng.below(1 << 4) as u16 & live,
+        };
+        let mut body = Vec::new();
+        for _ in 0..1 + rng.below(6) {
+            random_broadcast(rng, &mut body, mask == live);
+        }
+        let id = prog.begin_block();
+        prog.emit_all(body);
+        prog.end_block();
+        blocks.push((id, mask, rng.below(4) == 0));
+    }
+    let done = prog.begin_block();
+    prog.emit(Instr::JmpMimd { target: 2 });
+    prog.end_block();
+    prog.emit(Instr::StartPes);
+    for (k, (id, mask, spin)) in blocks.into_iter().enumerate() {
+        prog.emit(Instr::SetMask { mask });
+        prog.emit(Instr::Enqueue { block: id.0 });
+        if spin {
+            prog.emit(Instr::Moveq {
+                value: rng.below(40) as i8,
+                dst: D1,
+            });
+            let l = prog.here(format!("spin{k}"));
+            prog.emit(Instr::Nop);
+            prog.branch(Instr::Dbra { dst: D1, target: 0 }, l);
+        }
+    }
+    prog.emit(Instr::SetMask { mask: live });
+    prog.emit(Instr::Enqueue { block: done.0 });
+    prog.emit(Instr::Halt);
+    m.load_mc_program(mc, prog.build().unwrap());
+
+    for p in m.group_pes(mc).collect::<Vec<_>>() {
+        if live & (1 << m.group_bit(p)) == 0 {
+            continue;
+        }
+        m.load_pe_program(p, pe.clone());
+        let cpu = m.pe_cpu_mut(p);
+        cpu.d[2] = rng.below(1 << 16) as u32;
+        cpu.d[5] = rng.below(30) as u32;
+        cpu.a[0] = 0x100 + 2 * rng.below(64) as u32;
+    }
+}
+
+/// Seeded differential test of the SIMD group step against the
+/// per-instruction interpreter, on random programs and machine shapes the
+/// registered kernels never produce: several heads released in one pass,
+/// drained entries, zero-cycle instructions with zero release overhead (so
+/// a new release ties the current one), instant controller moves, 4-word
+/// queues, PEs left out of the group, dead PEs, two MCs. The complete run
+/// state must match.
+#[test]
+fn random_simd_programs_match_the_interpreter() {
+    for seed in 1..=2000u64 {
+        let run = |fast: bool| {
+            let mut rng = TestRng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let n_mcs = 1 + rng.below(2) as usize;
+            let cfg = MachineConfig {
+                n_mcs,
+                queue_capacity_words: [4, 5, 16, 512][rng.below(4) as usize],
+                fuc_cycles_per_word: rng.below(4),
+                fuc_command_cycles: rng.below(6),
+                simd_release_cycles: [0, 0, 3][rng.below(3) as usize],
+                max_cycles: 5_000_000,
+                ..MachineConfig::small()
+            };
+            let mut m = Machine::new(cfg);
+            m.set_fast_path(fast);
+            if rng.below(4) == 0 {
+                let dead = rng.below(4) as usize;
+                m.apply_fault_plan(&FaultPlan::pe_single(dead, PeFault::Dead))
+                    .unwrap();
+            }
+            let group = 4 / n_mcs;
+            for mc in 0..n_mcs {
+                let mut live = 0u16;
+                for j in 0..group {
+                    let p = j * n_mcs + mc;
+                    if rng.below(5) != 0 && !m.is_dead(p) {
+                        live |= 1 << j;
+                    }
+                }
+                if live == 0 {
+                    continue;
+                }
+                random_simd_job(&mut m, &mut rng, mc, live);
+            }
+            let result = m.run();
+            let cpus: Vec<String> = (0..4).map(|p| format!("{:?}", m.pe_cpu(p))).collect();
+            (result, cpus)
+        };
+        let (fast, interp) = (run(true), run(false));
+        assert!(
+            fast == interp,
+            "seed {seed}: group step diverged from the interpreter\nfast:   {fast:?}\ninterp: {interp:?}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 pub const N_PHASES: usize = 16;
 
 /// Execution statistics of one PE.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeTrace {
     /// Instructions executed (MIMD and SIMD-delivered, marks excluded).
     pub instrs: u64,
@@ -57,7 +57,7 @@ impl PeTrace {
 }
 
 /// Execution statistics of one MC.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct McTrace {
     /// Instructions executed.
     pub instrs: u64,

@@ -427,6 +427,12 @@ mod tests {
                 r#"{"mode":"simd","kernel":"bitonic","n":24,"p":4}"#,
                 "block size not a power of two",
             ),
+            (r#"{"mode":"simd","n":8,"p":1}"#, "SIMD matmul on one PE"),
+            (r#"{"mode":"mimd","n":8,"p":1}"#, "MIMD matmul on one PE"),
+            (
+                r#"{"mode":"smimd","kernel":"matmul","n":8,"p":1}"#,
+                "S/MIMD matmul on one PE",
+            ),
         ] {
             let err = JobSpec::from_json(&parse(body).unwrap());
             assert!(err.is_err(), "{why}: {body}");

@@ -607,8 +607,8 @@ impl KernelOutcome {
 ///
 /// `input` must come from [`Kernel::generate`] (or obey the same layout).
 /// Panics if the mode is [`Mode::Serial`] and the kernel does not support it,
-/// or if `(n, p)` fail the kernel's [`Kernel::validate`] — validate at the
-/// boundary first.
+/// or if a parallel mode's `(n, p)` fail the kernel's [`Kernel::validate`]
+/// — validate at the boundary first.
 pub fn run_kernel_opts(
     cfg: &MachineConfig,
     kernel: &'static dyn Kernel,
@@ -622,8 +622,10 @@ pub fn run_kernel_opts(
         "{} has no serial variant",
         kernel.name()
     );
-    if let Err(e) = kernel.validate(params.n, params.p) {
-        panic!("invalid kernel parameters: {e}");
+    if mode != Mode::Serial {
+        if let Err(e) = kernel.validate(params.n, params.p) {
+            panic!("invalid kernel parameters: {e}");
+        }
     }
     let mut machine = Machine::new(cfg.clone());
     machine.set_accounting(opts.accounting);

@@ -11,7 +11,8 @@
 //! at paper scale (n up to 1024) and also times the two paths.
 
 use pasm::{
-    run_kernel_opts, ExperimentResult, FaultPlan, MachineConfig, Mode, Params, PeFault, RunOptions,
+    run_kernel_opts, ExperimentResult, FaultPlan, MachineConfig, Mode, NetFault, Params, PeFault,
+    ReleaseMode, RunOptions, RunResult,
 };
 
 /// A 4-PE machine whose half-machine partition spreads across two MCs —
@@ -128,4 +129,92 @@ fn fast_path_default_matches_explicit_interpreter_on_prototype() {
     let (fast, interp) = both_paths(&cfg, k, Mode::Smimd, 128, 16, FaultPlan::default());
     assert_eq!(fast, interp);
     assert!(fast.expect("fault-free run completes").cycles > 0);
+}
+
+/// The complete machine state a run leaves behind — every trace, Fetch
+/// Unit statistic and cycle account (phase spans included) — plus the
+/// output words, or the rendered error.
+fn full_run(
+    cfg: &MachineConfig,
+    kernel: &'static dyn pasm::Kernel,
+    mode: Mode,
+    n: usize,
+    p: usize,
+    fault: &FaultPlan,
+    fast_path: bool,
+) -> Result<(RunResult, Vec<u16>), String> {
+    let input = kernel.generate(n, SEED);
+    let opts = RunOptions {
+        fault: fault.clone(),
+        fast_path,
+        ..RunOptions::default()
+    };
+    run_kernel_opts(cfg, kernel, mode, Params::new(n, p), &input, &opts)
+        .map(|out| (out.run, out.output))
+        .map_err(|e| e.to_string())
+}
+
+/// `ExperimentResult` carries neither the Fetch Unit statistics nor the MC
+/// traces, so a SIMD group step that moved a barrier stall, an empty stall,
+/// an MC's controller wait or a phase span would pass the tests above.
+/// This one compares the whole `RunResult` of both paths, over machine
+/// shapes the group step treats differently: several groups, a partial
+/// mask, a queue too small for a block, decoupled release, a dead PE, a
+/// rerouted network.
+#[test]
+fn simd_run_state_is_identical_on_both_paths() {
+    let two_groups = small_cfg();
+    let one_group = MachineConfig::small();
+    let tiny_queue = MachineConfig {
+        queue_capacity_words: 4,
+        ..small_cfg()
+    };
+    let decoupled = MachineConfig {
+        release_mode: ReleaseMode::Decoupled,
+        ..small_cfg()
+    };
+    let prototype = MachineConfig::prototype();
+    let mut limited = small_cfg();
+    limited.max_cycles = 2_000_000;
+    let healthy = FaultPlan::default();
+    let dead = FaultPlan::pe_single(1, PeFault::Dead);
+    let net = FaultPlan::net_single(NetFault::Box {
+        stage: 1,
+        box_idx: 0,
+    });
+    // (machine, p, fault): p=2 on the one-MC machine leaves half of the
+    // group masked out; the 4-word queue keeps the controller blocked on
+    // space, so releases go through `fuc_blocked`/`space_available_at`.
+    let shapes: [(&MachineConfig, usize, &FaultPlan); 8] = [
+        (&two_groups, 4, &healthy),
+        (&prototype, 16, &healthy),
+        (&one_group, 4, &healthy),
+        (&one_group, 2, &healthy),
+        (&tiny_queue, 4, &healthy),
+        (&decoupled, 4, &healthy),
+        (&limited, 4, &dead),
+        (&two_groups, 4, &net),
+    ];
+    let mut compared = 0;
+    for kernel in pasm::kernels::kernels() {
+        for n in [16, 32] {
+            for &(cfg, p, fault) in &shapes {
+                if kernel.validate(n, p).is_err() {
+                    continue;
+                }
+                for mode in [Mode::Simd, Mode::Smimd] {
+                    let fast = full_run(cfg, *kernel, mode, n, p, fault, true);
+                    let interp = full_run(cfg, *kernel, mode, n, p, fault, false);
+                    assert!(
+                        fast == interp,
+                        "{} {mode} n={n} p={p} fault={fault:?} cfg={cfg:?}: \
+                         fast path diverged from interpreter\nfast:   {fast:?}\ninterp: {interp:?}",
+                        kernel.name()
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared >= 40, "only {compared} cells compared");
 }

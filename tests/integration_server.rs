@@ -405,6 +405,15 @@ fn cancel_expire_and_error_paths() {
     assert_eq!(code, 400, "{resp:?}");
     let (code, resp) = submit(addr, r#"{"mode":"warp","n":8}"#);
     assert_eq!(code, 400, "{resp:?}");
+    // Every kernel's parallel programs need at least two PEs: p=1 is
+    // refused at the boundary instead of panicking on a worker.
+    for kernel in pasm::kernels::names() {
+        for mode in ["simd", "mimd", "smimd"] {
+            let body = format!(r#"{{"mode":"{mode}","kernel":"{kernel}","n":16,"p":1}}"#);
+            let (code, resp) = submit(addr, &body);
+            assert_eq!(code, 400, "{body}: {resp:?}");
+        }
+    }
     let (code, resp) = get(addr, "/status/999999");
     assert_eq!(code, 404, "{resp:?}");
     let (code, resp) = request(addr, "POST", "/healthz", None);
