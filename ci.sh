@@ -52,4 +52,7 @@ cargo test -q -p pasm-server --test integration_query
 echo "==> querybench smoke-run (cold/warm query latency + span-store recovery gate)"
 cargo run --release -q -p bench --bin querybench -- --quick >/dev/null
 
+echo "==> pasmbench tests (benchmark gate tests + tiny smoke run of each workload)"
+cargo test -q --manifest-path pasmbench/Cargo.toml
+
 echo "==> ci.sh: all green"

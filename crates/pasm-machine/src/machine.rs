@@ -189,6 +189,11 @@ pub struct Machine {
     pes: Vec<Pe>,
     mcs: Vec<Mc>,
     fus: Vec<FetchUnit>,
+    /// Scheduler index: the next event time of each PE, then of each MC —
+    /// its `ready_at` while `Ready`, `u64::MAX` otherwise (simulated time
+    /// never reaches it: runs stop at `max_cycles`). Written only by
+    /// [`Machine::set_pe`] and [`Machine::set_mc`].
+    due: Vec<u64>,
     net: NetState,
     esc: EscNetwork,
     /// Cycle accounts; `None` when accounting is disabled. Deliberately not
@@ -257,11 +262,13 @@ impl Machine {
         let acct = Some(MachineAccounts::new(cfg.n_pes, cfg.n_mcs));
         let pe_faults = vec![None; cfg.n_pes];
         let live = vec![((1u32 << cfg.pes_per_mc()) - 1) as u16; cfg.n_mcs];
+        let due = vec![u64::MAX; cfg.n_pes + cfg.n_mcs];
         Machine {
             cfg,
             pes,
             mcs,
             fus,
+            due,
             net,
             esc,
             acct,
@@ -369,7 +376,7 @@ impl Machine {
         let compiled = self.compile_program(&program);
         self.mcs[mc].program = program;
         self.mcs[mc].compiled = Some(compiled);
-        self.mcs[mc].state = McState::Ready;
+        self.set_mc(mc, McState::Ready, self.mcs[mc].ready_at);
     }
 
     /// Direct access to a PE's memory (data set-up; the paper's secondary-
@@ -475,34 +482,73 @@ impl Machine {
                 a.pe[pe].started_at = at;
             }
         }
-        self.pes[pe].state = PeState::Ready;
-        self.pes[pe].ready_at = at;
+        self.set_pe(pe, PeState::Ready, at);
     }
 
     // ------------------------------------------------------------------
     // Scheduler
     // ------------------------------------------------------------------
 
-    fn next_runnable(&mut self) -> Option<(Component, u64)> {
-        let mut best: Option<(Component, u64)> = None;
-        let consider = |c: Component, t: u64, best: &mut Option<(Component, u64)>| {
-            if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
-                *best = Some((c, t));
-            }
+    /// Set PE `i`'s state and next event time, keeping `due` in step.
+    #[inline]
+    fn set_pe(&mut self, i: usize, state: PeState, ready_at: u64) {
+        let pe = &mut self.pes[i];
+        pe.state = state;
+        pe.ready_at = ready_at;
+        self.due[i] = if state == PeState::Ready {
+            ready_at
+        } else {
+            u64::MAX
         };
-        for i in 0..self.pes.len() {
-            if self.pes[i].state == PeState::Ready {
-                consider(Component::Pe(i), self.pes[i].ready_at, &mut best);
-            }
-        }
-        for i in 0..self.mcs.len() {
-            if self.mcs[i].state == McState::Ready {
-                consider(Component::Mc(i), self.mcs[i].ready_at, &mut best);
-            }
-        }
+    }
+
+    /// Set MC `i`'s state and next event time, keeping `due` in step.
+    #[inline]
+    fn set_mc(&mut self, i: usize, state: McState, ready_at: u64) {
+        let mc = &mut self.mcs[i];
+        mc.state = state;
+        mc.ready_at = ready_at;
+        self.due[self.pes.len() + i] = if state == McState::Ready {
+            ready_at
+        } else {
+            u64::MAX
+        };
+    }
+
+    /// Whether every `due` entry matches its component's state.
+    fn due_in_step(&self) -> bool {
+        let pes = self
+            .pes
+            .iter()
+            .map(|p| (p.state == PeState::Ready, p.ready_at));
+        let mcs = self
+            .mcs
+            .iter()
+            .map(|m| (m.state == McState::Ready, m.ready_at));
+        pes.chain(mcs)
+            .zip(&self.due)
+            .all(|((ready, at), &due)| due == if ready { at } else { u64::MAX })
+    }
+
+    /// The component with the earliest next event. Ties go to PEs by index,
+    /// then MCs by index (the first minimum of `due`), then Fetch Unit
+    /// controllers by index.
+    fn next_runnable(&mut self) -> Option<(Component, u64)> {
+        let t = self.due.iter().copied().min().unwrap_or(u64::MAX);
+        let mut best = (t != u64::MAX).then(|| {
+            let k = self.due.iter().position(|&d| d == t);
+            let k = k.expect("the minimum of `due` is one of its entries");
+            let c = match k.checked_sub(self.pes.len()) {
+                None => Component::Pe(k),
+                Some(m) => Component::Mc(m),
+            };
+            (c, t)
+        });
         for i in 0..self.fus.len() {
             if let Some(t) = self.fus[i].next_move_completion(self.cfg.fuc_cycles_per_word) {
-                consider(Component::Fuc(i), t, &mut best);
+                if best.as_ref().is_none_or(|(_, bt)| t < *bt) {
+                    best = Some((Component::Fuc(i), t));
+                }
             }
         }
         best
@@ -520,6 +566,7 @@ impl Machine {
                     }
                 }
             }
+            debug_assert!(self.due_in_step(), "scheduler index out of step");
             match self.next_runnable() {
                 Some((_, t)) if t > self.cfg.max_cycles => {
                     return Err(RunError::CycleLimit(self.cfg.max_cycles));
@@ -638,8 +685,8 @@ impl Machine {
             now = end;
             executed = true;
         }
-        pe.ready_at = now;
         batch.flush(&mut pe.trace, acc);
+        self.set_pe(i, PeState::Ready, now);
         executed
     }
 
@@ -697,11 +744,11 @@ impl Machine {
 
         let r = match outcome {
             StepOutcome::Blocked(Block::NetTxFull) => {
-                self.pes[i].state = PeState::AwaitNetTx { since: now };
+                self.set_pe(i, PeState::AwaitNetTx { since: now }, now);
                 return;
             }
             StepOutcome::Blocked(Block::NetRxEmpty) => {
-                self.pes[i].state = PeState::AwaitNetRx { since: now };
+                self.set_pe(i, PeState::AwaitNetRx { since: now }, now);
                 return;
             }
             StepOutcome::Blocked(Block::Mmio) => {
@@ -768,8 +815,7 @@ impl Machine {
                 if let Some(a) = self.acct.as_mut() {
                     a.pe[dest].charge(Bucket::Network, wake - since);
                 }
-                self.pes[dest].state = PeState::Ready;
-                self.pes[dest].ready_at = wake;
+                self.set_pe(dest, PeState::Ready, wake);
             }
         }
         if consumed_rx {
@@ -782,14 +828,13 @@ impl Machine {
                         if let Some(a) = self.acct.as_mut() {
                             a.pe[s].charge(Bucket::Network, wake - since);
                         }
-                        self.pes[s].state = PeState::Ready;
-                        self.pes[s].ready_at = wake;
+                        self.set_pe(s, PeState::Ready, wake);
                     }
                 }
             }
         }
 
-        self.pes[i].ready_at = new_now;
+        self.set_pe(i, PeState::Ready, new_now);
         if simd_delivered {
             self.pes[i].pending = None;
         }
@@ -807,7 +852,7 @@ impl Machine {
                 }
             }
             Effect::Halt => {
-                self.pes[i].state = PeState::Halted;
+                self.set_pe(i, PeState::Halted, new_now);
                 self.pes[i].trace.finished_at = new_now;
             }
             Effect::EnterSimd => {
@@ -825,7 +870,7 @@ impl Machine {
                     PeMode::Mimd,
                     "BARRIER is a MIMD-mode read"
                 );
-                self.pes[i].state = PeState::AwaitSimd { since: new_now };
+                self.set_pe(i, PeState::AwaitSimd { since: new_now }, new_now);
                 let mc = self.mc_of_pe(i);
                 self.check_release(mc);
             }
@@ -834,7 +879,7 @@ impl Machine {
     }
 
     fn issue_simd_request(&mut self, i: usize, at: u64) {
-        self.pes[i].state = PeState::AwaitSimd { since: at };
+        self.set_pe(i, PeState::AwaitSimd { since: at }, at);
         let mc = self.mc_of_pe(i);
         self.check_release(mc);
     }
@@ -907,8 +952,7 @@ impl Machine {
                 if let Some(a) = self.acct.as_mut() {
                     a.pe[pe].charge(Bucket::BarrierWait, release - since);
                 }
-                self.pes[pe].state = PeState::Ready;
-                self.pes[pe].ready_at = release;
+                self.set_pe(pe, PeState::Ready, release);
                 self.pes[pe].pending = match (self.pes[pe].mode, head.kind) {
                     (PeMode::Simd, EntryKind::Instr(_)) => Some(head),
                     (PeMode::Simd, EntryKind::Data) => {
@@ -944,7 +988,7 @@ impl Machine {
     /// other PEs, so [`Machine::group_horizon_clear`] first replays the MC's
     /// and the controller's events due before `rel.at`, and gives up if
     /// anything else is due. Each round is preceded by the controller check
-    /// the scheduler scan makes (keeping its `fuc_blocked` side effect). A
+    /// the scheduler makes (keeping its `fuc_blocked` side effect). A
     /// PE whose operand is memory-mapped stays `Ready` for
     /// [`Machine::step_pe`]. The step stops — returning
     /// [`Released::Nothing`] — only between rounds, so the machine is always
@@ -990,7 +1034,7 @@ impl Machine {
     /// Whether nothing of MC `mc`'s group acts before its PEs run `rel` at
     /// `rel.at` (the group step's horizon). The MC's steps and controller
     /// moves due earlier are replayed inline, in the scheduler's order — the
-    /// MC wins a tie with its controller, because MCs are scanned first —
+    /// MC wins a tie with its controller, as in [`Machine::next_runnable`] —
     /// as long as the release check they trigger releases nothing. The step
     /// ends at anything else:
     ///
@@ -1001,7 +1045,7 @@ impl Machine {
     /// * an exhausted [`FAST_BATCH`] budget.
     ///
     /// The MC and the controller lose a tie at `rel.at` to the PEs, which
-    /// the scheduler scans first.
+    /// the scheduler picks first.
     fn group_horizon_clear(&mut self, mc: usize, rel: Release, budget: &mut u32) -> bool {
         let rounds = rel.enabled.count_ones();
         for pe in self.group_members(mc, rel.enabled) {
@@ -1057,8 +1101,7 @@ impl Machine {
         };
         batch.flush(&mut pe.trace, acc);
         pe.pending = None;
-        pe.ready_at = end;
-        pe.state = PeState::AwaitSimd { since: end };
+        self.set_pe(i, PeState::AwaitSimd { since: end }, end);
         true
     }
 
@@ -1091,8 +1134,7 @@ impl Machine {
                 if let Some(a) = self.acct.as_mut() {
                     a.pe[pe].charge(Bucket::BarrierWait, release - since);
                 }
-                self.pes[pe].state = PeState::Ready;
-                self.pes[pe].ready_at = release;
+                self.set_pe(pe, PeState::Ready, release);
                 self.pes[pe].pending = match (self.pes[pe].mode, entry.kind) {
                     (PeMode::Simd, EntryKind::Instr(_)) => Some(entry),
                     (PeMode::Mimd, _) => None,
@@ -1186,8 +1228,8 @@ impl Machine {
                 other => unreachable!("fast path executed effectful {other:?}"),
             }
         }
-        mc.ready_at = now;
         batch.flush_mc(&mut mc.trace, acc);
+        self.set_mc(i, McState::Ready, now);
         executed
     }
 
@@ -1216,7 +1258,7 @@ impl Machine {
         if matches!(instr, Instr::Enqueue { .. } | Instr::EnqueueWords { .. })
             && !self.fus[i].command_done()
         {
-            self.mcs[i].state = McState::AwaitFuc { since: now };
+            self.set_mc(i, McState::AwaitFuc { since: now }, now);
             return false;
         }
 
@@ -1235,7 +1277,7 @@ impl Machine {
             .mc_dram
             .burst_delay(now + fetch_wait, r.data_accesses);
         let new_now = now + r.cycles as u64 + fetch_wait + data_wait;
-        self.mcs[i].ready_at = new_now;
+        self.set_mc(i, McState::Ready, new_now);
         if !matches!(instr, Instr::Mark { .. }) {
             self.mcs[i].trace.instrs += 1;
         }
@@ -1259,7 +1301,7 @@ impl Machine {
                 }
             }
             Effect::Halt => {
-                self.mcs[i].state = McState::Halted;
+                self.set_mc(i, McState::Halted, new_now);
                 self.mcs[i].trace.finished_at = new_now;
             }
             Effect::Mc(op) => match op {
@@ -1279,8 +1321,7 @@ impl Machine {
                             continue;
                         }
                         if self.pes[pe].state == PeState::Idle && !self.pes[pe].program.is_empty() {
-                            self.pes[pe].state = PeState::Ready;
-                            self.pes[pe].ready_at = new_now;
+                            self.set_pe(pe, PeState::Ready, new_now);
                             if let Some(a) = self.acct.as_mut() {
                                 a.pe[pe].started_at = new_now;
                             }
@@ -1315,8 +1356,7 @@ impl Machine {
                 if let Some(a) = self.acct.as_mut() {
                     a.mc[i].charge(Bucket::BarrierWait, wake - since);
                 }
-                self.mcs[i].state = McState::Ready;
-                self.mcs[i].ready_at = wake;
+                self.set_mc(i, McState::Ready, wake);
             }
         }
     }

@@ -641,6 +641,44 @@ fn interrupt_flag_stops_the_run() {
     assert_eq!(m.run().unwrap_err(), RunError::Interrupted);
 }
 
+/// The scheduler's pick order on a tie (docs/TIMING.md, "Horizon and
+/// ties"): PEs by index, then MCs by index, then Fetch Unit controllers by
+/// index — a PE wins even against an MC of lower index.
+#[test]
+fn scheduler_tie_order_is_pes_then_mcs_then_controllers() {
+    let mut m = Machine::new(MachineConfig::prototype());
+    let cpw = m.cfg.fuc_cycles_per_word;
+    m.set_pe(2, PeState::Ready, 101);
+    m.set_pe(9, PeState::Ready, 100);
+    m.set_pe(5, PeState::Ready, 100);
+    m.set_mc(2, McState::Ready, 100);
+    m.set_mc(0, McState::Ready, 100);
+    m.fus[3].command_block(&[Instr::Nop], 100 - cpw);
+    m.fus[1].command_block(&[Instr::Nop], 100 - cpw);
+    let mut picks = Vec::new();
+    while let Some((c, t)) = m.next_runnable() {
+        assert!(m.due_in_step());
+        picks.push(match c {
+            Component::Pe(i) => {
+                m.set_pe(i, PeState::Halted, t);
+                format!("PE{i}@{t}")
+            }
+            Component::Mc(i) => {
+                m.set_mc(i, McState::Halted, t);
+                format!("MC{i}@{t}")
+            }
+            Component::Fuc(i) => {
+                m.fus[i].do_move(t);
+                format!("FUC{i}@{t}")
+            }
+        });
+    }
+    assert_eq!(
+        picks,
+        ["PE5@100", "PE9@100", "MC0@100", "MC2@100", "FUC1@100", "FUC3@100", "PE2@101"]
+    );
+}
+
 #[test]
 fn queue_empty_stall_counted_when_mc_is_slow() {
     // MC dawdles between broadcasts => PEs wait on an empty queue.
