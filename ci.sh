@@ -16,6 +16,9 @@ cargo build --release --locked
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> paper golden gate, paper-scale points (release)"
+cargo test -q --release -p pasm --test paper_golden -- --ignored
+
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
