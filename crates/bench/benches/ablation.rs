@@ -5,12 +5,13 @@
 
 use bench::micro::{BenchmarkId, Criterion};
 use bench::{criterion_group, criterion_main};
-use pasm::{paper_workload, run_matmul, Mode, Params};
+use pasm::kernels::matmul::Matmul;
+use pasm::{run_kernel_opts, Kernel, Mode, Params, RunOptions};
 use pasm_machine::{MachineConfig, ReleaseMode};
 
 fn bench_release_modes(c: &mut Criterion) {
     let n = 16;
-    let (a, b) = paper_workload(n, 1);
+    let input = Matmul.generate(n, 1);
     let mut g = c.benchmark_group("simd_release_rule");
     for (name, mode) in [
         ("lockstep", ReleaseMode::Lockstep),
@@ -22,7 +23,8 @@ fn bench_release_modes(c: &mut Criterion) {
         };
         g.bench_function(BenchmarkId::from_parameter(name), |bch| {
             bch.iter(|| {
-                run_matmul(&cfg, Mode::Simd, Params::new(n, 4), &a, &b)
+                let opts = RunOptions::default();
+                run_kernel_opts(&cfg, &Matmul, Mode::Simd, Params::new(n, 4), &input, &opts)
                     .unwrap()
                     .cycles
             })
@@ -33,7 +35,7 @@ fn bench_release_modes(c: &mut Criterion) {
 
 fn bench_queue_capacity(c: &mut Criterion) {
     let n = 16;
-    let (a, b) = paper_workload(n, 1);
+    let input = Matmul.generate(n, 1);
     let mut g = c.benchmark_group("queue_capacity");
     for cap in [8u32, 64, 512] {
         let cfg = MachineConfig {
@@ -42,7 +44,8 @@ fn bench_queue_capacity(c: &mut Criterion) {
         };
         g.bench_function(BenchmarkId::from_parameter(cap), |bch| {
             bch.iter(|| {
-                run_matmul(&cfg, Mode::Simd, Params::new(n, 4), &a, &b)
+                let opts = RunOptions::default();
+                run_kernel_opts(&cfg, &Matmul, Mode::Simd, Params::new(n, 4), &input, &opts)
                     .unwrap()
                     .cycles
             })

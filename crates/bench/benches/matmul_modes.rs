@@ -3,19 +3,21 @@
 
 use bench::micro::{BenchmarkId, Criterion};
 use bench::{criterion_group, criterion_main};
-use pasm::{paper_workload, run_matmul, Mode, Params};
+use pasm::kernels::{matmul::Matmul, reduce::Reduce, Kernel};
+use pasm::{run_kernel_opts, Mode, Params, RunOptions};
 use pasm_machine::MachineConfig;
 
 fn bench_modes(c: &mut Criterion) {
     let cfg = MachineConfig::prototype();
     let n = 16;
-    let (a, b) = paper_workload(n, 1);
+    let input = Matmul.generate(n, 1);
     let mut g = c.benchmark_group("run_matmul_n16_p4");
     for mode in Mode::ALL {
         let p = if mode == Mode::Serial { 1 } else { 4 };
         g.bench_function(BenchmarkId::from_parameter(mode), |bch| {
             bch.iter(|| {
-                run_matmul(&cfg, mode, Params::new(n, p), &a, &b)
+                let opts = RunOptions::default();
+                run_kernel_opts(&cfg, &Matmul, mode, Params::new(n, p), &input, &opts)
                     .unwrap()
                     .cycles
             })
@@ -26,12 +28,13 @@ fn bench_modes(c: &mut Criterion) {
 
 fn bench_reduction(c: &mut Criterion) {
     let cfg = MachineConfig::prototype();
-    let blocks: Vec<Vec<u16>> = (0..4).map(|i| vec![i as u16; 64]).collect();
+    let input: Vec<u16> = (0..4).flat_map(|i| [i as u16; 64]).collect();
     let mut g = c.benchmark_group("run_reduction_k64_p4");
     for mode in [Mode::Simd, Mode::Mimd, Mode::Smimd] {
         g.bench_function(BenchmarkId::from_parameter(mode), |bch| {
             bch.iter(|| {
-                pasm::run_reduction(&cfg, mode, 64, 4, &blocks)
+                let opts = RunOptions::default();
+                run_kernel_opts(&cfg, &Reduce, mode, Params::new(256, 4), &input, &opts)
                     .unwrap()
                     .cycles
             })

@@ -17,7 +17,8 @@
 //!    group (lockstep max), MIMD MAC-loop spans are not (each PE's own
 //!    timing).
 
-use pasm::{paper_workload, run_matmul, MachineConfig, Mode, Params};
+use pasm::kernels::matmul::Matmul;
+use pasm::{run_kernel_opts, Kernel, MachineConfig, Mode, Params, RunOptions};
 use pasm_machine::{Bucket, MachineAccounts, BUCKET_NAMES, N_BUCKETS};
 use pasm_prog::codegen::PHASE_MUL;
 use pasm_util::{Json, ToJson};
@@ -73,14 +74,15 @@ fn main() {
     let cfg = MachineConfig::prototype();
     let (n, p) = if quick { (4, 4) } else { (16, 16) };
     let seed = 1988;
-    let (a, b) = paper_workload(n, seed);
+    let input = Matmul.generate(n, seed);
 
     let mut rows = Vec::new();
     let mut failures = Vec::new();
 
     for mode in Mode::ALL {
         let params = Params::new(n, p);
-        let out = run_matmul(&cfg, mode, params, &a, &b).expect("run");
+        let out = run_kernel_opts(&cfg, &Matmul, mode, params, &input, &RunOptions::default())
+            .expect("run");
         let accounts = out
             .run
             .accounts

@@ -27,6 +27,7 @@
 //! violated assertion is printed and the binary exits nonzero — `ci.sh`
 //! runs the quick sweep as a regression gate.
 
+use pasm::kernels::matmul::{input_words, Matmul};
 use pasm::{par_map, Mode, Params, RunOptions};
 use pasm_machine::{single_faults, Bucket, FaultPlan, MachineConfig};
 use pasm_prog::Matrix;
@@ -71,13 +72,14 @@ fn sweep_cell(cfg: &MachineConfig, n: usize, p: usize, mode: Mode, seed: u64) ->
     let m = cfg.n_pes.max(2).trailing_zeros();
     // A non-trivial product (the paper workload multiplies by the identity,
     // which would let a fault that misroutes `A` go unnoticed).
-    let a = Matrix::uniform(n, seed);
-    let b = Matrix::uniform(n, seed ^ 0x9E37_79B9_7F4A_7C15);
-    let expect = a.multiply(&b);
+    let input = input_words(
+        &Matrix::uniform(n, seed),
+        &Matrix::uniform(n, seed ^ 0x9E37_79B9_7F4A_7C15),
+    );
     let params = Params::new(n, p);
+    let run = |opts: &RunOptions| pasm::run_kernel_opts(cfg, &Matmul, mode, params, &input, opts);
 
-    let base = pasm::run_matmul_opts(cfg, mode, params, &a, &b, &RunOptions::default())
-        .expect("fault-free baseline run");
+    let base = run(&RunOptions::default()).expect("fault-free baseline run");
     let mut cell = Cell {
         mode,
         seed,
@@ -89,7 +91,7 @@ fn sweep_cell(cfg: &MachineConfig, n: usize, p: usize, mode: Mode, seed: u64) ->
         max_slowdown: 1.0,
         violations: Vec::new(),
     };
-    if base.c != expect {
+    if base.verify(&input).is_err() {
         cell.violations
             .push(format!("{mode} seed {seed}: fault-free product WRONG"));
         return cell;
@@ -102,14 +104,14 @@ fn sweep_cell(cfg: &MachineConfig, n: usize, p: usize, mode: Mode, seed: u64) ->
             ..RunOptions::default()
         };
         let tag = format!("{mode} seed {seed} fault {fault}");
-        let out = match pasm::run_matmul_opts(cfg, mode, params, &a, &b, &opts) {
+        let out = match run(&opts) {
             Ok(out) => out,
             Err(e) => {
                 cell.violations.push(format!("{tag}: run failed: {e}"));
                 continue;
             }
         };
-        if out.c != expect {
+        if out.verify(&input).is_err() {
             cell.violations.push(format!("{tag}: product WRONG"));
         }
         let detour = out

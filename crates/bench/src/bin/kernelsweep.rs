@@ -108,7 +108,8 @@ fn main() -> ExitCode {
             }
             for mode in MODES {
                 let params = Params::new(n, p);
-                let out = match pasm::run_kernel(&cfg, kernel, mode, params, &input) {
+                let opts = pasm::RunOptions::default();
+                let out = match pasm::run_kernel_opts(&cfg, kernel, mode, params, &input, &opts) {
                     Ok(out) => out,
                     Err(e) => {
                         failures.push(format!("{} {mode} n={n} p={p}: {e}", kernel.name()));

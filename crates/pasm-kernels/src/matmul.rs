@@ -1,77 +1,33 @@
 //! The paper's workload as a registered kernel: column-partitioned matrix
-//! multiplication with identity A and seeded uniform B (so C = B and results
-//! are trivially checkable while `MULU` timing variance is fully driven by
-//! the B data — paper §6).
+//! multiplication. [`Kernel::generate`] draws identity A and seeded uniform B
+//! (so C = B and results are trivially checkable while `MULU` timing
+//! variance is fully driven by the B data — paper §6).
 //!
-//! The kernel's input words are the row-major B matrix (`n²` words); the
-//! output is the row-major C product read back from the PE column blocks.
+//! The kernel's input words are A's rows followed by B's rows (`2·n²` words;
+//! [`input_words`] builds them from any two matrices); the output is the
+//! row-major C product read back from the PE column blocks.
 
 use crate::Kernel;
 use pasm_machine::{Machine, RunError};
 use pasm_prog::codegen::{PHASE_COMM, PHASE_MUL};
-use pasm_prog::matmul::{mimd, serial, simd, CommSync, MatmulParams};
+use pasm_prog::matmul::{mimd, serial, simd, MatmulParams};
 use pasm_prog::{Layout, Matrix, Mode, VirtualMachine};
 
-/// Load one matmul job onto a machine's virtual machine: data layout, network
-/// circuits, PE and MC programs. Returns the layout for result read-back.
-///
-/// Fails with [`RunError::Net`] when the ring circuits cannot be established —
-/// on a faulted network this is a real outcome, not a bug: a full-machine ring
-/// uses every interior stage completely, so an interior-box fault leaves no
-/// one-pass routing (the ESC permutation two-pass limit; see docs/FAULTS.md).
-pub fn load_matmul(
-    machine: &mut Machine,
-    mode: Mode,
-    params: MatmulParams,
-    vm: &VirtualMachine,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<Layout, RunError> {
-    match mode {
-        Mode::Serial => {
-            let layout = Layout::serial(params.n);
-            layout.load(machine, &vm.pes[..1], a, b);
-            machine.load_pe_program(vm.pes[0], serial::pe_program(params));
-            machine.load_mc_program(vm.mcs[0], serial::mc_program());
-            Ok(layout)
-        }
-        Mode::Simd => {
-            let layout = Layout::parallel(params.n, params.p);
-            layout.load(machine, &vm.pes, a, b);
-            machine
-                .connect_ring(&vm.pes)
-                .map_err(|e| RunError::Net(e.to_string()))?;
-            for &pe in &vm.pes {
-                machine.load_pe_program(pe, simd::pe_program());
-            }
-            let mc_prog = simd::mc_program(params, vm.mask);
-            for &mc in &vm.mcs {
-                machine.load_mc_program(mc, mc_prog.clone());
-            }
-            Ok(layout)
-        }
-        Mode::Mimd | Mode::Smimd => {
-            let sync = if mode == Mode::Mimd {
-                CommSync::Polling
-            } else {
-                CommSync::Barrier
-            };
-            let layout = Layout::parallel(params.n, params.p);
-            layout.load(machine, &vm.pes, a, b);
-            machine
-                .connect_ring(&vm.pes)
-                .map_err(|e| RunError::Net(e.to_string()))?;
-            let pe_prog = mimd::pe_program(params, sync);
-            for &pe in &vm.pes {
-                machine.load_pe_program(pe, pe_prog.clone());
-            }
-            let mc_prog = mimd::mc_program(params, sync, vm.mask);
-            for &mc in &vm.mcs {
-                machine.load_mc_program(mc, mc_prog.clone());
-            }
-            Ok(layout)
-        }
-    }
+/// The kernel's input words for operands `a` and `b`: A's rows, then B's.
+pub fn input_words(a: &Matrix, b: &Matrix) -> Vec<u16> {
+    assert_eq!(a.n, b.n, "operands must have the same size");
+    [a.words(), b.words()].concat()
+}
+
+/// Split input words back into the A and B operands.
+fn operands(n: usize, input: &[u16]) -> (Matrix, Matrix) {
+    assert_eq!(
+        input.len(),
+        2 * n * n,
+        "matmul input is 2\u{b7}n\u{b2} words"
+    );
+    let (a, b) = input.split_at(n * n);
+    (Matrix::from_words(n, a), Matrix::from_words(n, b))
 }
 
 /// The registered matmul kernel (see module docs).
@@ -110,30 +66,12 @@ impl Kernel for Matmul {
     }
 
     fn generate(&self, n: usize, seed: u64) -> Vec<u16> {
-        let b = Matrix::uniform(n, seed);
-        let mut words = Vec::with_capacity(n * n);
-        for r in 0..n {
-            for c in 0..n {
-                words.push(b.get(r, c));
-            }
-        }
-        words
+        input_words(&Matrix::identity(n), &Matrix::uniform(n, seed))
     }
 
     fn reference(&self, params: MatmulParams, input: &[u16]) -> Vec<u16> {
-        // A is the identity, so C = B. Kept as an explicit multiply so the
-        // reference stays honest if the A operand ever changes.
-        let n = params.n;
-        let a = Matrix::identity(n);
-        let b = Matrix::from_fn(n, |r, c| input[r * n + c]);
-        let c = a.multiply(&b);
-        let mut words = Vec::with_capacity(n * n);
-        for r in 0..n {
-            for col in 0..n {
-                words.push(c.get(r, col));
-            }
-        }
-        words
+        let (a, b) = operands(params.n, input);
+        a.multiply(&b).words().to_vec()
     }
 
     fn load(
@@ -144,14 +82,34 @@ impl Kernel for Matmul {
         vm: &VirtualMachine,
         input: &[u16],
     ) -> Result<(), RunError> {
-        assert_eq!(
-            input.len(),
-            params.n * params.n,
-            "matmul input is n\u{b2} words"
-        );
-        let a = Matrix::identity(params.n);
-        let b = Matrix::from_fn(params.n, |r, c| input[r * params.n + c]);
-        load_matmul(machine, mode, params, vm, &a, &b)?;
+        let (a, b) = operands(params.n, input);
+        if mode == Mode::Serial {
+            Layout::serial(params.n).load(machine, &vm.pes[..1], &a, &b);
+            machine.load_pe_program(vm.pes[0], serial::pe_program(params));
+            machine.load_mc_program(vm.mcs[0], serial::mc_program());
+            return Ok(());
+        }
+        Layout::parallel(params.n, params.p).load(machine, &vm.pes, &a, &b);
+        // On a faulted network a failed ring is a real outcome, not a bug: a
+        // full-machine ring uses every interior stage completely, so an
+        // interior-box fault leaves no one-pass routing (the ESC permutation
+        // two-pass limit; see docs/FAULTS.md).
+        machine
+            .connect_ring(&vm.pes)
+            .map_err(|e| RunError::Net(e.to_string()))?;
+        let (pe_prog, mc_prog) = match mode.comm_sync() {
+            Some(sync) => (
+                mimd::pe_program(params, sync),
+                mimd::mc_program(params, sync, vm.mask),
+            ),
+            None => (simd::pe_program(), simd::mc_program(params, vm.mask)),
+        };
+        for &pe in &vm.pes {
+            machine.load_pe_program(pe, pe_prog.clone());
+        }
+        for &mc in &vm.mcs {
+            machine.load_mc_program(mc, mc_prog.clone());
+        }
         Ok(())
     }
 
@@ -167,14 +125,7 @@ impl Kernel for Matmul {
         } else {
             Layout::parallel(params.n, params.p)
         };
-        let c = layout.read_c(machine, &vm.pes[..layout.p]);
-        let mut words = Vec::with_capacity(params.n * params.n);
-        for r in 0..params.n {
-            for col in 0..params.n {
-                words.push(c.get(r, col));
-            }
-        }
-        words
+        layout.read_c(machine, &vm.pes[..layout.p]).words().to_vec()
     }
 }
 
@@ -191,7 +142,8 @@ mod tests {
             p: 4,
             extra_muls: 0,
         };
-        assert_eq!(k.reference(params, &input), input);
+        // Input is identity A followed by B, so the product is the B half.
+        assert_eq!(k.reference(params, &input), input[64..]);
     }
 
     #[test]

@@ -78,6 +78,20 @@ impl Matrix {
         m
     }
 
+    /// Build from row-major words (`n²` of them).
+    pub fn from_words(n: usize, words: &[u16]) -> Self {
+        assert_eq!(words.len(), n * n, "an n\u{d7}n matrix is n\u{b2} words");
+        Matrix {
+            n,
+            data: words.to_vec(),
+        }
+    }
+
+    /// The entries as row-major words.
+    pub fn words(&self) -> &[u16] {
+        &self.data
+    }
+
     /// Element at (row, col).
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> u16 {

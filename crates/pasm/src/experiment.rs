@@ -1,12 +1,13 @@
-//! End-to-end experiment execution: build a machine, load a matmul variant,
-//! run it, and collect both the numeric result and the timing traces.
+//! End-to-end experiment execution: place registered kernels on virtual
+//! machines of one simulated PASM, run them, and collect each placement's
+//! output and timing traces.
 
 use pasm_kernels::Kernel;
 use pasm_machine::{
     FaultPlan, Machine, MachineConfig, RunError, RunResult, BUCKET_NAMES, N_BUCKETS,
 };
-use pasm_prog::matmul::{self, select_vm, MatmulParams};
-use pasm_prog::Matrix;
+use pasm_prog::matmul::{select_vm, select_vm_on_mcs, MatmulParams};
+use pasm_prog::VirtualMachine;
 use pasm_util::json::{Json, ToJson};
 use pasm_util::{Fnv1a, SpanLog};
 use std::hash::{Hash, Hasher};
@@ -20,34 +21,6 @@ pub use pasm_prog::Mode;
 /// Re-export of the workload registry: the named kernels an
 /// [`ExperimentKey`] can select via its `workload` field.
 pub use pasm_kernels::{self as kernels, MATMUL};
-
-/// A completed matrix-multiplication run.
-#[derive(Debug, Clone)]
-pub struct MatmulOutcome {
-    pub mode: Mode,
-    pub params: MatmulParams,
-    /// Measured program execution time in cycles (the makespan over all
-    /// participating processors, MCs included).
-    pub cycles: u64,
-    /// Full machine traces.
-    pub run: RunResult,
-    /// The computed product, gathered from PE memories.
-    pub c: Matrix,
-}
-
-impl MatmulOutcome {
-    /// Execution time in milliseconds on the 8 MHz prototype clock.
-    pub fn millis(&self) -> f64 {
-        pasm_isa::cycles_to_ms(self.cycles)
-    }
-
-    /// The run's phase spans as a named [`SpanLog`] (`pe<i>` / `mc<i>`
-    /// sources, phase names from [`pasm_prog::codegen::phase_name`]), ready
-    /// for JSONL emission. Empty when accounting was disabled.
-    pub fn span_log(&self) -> SpanLog {
-        run_span_log(&self.run)
-    }
-}
 
 /// Convert a run's recorded phase spans into a named [`SpanLog`]: sources are
 /// `pe<i>` / `mc<i>`, names come from [`pasm_prog::codegen::phase_name`].
@@ -80,56 +53,15 @@ pub fn run_span_log(run: &RunResult) -> SpanLog {
     log
 }
 
-/// Load one matmul job onto a machine's virtual machine (moved to
-/// [`pasm_kernels::matmul::load_matmul`] with the workload registry; kept
-/// here as a thin alias because every runner in this module goes through it).
-use pasm_kernels::matmul::load_matmul as load_job;
-
-/// Run one matrix multiplication. `a` and `b` are the operand matrices
-/// (`n × n`, matching `params.n`). Cycle accounting is on (it is effectively
-/// free — see `benches/accounting.rs`); use [`run_matmul_with_accounting`]
-/// to turn it off.
-pub fn run_matmul(
-    cfg: &MachineConfig,
-    mode: Mode,
-    params: MatmulParams,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<MatmulOutcome, RunError> {
-    run_matmul_with_accounting(cfg, mode, params, a, b, true)
-}
-
-/// [`run_matmul`] with an explicit cycle-accounting toggle. Disabling
-/// accounting never changes simulated timing — the buckets observe the
-/// scheduler, they are not an input to it (asserted by the integration
-/// tests) — it only drops the per-PE breakdowns from the outcome.
-pub fn run_matmul_with_accounting(
-    cfg: &MachineConfig,
-    mode: Mode,
-    params: MatmulParams,
-    a: &Matrix,
-    b: &Matrix,
-    accounting: bool,
-) -> Result<MatmulOutcome, RunError> {
-    run_matmul_opts(
-        cfg,
-        mode,
-        params,
-        a,
-        b,
-        &RunOptions {
-            accounting,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Everything a matmul run can be parameterized with beyond mode, size and
-/// operands: cycle accounting, injected faults, and an external interrupt
-/// flag for cancellation/watchdog use.
+/// Everything a run can be parameterized with beyond what runs where: cycle
+/// accounting, injected faults, an external interrupt flag for
+/// cancellation/watchdog use, and the fast-path toggle.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Collect per-component [`pasm_machine::CycleAccount`]s (default on).
+    /// Disabling accounting never changes simulated timing — the buckets
+    /// observe the scheduler, they are not an input to it (asserted by the
+    /// integration tests) — it only drops the per-PE breakdowns.
     pub accounting: bool,
     /// Faults to inject before circuits are established (default none).
     pub fault: FaultPlan,
@@ -154,22 +86,77 @@ impl Default for RunOptions {
     }
 }
 
-/// The fully-parameterized matmul runner: [`run_matmul`] plus fault
-/// injection and cooperative interruption (see [`RunOptions`]).
+/// One registered kernel on one virtual machine: the unit of work of
+/// [`run_placements`].
+#[derive(Clone)]
+pub struct Placement {
+    /// The registry entry to run.
+    pub kernel: &'static dyn Kernel,
+    pub mode: Mode,
+    pub params: MatmulParams,
+    /// MCs (and thus PE groups) the virtual machine occupies; `None` takes
+    /// [`select_vm`]'s spread placement.
+    pub mcs: Option<Vec<usize>>,
+    /// Input words in the layout of the kernel's [`Kernel::generate`].
+    pub input: Vec<u16>,
+}
+
+/// Validate a placement and choose its virtual machine (panics as
+/// [`run_placements`] documents).
+fn virtual_machine(cfg: &MachineConfig, pl: &Placement) -> VirtualMachine {
+    let p = if pl.mode == Mode::Serial {
+        assert!(
+            pl.kernel.supports_serial(),
+            "{} has no serial variant",
+            pl.kernel.name()
+        );
+        1
+    } else {
+        if let Err(e) = pl.kernel.validate(pl.params.n, pl.params.p) {
+            panic!("invalid kernel parameters: {e}");
+        }
+        pl.params.p
+    };
+    match &pl.mcs {
+        Some(mcs) => select_vm_on_mcs(cfg, p, mcs),
+        None => select_vm(cfg, p),
+    }
+}
+
+/// Run placements **simultaneously** on disjoint virtual machines of one
+/// physical machine — PASM's partitionability (the first letter of its
+/// name). A single job is one placement.
 ///
 /// Faults are applied **before** circuit establishment, so the network
 /// reconfigures (bypass/enable the two cube₀ stages) and the ring allocator
 /// routes around the damage; PE fault models attach to the affected PEs.
-pub fn run_matmul_opts(
+///
+/// Placements must name disjoint MC sets. Because partition members agree in
+/// the low-order PE-address bits, concurrent ring circuits share low-stage
+/// boxes only in straight mode and are disjoint elsewhere, so partitions
+/// neither block nor slow each other (asserted by the integration tests).
+/// Each outcome's `cycles` is the latest finish among its own PEs and MCs;
+/// every outcome carries the whole machine's traces.
+///
+/// Panics on serial mode for a kernel without a serial variant, on `(n, p)`
+/// the kernel's [`Kernel::validate`] rejects, on an MC id out of range, or on
+/// an MC claimed twice — validate at the boundary first.
+pub fn run_placements(
     cfg: &MachineConfig,
-    mode: Mode,
-    params: MatmulParams,
-    a: &Matrix,
-    b: &Matrix,
+    placements: &[Placement],
     opts: &RunOptions,
-) -> Result<MatmulOutcome, RunError> {
-    assert_eq!(a.n, params.n);
-    assert_eq!(b.n, params.n);
+) -> Result<Vec<KernelOutcome>, RunError> {
+    let vms: Vec<VirtualMachine> = placements
+        .iter()
+        .map(|pl| virtual_machine(cfg, pl))
+        .collect();
+    let mut claimed = vec![false; cfg.n_mcs];
+    for &mc in vms.iter().flat_map(|vm| &vm.mcs) {
+        assert!(
+            !std::mem::replace(&mut claimed[mc], true),
+            "MC {mc} claimed by two placements"
+        );
+    }
     let mut machine = Machine::new(cfg.clone());
     machine.set_accounting(opts.accounting);
     machine.set_fast_path(opts.fast_path);
@@ -179,106 +166,30 @@ pub fn run_matmul_opts(
     if let Some(flag) = &opts.interrupt {
         machine.set_interrupt(Arc::clone(flag));
     }
-    let vm = select_vm(cfg, if mode == Mode::Serial { 1 } else { params.p });
-    let layout = load_job(&mut machine, mode, params, &vm, a, b)?;
-    let run = machine.run()?;
-    let c = layout.read_c(&machine, &vm.pes[..layout.p]);
-    Ok(MatmulOutcome {
-        mode,
-        params,
-        cycles: run.makespan,
-        run,
-        c,
-    })
-}
-
-/// One job of a partitioned (multi-virtual-machine) run.
-#[derive(Debug, Clone)]
-pub struct Job {
-    pub mode: Mode,
-    pub params: MatmulParams,
-    /// MCs (and thus PE groups) this job's virtual machine occupies.
-    pub mcs: Vec<usize>,
-    pub a: Matrix,
-    pub b: Matrix,
-}
-
-/// Outcome of one job of a partitioned run.
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
-    pub mode: Mode,
-    pub params: MatmulParams,
-    /// This job's completion time: the latest finish among its own PEs and MCs.
-    pub cycles: u64,
-    pub c: Matrix,
-}
-
-/// Run several jobs **simultaneously** on disjoint virtual machines of one
-/// physical machine — PASM's partitionability (the first letter of its name).
-///
-/// Each job gets the PE groups of its `mcs`; jobs must name disjoint MC sets.
-/// Because partition members agree in the low-order PE-address bits, the
-/// concurrent ring circuits share low-stage boxes only in straight mode and
-/// are disjoint elsewhere, so the partitions neither block nor slow each
-/// other (asserted by the integration tests).
-pub fn run_concurrent(cfg: &MachineConfig, jobs: &[Job]) -> Result<Vec<JobOutcome>, RunError> {
-    let mut seen = vec![false; cfg.n_mcs];
-    for j in jobs {
-        for &mc in &j.mcs {
-            assert!(!seen[mc], "MC {mc} claimed by two jobs");
-            seen[mc] = true;
-        }
-    }
-    let mut machine = Machine::new(cfg.clone());
-    let mut loaded = Vec::new();
-    for job in jobs {
-        let p = if job.mode == Mode::Serial {
-            1
-        } else {
-            job.params.p
-        };
-        let vm = pasm_prog::matmul::select_vm_on_mcs(cfg, p, &job.mcs);
-        let layout = load_job(&mut machine, job.mode, job.params, &vm, &job.a, &job.b)?;
-        loaded.push((job, vm, layout));
+    for (pl, vm) in placements.iter().zip(&vms) {
+        pl.kernel
+            .load(&mut machine, pl.mode, pl.params, vm, &pl.input)?;
     }
     let run = machine.run()?;
-    Ok(loaded
-        .into_iter()
-        .map(|(job, vm, layout)| {
-            let pes = &vm.pes[..layout.p];
-            let cycles = pes
+    Ok(placements
+        .iter()
+        .zip(&vms)
+        .zip(std::iter::repeat_n(run, placements.len()))
+        .map(|((pl, vm), run)| KernelOutcome {
+            kernel: pl.kernel,
+            mode: pl.mode,
+            params: pl.params,
+            cycles: vm
+                .pes
                 .iter()
                 .map(|&pe| run.pe[pe].finished_at)
                 .chain(vm.mcs.iter().map(|&mc| run.mc[mc].finished_at))
                 .max()
-                .unwrap_or(0);
-            JobOutcome {
-                mode: job.mode,
-                params: job.params,
-                cycles,
-                c: layout.read_c(&machine, pes),
-            }
+                .unwrap_or(0),
+            output: pl.kernel.read_output(&machine, pl.mode, pl.params, vm),
+            run,
         })
         .collect())
-}
-
-/// Run and assert the product equals the host reference (test/debug helper;
-/// the paper used the identity matrix in A for the same reason).
-pub fn run_matmul_verified(
-    cfg: &MachineConfig,
-    mode: Mode,
-    params: MatmulParams,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<MatmulOutcome, RunError> {
-    let out = run_matmul(cfg, mode, params, a, b)?;
-    let expect = a.multiply(b);
-    assert_eq!(
-        out.c, expect,
-        "{mode} n={} p={} produced a wrong product",
-        params.n, params.p
-    );
-    Ok(out)
 }
 
 /// The identity of one simulation: everything that determines its outcome.
@@ -492,40 +403,6 @@ impl ExperimentResult {
         })
     }
 
-    /// Summarize a finished matmul run.
-    pub fn from_outcome(out: &MatmulOutcome, seed: u64) -> Self {
-        use pasm_prog::codegen::{PHASE_COMM, PHASE_MUL};
-        let mut h = Fnv1a::new();
-        for r in 0..out.c.n {
-            for c in 0..out.c.n {
-                h.write(&out.c.get(r, c).to_be_bytes());
-            }
-        }
-        ExperimentResult {
-            workload: MATMUL,
-            mode: out.mode,
-            n: out.params.n,
-            p: out.params.p,
-            extra_muls: out.params.extra_muls,
-            seed,
-            cycles: out.cycles,
-            millis: out.millis(),
-            multiply_cycles: out.run.phase_max(PHASE_MUL as usize),
-            communication_cycles: out.run.phase_max(PHASE_COMM as usize),
-            pe_instrs: out.run.pe.iter().map(|t| t.instrs).sum(),
-            pe_buckets: out
-                .run
-                .accounts
-                .as_ref()
-                .map(|a| a.pe_bucket_totals())
-                .unwrap_or([0; N_BUCKETS]),
-            c_checksum: h.finish(),
-            fault: String::new(),
-            baseline_cycles: 0,
-            slowdown: 1.0,
-        }
-    }
-
     /// Summarize a finished registered-kernel run: phase cycles come from the
     /// kernel's declared compute/comm spans, the checksum from its output
     /// words.
@@ -557,15 +434,15 @@ impl ExperimentResult {
     }
 }
 
-/// A completed registered-kernel run (the generic counterpart of
-/// [`MatmulOutcome`]).
+/// A completed placement of a registered kernel.
 #[derive(Clone)]
 pub struct KernelOutcome {
     /// The registry entry that ran.
     pub kernel: &'static dyn Kernel,
     pub mode: Mode,
     pub params: MatmulParams,
-    /// Makespan over all participating processors, MCs included.
+    /// Completion time: the latest finish among the placement's own PEs and
+    /// MCs (the makespan when it ran alone).
     pub cycles: u64,
     /// Full machine traces.
     pub run: RunResult,
@@ -602,13 +479,10 @@ impl KernelOutcome {
     }
 }
 
-/// Run a registered kernel end to end: build a machine, apply faults, load
-/// the kernel's per-mode programs, run, and read the output back.
+/// Run one registered kernel end to end on [`select_vm`]'s virtual machine:
+/// the one-placement case of [`run_placements`].
 ///
 /// `input` must come from [`Kernel::generate`] (or obey the same layout).
-/// Panics if the mode is [`Mode::Serial`] and the kernel does not support it,
-/// or if a parallel mode's `(n, p)` fail the kernel's [`Kernel::validate`]
-/// — validate at the boundary first.
 pub fn run_kernel_opts(
     cfg: &MachineConfig,
     kernel: &'static dyn Kernel,
@@ -617,48 +491,15 @@ pub fn run_kernel_opts(
     input: &[u16],
     opts: &RunOptions,
 ) -> Result<KernelOutcome, RunError> {
-    assert!(
-        mode != Mode::Serial || kernel.supports_serial(),
-        "{} has no serial variant",
-        kernel.name()
-    );
-    if mode != Mode::Serial {
-        if let Err(e) = kernel.validate(params.n, params.p) {
-            panic!("invalid kernel parameters: {e}");
-        }
-    }
-    let mut machine = Machine::new(cfg.clone());
-    machine.set_accounting(opts.accounting);
-    machine.set_fast_path(opts.fast_path);
-    machine
-        .apply_fault_plan(&opts.fault)
-        .map_err(RunError::Net)?;
-    if let Some(flag) = &opts.interrupt {
-        machine.set_interrupt(Arc::clone(flag));
-    }
-    let vm = select_vm(cfg, if mode == Mode::Serial { 1 } else { params.p });
-    kernel.load(&mut machine, mode, params, &vm, input)?;
-    let run = machine.run()?;
-    let output = kernel.read_output(&machine, mode, params, &vm);
-    Ok(KernelOutcome {
+    let placement = Placement {
         kernel,
         mode,
         params,
-        cycles: run.makespan,
-        run,
-        output,
-    })
-}
-
-/// [`run_kernel_opts`] with default options (accounting on, no faults).
-pub fn run_kernel(
-    cfg: &MachineConfig,
-    kernel: &'static dyn Kernel,
-    mode: Mode,
-    params: MatmulParams,
-    input: &[u16],
-) -> Result<KernelOutcome, RunError> {
-    run_kernel_opts(cfg, kernel, mode, params, input, &RunOptions::default())
+        mcs: None,
+        input: input.to_vec(),
+    };
+    run_placements(cfg, std::slice::from_ref(&placement), opts)
+        .map(|mut outs| outs.pop().expect("one outcome per placement"))
 }
 
 /// Run the experiment a key describes: the end-to-end unit of work of the
@@ -670,16 +511,7 @@ pub fn run_kernel(
 /// measured alongside and the result reports the fault spelling, the
 /// baseline makespan, and the measured slowdown.
 pub fn run_keyed(key: &ExperimentKey) -> Result<ExperimentResult, RunError> {
-    run_keyed_with_interrupt(key, None)
-}
-
-/// [`run_keyed`] with a cooperative stop flag (cancellation, watchdog). The
-/// flag covers the baseline run too, so a deadline bounds the whole job.
-pub fn run_keyed_with_interrupt(
-    key: &ExperimentKey,
-    interrupt: Option<Arc<AtomicBool>>,
-) -> Result<ExperimentResult, RunError> {
-    run_keyed_traced(key, interrupt).map(|t| t.result)
+    run_keyed_traced(key, None).map(|t| t.result)
 }
 
 /// A keyed run's summary plus the full timing payload the cross-run span
@@ -697,67 +529,49 @@ pub struct ExperimentTrace {
     pub mc_buckets: Vec<[u64; N_BUCKETS]>,
 }
 
-/// [`run_keyed_with_interrupt`], keeping the timing traces the summary
-/// throws away. This is the server's job runner: the result feeds the cache
-/// and the trace feeds the query tier, from one simulation.
+/// [`run_keyed`], keeping the timing traces the summary throws away, with a
+/// cooperative stop flag (cancellation, watchdog) that covers the baseline
+/// run too, so a deadline bounds the whole job. This is the server's job
+/// runner: the result feeds the cache and the trace feeds the query tier,
+/// from one simulation.
 pub fn run_keyed_traced(
     key: &ExperimentKey,
     interrupt: Option<Arc<AtomicBool>>,
 ) -> Result<ExperimentTrace, RunError> {
-    let opts = RunOptions {
-        accounting: true,
-        fault: key.fault.clone(),
-        interrupt: interrupt.clone(),
-        fast_path: true,
+    let kernel = key.kernel().unwrap_or_else(|| {
+        panic!(
+            "unknown workload {:?} (validate at the boundary)",
+            key.workload
+        )
+    });
+    let placement = [Placement {
+        kernel,
+        mode: key.mode,
+        params: key.params,
+        mcs: None,
+        input: kernel.generate(key.params.n, key.seed),
+    }];
+    let run = |fault: &FaultPlan| {
+        let opts = RunOptions {
+            fault: fault.clone(),
+            interrupt: interrupt.clone(),
+            ..RunOptions::default()
+        };
+        run_placements(&key.config, &placement, &opts)
+            .map(|mut outs| outs.pop().expect("one outcome per placement"))
     };
-    let base_opts = RunOptions {
-        accounting: true,
-        fault: FaultPlan::default(),
-        interrupt,
-        fast_path: true,
-    };
-    let (mut result, run) = if key.workload == MATMUL {
-        // The paper workload keeps its dedicated path (typed matrices, the
-        // same code the figure generators use).
-        let (a, b) = paper_workload(key.params.n, key.seed);
-        let out = run_matmul_opts(&key.config, key.mode, key.params, &a, &b, &opts)?;
-        let mut result = ExperimentResult::from_outcome(&out, key.seed);
-        if !key.fault.is_empty() {
-            let base = run_matmul_opts(&key.config, key.mode, key.params, &a, &b, &base_opts)?;
-            result.baseline_cycles = base.cycles;
-        }
-        (result, out.run)
-    } else {
-        let kernel = key.kernel().unwrap_or_else(|| {
-            panic!(
-                "unknown workload {:?} (validate at the boundary)",
-                key.workload
-            )
-        });
-        let input = kernel.generate(key.params.n, key.seed);
-        let out = run_kernel_opts(&key.config, kernel, key.mode, key.params, &input, &opts)?;
-        let mut result = ExperimentResult::from_kernel_outcome(&out, key.seed);
-        if !key.fault.is_empty() {
-            let base = run_kernel_opts(
-                &key.config,
-                kernel,
-                key.mode,
-                key.params,
-                &input,
-                &base_opts,
-            )?;
-            result.baseline_cycles = base.cycles;
-        }
-        (result, out.run)
-    };
+    let out = run(&key.fault)?;
+    let mut result = ExperimentResult::from_kernel_outcome(&out, key.seed);
     if !key.fault.is_empty() {
         result.fault = key.fault.to_string();
+        result.baseline_cycles = run(&FaultPlan::default())?.cycles;
         if result.baseline_cycles > 0 {
             result.slowdown = result.cycles as f64 / result.baseline_cycles as f64;
         }
     }
-    let spans = run_span_log(&run);
-    let (pe_buckets, mc_buckets) = run
+    let spans = run_span_log(&out.run);
+    let (pe_buckets, mc_buckets) = out
+        .run
         .accounts
         .as_ref()
         .map(|a| (a.pe_bucket_matrix(), a.mc_bucket_matrix()))
@@ -770,82 +584,8 @@ pub fn run_keyed_traced(
     })
 }
 
-/// Standard workload of the paper: identity A, uniform-random B.
-pub fn paper_workload(n: usize, seed: u64) -> (Matrix, Matrix) {
-    (Matrix::identity(n), Matrix::uniform(n, seed))
-}
-
-/// Outcome of a global-sum reduction run.
-#[derive(Debug, Clone)]
-pub struct ReduceOutcome {
-    pub mode: Mode,
-    pub cycles: u64,
-    /// The per-PE results (each PE must hold the global sum).
-    pub sums: Vec<u16>,
-}
-
-/// Run the [`pasm_prog::reduction`] global sum in the given mode over
-/// per-PE blocks of `k` elements. `Mode::Serial` is not meaningful here.
-pub fn run_reduction(
-    cfg: &MachineConfig,
-    mode: Mode,
-    k: usize,
-    p: usize,
-    blocks: &[Vec<u16>],
-) -> Result<ReduceOutcome, RunError> {
-    use pasm_prog::reduction::{self, ReduceParams, RESULT_ADDR, VEC_BASE};
-    assert_eq!(blocks.len(), p);
-    assert!(blocks.iter().all(|b| b.len() == k));
-    let params = ReduceParams { k, p };
-    let vm = select_vm(cfg, p);
-    let mut machine = Machine::new(cfg.clone());
-    machine
-        .connect_ring(&vm.pes)
-        .map_err(|e| RunError::Net(e.to_string()))?;
-    for (l, &pe) in vm.pes.iter().enumerate() {
-        machine.pe_mem_mut(pe).load_words(VEC_BASE, &blocks[l]);
-    }
-    match mode {
-        Mode::Simd => {
-            let (pe_prog, mc_prog) = reduction::simd_programs(params, vm.mask);
-            for &pe in &vm.pes {
-                machine.load_pe_program(pe, pe_prog.clone());
-            }
-            for &mc in &vm.mcs {
-                machine.load_mc_program(mc, mc_prog.clone());
-            }
-        }
-        Mode::Mimd | Mode::Smimd => {
-            let sync = mode.comm_sync().expect("parallel mode");
-            let pe_prog = reduction::pe_program(params, sync);
-            for &pe in &vm.pes {
-                machine.load_pe_program(pe, pe_prog.clone());
-            }
-            let mc_prog = reduction::mc_program(params, sync, vm.mask);
-            for &mc in &vm.mcs {
-                machine.load_mc_program(mc, mc_prog.clone());
-            }
-        }
-        Mode::Serial => panic!("reduction is a parallel workload"),
-    }
-    let run = machine.run()?;
-    let sums = vm
-        .pes
-        .iter()
-        .map(|&pe| machine.pe_mem(pe).read_word(RESULT_ADDR))
-        .collect();
-    Ok(ReduceOutcome {
-        mode,
-        cycles: run.makespan,
-        sums,
-    })
-}
-
 /// Re-export for callers constructing parameter sets.
 pub use pasm_prog::matmul::MatmulParams as Params;
-
-/// Re-export of the VM selector.
-pub use matmul::select_vm as vm_for;
 
 #[cfg(test)]
 mod tests {
@@ -909,17 +649,15 @@ mod tests {
 
     #[test]
     fn experiment_result_from_json_rejects_damage() {
-        let good = ExperimentResult::from_outcome(
-            &run_matmul(
-                &MachineConfig::small(),
-                Mode::Simd,
-                Params::new(4, 4),
-                &Matrix::identity(4),
-                &Matrix::uniform(4, 7),
-            )
-            .unwrap(),
-            7,
-        )
+        let good = run_keyed(&ExperimentKey {
+            config: MachineConfig::small(),
+            mode: Mode::Simd,
+            params: Params::new(4, 4),
+            seed: 7,
+            fault: FaultPlan::default(),
+            workload: MATMUL,
+        })
+        .unwrap()
         .to_json();
         assert!(ExperimentResult::from_json(&good).is_ok());
         for (mutate, why) in [

@@ -6,9 +6,11 @@
 //! workload — identity A, seeded uniform-random B — and the same data for
 //! every mode at a given (n, p), as in paper §6.
 
-use crate::experiment::{paper_workload, run_matmul, Mode, Params};
+use crate::experiment::{run_kernel_opts, KernelOutcome, Mode, Params, RunOptions};
 use crate::metrics::{efficiency, Breakdown};
 use crate::sweep::par_map;
+use pasm_kernels::matmul::{input_words, Matmul};
+use pasm_kernels::Kernel;
 use pasm_machine::MachineConfig;
 use pasm_prog::matmul::select_vm;
 use pasm_prog::microbench::{self, MipsKind};
@@ -23,6 +25,13 @@ pub const DEFAULT_SEED: u64 = 1988;
 
 fn sizes_for(p: usize, ns: &[usize]) -> Vec<usize> {
     ns.iter().copied().filter(|&n| n >= p).collect()
+}
+
+/// One matmul run over `input` (see [`Matmul::generate`]) with default
+/// options: accounting on, no faults.
+fn matmul(cfg: &MachineConfig, mode: Mode, params: Params, input: &[u16]) -> KernelOutcome {
+    run_kernel_opts(cfg, &Matmul, mode, params, input, &RunOptions::default())
+        .unwrap_or_else(|e| panic!("{mode:?} n={} p={}: {e}", params.n, params.p))
 }
 
 // ----------------------------------------------------------------------
@@ -94,12 +103,8 @@ pub struct Fig6Row {
 pub fn fig6(cfg: &MachineConfig, p: usize, ns: &[usize], seed: u64) -> Vec<Fig6Row> {
     let points: Vec<usize> = sizes_for(p, ns);
     par_map(points, |&n| {
-        let (a, b) = paper_workload(n, seed);
-        let t = |mode| {
-            run_matmul(cfg, mode, Params::new(n, p), &a, &b)
-                .unwrap_or_else(|e| panic!("{mode:?} n={n} p={p}: {e}"))
-                .millis()
-        };
+        let input = Matmul.generate(n, seed);
+        let t = |mode| matmul(cfg, mode, Params::new(n, p), &input).millis();
         Fig6Row {
             n,
             serial_ms: t(Mode::Serial),
@@ -125,14 +130,10 @@ pub struct Fig7Row {
 /// SIMD vs S/MIMD as data-dependent multiplies are added (paper: n=64, p=4,
 /// crossover near fourteen added multiplications).
 pub fn fig7(cfg: &MachineConfig, n: usize, p: usize, extras: &[usize], seed: u64) -> Vec<Fig7Row> {
-    let (a, b) = paper_workload(n, seed);
+    let input = Matmul.generate(n, seed);
     par_map(extras.to_vec(), |&extra| {
         let params = Params::new(n, p).with_extra(extra);
-        let t = |mode| {
-            run_matmul(cfg, mode, params, &a, &b)
-                .expect("fig7 run")
-                .millis()
-        };
+        let t = |mode| matmul(cfg, mode, params, &input).millis();
         Fig7Row {
             extra_muls: extra,
             simd_ms: t(Mode::Simd),
@@ -184,10 +185,9 @@ pub fn fig8_10(
         }
     }
     par_map(jobs, |&(n, mode)| {
-        let (a, b) = paper_workload(n, seed);
-        let out = run_matmul(cfg, mode, Params::new(n, p).with_extra(extra_muls), &a, &b)
-            .expect("fig8-10 run");
-        let br = Breakdown::of(&out);
+        let input = Matmul.generate(n, seed);
+        let params = Params::new(n, p).with_extra(extra_muls);
+        let br = Breakdown::of(&matmul(cfg, mode, params, &input));
         let ms = |c: u64| pasm_isa::cycles_to_ms(c);
         BreakdownRow {
             n,
@@ -217,16 +217,10 @@ pub struct EffRow {
 /// Efficiency (speed-up over serial divided by p) vs problem size.
 pub fn fig11(cfg: &MachineConfig, p: usize, ns: &[usize], seed: u64) -> Vec<EffRow> {
     par_map(sizes_for(p, ns), |&n| {
-        let (a, b) = paper_workload(n, seed);
-        let serial = run_matmul(cfg, Mode::Serial, Params::new(n, p), &a, &b)
-            .unwrap()
-            .cycles;
-        let e = |mode| {
-            let t = run_matmul(cfg, mode, Params::new(n, p), &a, &b)
-                .unwrap()
-                .cycles;
-            efficiency(serial, t, p)
-        };
+        let input = Matmul.generate(n, seed);
+        let t = |mode| matmul(cfg, mode, Params::new(n, p), &input).cycles;
+        let serial = t(Mode::Serial);
+        let e = |mode| efficiency(serial, t(mode), p);
         EffRow {
             n,
             simd: e(Mode::Simd),
@@ -251,17 +245,11 @@ pub struct Fig12Row {
 
 /// Efficiency vs processor count for a fixed n.
 pub fn fig12(cfg: &MachineConfig, n: usize, ps: &[usize], seed: u64) -> Vec<Fig12Row> {
-    let (a, b) = paper_workload(n, seed);
-    let serial = run_matmul(cfg, Mode::Serial, Params::new(n, 1), &a, &b)
-        .unwrap()
-        .cycles;
+    let input = Matmul.generate(n, seed);
+    let serial = matmul(cfg, Mode::Serial, Params::new(n, 1), &input).cycles;
     par_map(ps.to_vec(), |&p| {
-        let e = |mode| {
-            let t = run_matmul(cfg, mode, Params::new(n, p), &a, &b)
-                .unwrap()
-                .cycles;
-            efficiency(serial, t, p)
-        };
+        let t = |mode| matmul(cfg, mode, Params::new(n, p), &input).cycles;
+        let e = |mode| efficiency(serial, t(mode), p);
         Fig12Row {
             p,
             simd: e(Mode::Simd),
@@ -291,7 +279,7 @@ pub fn ablation_release(
     extras: &[usize],
     seed: u64,
 ) -> Vec<AblationReleaseRow> {
-    let (a, b) = paper_workload(n, seed);
+    let input = Matmul.generate(n, seed);
     par_map(extras.to_vec(), |&extra| {
         let params = Params::new(n, p).with_extra(extra);
         let t = |mode| {
@@ -299,9 +287,7 @@ pub fn ablation_release(
                 release_mode: mode,
                 ..cfg.clone()
             };
-            run_matmul(&cfg, Mode::Simd, params, &a, &b)
-                .unwrap()
-                .millis()
+            matmul(&cfg, Mode::Simd, params, &input).millis()
         };
         AblationReleaseRow {
             extra_muls: extra,
@@ -329,13 +315,13 @@ pub fn ablation_queue(
     capacities: &[u32],
     seed: u64,
 ) -> Vec<AblationQueueRow> {
-    let (a, b) = paper_workload(n, seed);
+    let input = Matmul.generate(n, seed);
     par_map(capacities.to_vec(), |&cap| {
         let cfg = MachineConfig {
             queue_capacity_words: cap,
             ..cfg.clone()
         };
-        let out = run_matmul(&cfg, Mode::Simd, Params::new(n, p), &a, &b).unwrap();
+        let out = matmul(&cfg, Mode::Simd, Params::new(n, p), &input);
         AblationQueueRow {
             capacity_words: cap,
             simd_ms: out.millis(),
@@ -376,13 +362,12 @@ pub fn ablation_density(
     seed: u64,
 ) -> Vec<AblationDensityRow> {
     par_map(densities.to_vec(), |&ones| {
-        let a = Matrix::identity(n);
-        let b = Matrix::bit_density(n, ones, seed);
+        let input = input_words(&Matrix::identity(n), &Matrix::bit_density(n, ones, seed));
         let rows: Vec<Fig7Row> = extras
             .iter()
             .map(|&extra| {
                 let params = Params::new(n, p).with_extra(extra);
-                let t = |mode| run_matmul(cfg, mode, params, &a, &b).unwrap().millis();
+                let t = |mode| matmul(cfg, mode, params, &input).millis();
                 Fig7Row {
                     extra_muls: extra,
                     simd_ms: t(Mode::Simd),

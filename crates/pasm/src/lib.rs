@@ -7,16 +7,20 @@
 //! measurement machinery together.
 //!
 //! ```no_run
-//! use pasm::{run_matmul_verified, paper_workload, Mode, Params};
-//! use pasm_machine::MachineConfig;
+//! use pasm::{kernels, run_kernel_opts, Kernel, MachineConfig, Mode, Params, RunOptions};
 //!
 //! let cfg = MachineConfig::prototype();
-//! let (a, b) = paper_workload(64, 1);
-//! let out = run_matmul_verified(&cfg, Mode::Smimd, Params::new(64, 4), &a, &b).unwrap();
+//! let matmul = kernels::find(pasm::MATMUL).unwrap();
+//! let input = matmul.generate(64, 1); // identity A, then uniform B
+//! let params = Params::new(64, 4);
+//! let out = run_kernel_opts(&cfg, matmul, Mode::Smimd, params, &input, &RunOptions::default())
+//!     .unwrap();
+//! out.verify(&input).unwrap();
 //! println!("S/MIMD n=64 p=4: {:.2} ms", out.millis());
 //! ```
 //!
-//! * [`experiment`] — run any of the four program variants end to end,
+//! * [`experiment`] — run registered kernels end to end, one or several
+//!   side by side on disjoint partitions ([`run_placements`]),
 //! * [`metrics`] — speed-up, efficiency, and phase breakdowns,
 //! * [`figures`] — regenerate the data behind every table and figure of the
 //!   paper's evaluation (Table 1, Figures 6–12),
@@ -31,11 +35,8 @@ pub mod report;
 pub mod sweep;
 
 pub use experiment::{
-    paper_workload, run_concurrent, run_kernel, run_kernel_opts, run_keyed, run_keyed_traced,
-    run_keyed_with_interrupt, run_matmul, run_matmul_opts, run_matmul_verified,
-    run_matmul_with_accounting, run_reduction, run_span_log, ExperimentKey, ExperimentResult,
-    ExperimentTrace, Job, JobOutcome, KernelOutcome, MatmulOutcome, Mode, Params, ReduceOutcome,
-    RunOptions, MATMUL,
+    run_kernel_opts, run_keyed, run_keyed_traced, run_placements, run_span_log, ExperimentKey,
+    ExperimentResult, ExperimentTrace, KernelOutcome, Mode, Params, Placement, RunOptions, MATMUL,
 };
 pub use metrics::{efficiency, speedup, Breakdown};
 pub use pasm_kernels::{self as kernels, Kernel};

@@ -1,7 +1,6 @@
 //! Derived measurements: speed-up, efficiency, and the phase breakdown.
 
-use crate::experiment::MatmulOutcome;
-use pasm_prog::codegen::{PHASE_COMM, PHASE_MUL};
+use crate::experiment::KernelOutcome;
 
 /// Speed-up of a parallel run over the serial baseline.
 pub fn speedup(serial_cycles: u64, parallel_cycles: u64) -> f64 {
@@ -30,11 +29,14 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    /// Extract the breakdown from a finished run. Phase times are taken from
-    /// the slowest PE's accounting (the makespan perspective).
-    pub fn of(out: &MatmulOutcome) -> Breakdown {
-        let multiply = out.run.phase_max(PHASE_MUL as usize);
-        let communication = out.run.phase_max(PHASE_COMM as usize);
+    /// Extract the breakdown from a finished run: `multiply` and
+    /// `communication` are the kernel's compute and comm phases (see
+    /// [`pasm_kernels::Kernel::phases`]), taken from the slowest PE's
+    /// accounting (the makespan perspective).
+    pub fn of(out: &KernelOutcome) -> Breakdown {
+        let (compute, comm) = out.kernel.phases();
+        let multiply = out.run.phase_max(compute as usize);
+        let communication = out.run.phase_max(comm as usize);
         let total = out.cycles;
         Breakdown {
             multiply,

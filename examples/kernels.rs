@@ -10,7 +10,7 @@
 //! kernel's shape constraints — bitonic needs power-of-two blocks, smoothing
 //! a multiple of the partition size.)
 
-use pasm::{run_kernel, MachineConfig, Mode, Params};
+use pasm::{run_kernel_opts, MachineConfig, Mode, Params, RunOptions};
 
 fn main() {
     let n: usize = std::env::args()
@@ -45,7 +45,8 @@ fn main() {
         let input = kernel.generate(kn, seed);
         let mut cycles = Vec::new();
         for mode in [Mode::Simd, Mode::Mimd, Mode::Smimd] {
-            let out = run_kernel(&cfg, kernel, mode, Params::new(kn, p), &input)
+            let params = Params::new(kn, p);
+            let out = run_kernel_opts(&cfg, kernel, mode, params, &input, &RunOptions::default())
                 .unwrap_or_else(|e| panic!("{} {mode}: {e}", kernel.name()));
             out.verify(&input)
                 .unwrap_or_else(|e| panic!("{} {mode}: {e}", kernel.name()));

@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pasm::{paper_workload, run_matmul_verified, Breakdown, Mode, Params};
+use pasm::kernels::matmul::Matmul;
+use pasm::{run_kernel_opts, Breakdown, Kernel, Mode, Params, RunOptions};
 use pasm_machine::MachineConfig;
 
 fn main() {
@@ -15,15 +16,28 @@ fn main() {
     // The paper's workload: identity in A (the multiplicand value does not
     // affect MULU timing), seeded uniform-random 16-bit data in B.
     let n = 64;
-    let (a, b) = paper_workload(n, 1988);
+    let input = Matmul.generate(n, 1988);
+    let run = |mode, p| {
+        let out = run_kernel_opts(
+            &cfg,
+            &Matmul,
+            mode,
+            Params::new(n, p),
+            &input,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        out.verify(&input).unwrap();
+        out
+    };
 
     println!("matrix multiplication, n={n}, p=4, one multiply per inner loop\n");
     println!("mode     time(ms)   multiply   comm     other    PE instrs");
 
-    let serial = run_matmul_verified(&cfg, Mode::Serial, Params::new(n, 1), &a, &b).unwrap();
+    let serial = run(Mode::Serial, 1);
     for mode in Mode::ALL {
         let p = if mode == Mode::Serial { 1 } else { 4 };
-        let out = run_matmul_verified(&cfg, mode, Params::new(n, p), &a, &b).unwrap();
+        let out = run(mode, p);
         let br = Breakdown::of(&out);
         println!(
             "{:<8} {:>8.2} {:>9.2} {:>8.2} {:>8.2} {:>11}",

@@ -4,19 +4,29 @@
 //! signatures, the phase-span log, and the guarantee that disabling
 //! accounting changes simulated results by exactly zero.
 
-use pasm::{paper_workload, run_matmul, run_matmul_with_accounting, MachineConfig, Mode, Params};
+use pasm::kernels::matmul::Matmul;
+use pasm::{run_kernel_opts, Kernel, KernelOutcome, MachineConfig, Mode, Params, RunOptions};
 use pasm_machine::{Bucket, MachineAccounts};
 
 const N: usize = 8;
 const P: usize = 4;
 const SEED: u64 = 1988;
 
-fn run(mode: Mode) -> pasm::MatmulOutcome {
-    let (a, b) = paper_workload(N, SEED);
-    run_matmul(&MachineConfig::prototype(), mode, Params::new(N, P), &a, &b).expect("run")
+fn run_with_accounting(mode: Mode, accounting: bool) -> KernelOutcome {
+    let opts = RunOptions {
+        accounting,
+        ..RunOptions::default()
+    };
+    let input = Matmul.generate(N, SEED);
+    let cfg = MachineConfig::prototype();
+    run_kernel_opts(&cfg, &Matmul, mode, Params::new(N, P), &input, &opts).expect("run")
 }
 
-fn accounts(out: &pasm::MatmulOutcome) -> &MachineAccounts {
+fn run(mode: Mode) -> KernelOutcome {
+    run_with_accounting(mode, true)
+}
+
+fn accounts(out: &KernelOutcome) -> &MachineAccounts {
     out.run.accounts.as_ref().expect("accounting on by default")
 }
 
@@ -92,14 +102,11 @@ fn multiply_variance_is_charged_in_every_mode() {
 
 #[test]
 fn disabling_accounting_changes_nothing_but_the_breakdowns() {
-    let (a, b) = paper_workload(N, SEED);
     for mode in Mode::ALL {
-        let cfg = MachineConfig::prototype();
-        let params = Params::new(N, P);
-        let on = run_matmul_with_accounting(&cfg, mode, params, &a, &b, true).expect("on");
-        let off = run_matmul_with_accounting(&cfg, mode, params, &a, &b, false).expect("off");
+        let on = run_with_accounting(mode, true);
+        let off = run_with_accounting(mode, false);
         assert_eq!(on.cycles, off.cycles, "{mode}: makespan must not move");
-        assert_eq!(on.c, off.c, "{mode}: product must not move");
+        assert_eq!(on.output, off.output, "{mode}: product must not move");
         assert!(on.run.accounts.is_some());
         assert!(off.run.accounts.is_none());
         for (t_on, t_off) in on.run.pe.iter().zip(off.run.pe.iter()) {

@@ -7,9 +7,10 @@
 //! key fingerprint rely on: if it drifts, cached results silently diverge
 //! from fresh ones.
 
+use pasm::kernels::matmul::Matmul;
 use pasm::{
-    paper_workload, run_keyed, run_matmul_opts, ExperimentKey, FaultPlan, MachineConfig, Mode,
-    NetFault, RunOptions,
+    run_kernel_opts, run_keyed, ExperimentKey, FaultPlan, Kernel, MachineConfig, Mode, NetFault,
+    RunOptions,
 };
 
 fn key(mode: Mode, fault: FaultPlan) -> ExperimentKey {
@@ -90,23 +91,23 @@ fn workload_field_keeps_matmul_fingerprints() {
 #[test]
 fn accounting_never_changes_the_simulation() {
     let cfg = MachineConfig::prototype();
-    let (a, b) = paper_workload(8, 31337);
+    let input = Matmul.generate(8, 31337);
     for mode in [Mode::Simd, Mode::Mimd, Mode::Smimd] {
-        let with = run_matmul_opts(
+        let with = run_kernel_opts(
             &cfg,
+            &Matmul,
             mode,
             pasm::Params::new(8, 4),
-            &a,
-            &b,
+            &input,
             &RunOptions::default(),
         )
         .expect("accounted run");
-        let without = run_matmul_opts(
+        let without = run_kernel_opts(
             &cfg,
+            &Matmul,
             mode,
             pasm::Params::new(8, 4),
-            &a,
-            &b,
+            &input,
             &RunOptions {
                 accounting: false,
                 ..RunOptions::default()
@@ -114,16 +115,16 @@ fn accounting_never_changes_the_simulation() {
         )
         .expect("unaccounted run");
         assert_eq!(with.cycles, without.cycles, "{mode}: observer effect");
-        assert_eq!(with.c, without.c, "{mode}: product differs");
+        assert_eq!(with.output, without.output, "{mode}: product differs");
         assert!(with.run.accounts.is_some() && without.run.accounts.is_none());
 
         // And two unaccounted runs agree with each other.
-        let again = run_matmul_opts(
+        let again = run_kernel_opts(
             &cfg,
+            &Matmul,
             mode,
             pasm::Params::new(8, 4),
-            &a,
-            &b,
+            &input,
             &RunOptions {
                 accounting: false,
                 ..RunOptions::default()
@@ -131,6 +132,6 @@ fn accounting_never_changes_the_simulation() {
         )
         .expect("second unaccounted run");
         assert_eq!(again.cycles, without.cycles);
-        assert_eq!(again.c, without.c);
+        assert_eq!(again.output, without.output);
     }
 }

@@ -7,9 +7,10 @@
 //! suite stays fast; `bench --bin faultsweep` runs the same assertions on
 //! the 16-PE prototype across 104 faults and 16 seeds.
 
+use pasm::kernels::matmul::{input_words, Matmul};
 use pasm::{
-    paper_workload, run_keyed, run_matmul_opts, single_faults, ExperimentKey, FaultPlan,
-    MachineConfig, Mode, NetFault, PeFault, RunOptions,
+    run_kernel_opts, run_keyed, single_faults, ExperimentKey, FaultPlan, Kernel, MachineConfig,
+    Mode, NetFault, PeFault, RunOptions,
 };
 use pasm_machine::{Bucket, RunError};
 use pasm_prog::Matrix;
@@ -37,18 +38,18 @@ fn keyed(cfg: MachineConfig, mode: Mode, n: usize, p: usize, fault: FaultPlan) -
 #[test]
 fn every_single_network_fault_is_tolerated_in_all_modes() {
     let cfg = small_cfg();
-    let a = Matrix::uniform(4, 11);
-    let b = Matrix::uniform(4, 22);
-    let expect = a.multiply(&b);
+    let input = input_words(&Matrix::uniform(4, 11), &Matrix::uniform(4, 22));
     for mode in [Mode::Simd, Mode::Mimd, Mode::Smimd] {
         for fault in single_faults(cfg.n_pes) {
             let opts = RunOptions {
                 fault: FaultPlan::net_single(fault),
                 ..RunOptions::default()
             };
-            let out = run_matmul_opts(&cfg, mode, pasm::Params::new(4, 2), &a, &b, &opts)
+            let params = pasm::Params::new(4, 2);
+            let out = run_kernel_opts(&cfg, &Matmul, mode, params, &input, &opts)
                 .unwrap_or_else(|e| panic!("{mode} under {fault}: {e}"));
-            assert_eq!(out.c, expect, "{mode} product wrong under {fault}");
+            out.verify(&input)
+                .unwrap_or_else(|e| panic!("{mode} product wrong under {fault}: {e}"));
         }
     }
 }
@@ -132,14 +133,21 @@ fn dead_pe_fails_the_simd_ring_with_a_diagnosis() {
     // waits on the ring word the dead PE will never send. That must surface
     // as a *detected* deadlock naming the starved receive, immediately, not
     // as a silent spin to the cycle limit.
-    let (a, b) = paper_workload(8, 77);
+    let input = Matmul.generate(8, 77);
     let opts = RunOptions {
         fault: FaultPlan::pe_single(12, PeFault::Dead),
         ..RunOptions::default()
     };
     let mut cfg = MachineConfig::prototype();
     cfg.max_cycles = 10_000_000;
-    match run_matmul_opts(&cfg, Mode::Simd, pasm::Params::new(8, 4), &a, &b, &opts) {
+    match run_kernel_opts(
+        &cfg,
+        &Matmul,
+        Mode::Simd,
+        pasm::Params::new(8, 4),
+        &input,
+        &opts,
+    ) {
         Err(RunError::Deadlock(report)) => assert!(
             report.contains("AwaitNetRx"),
             "deadlock report names the starved receive: {report}"
@@ -150,15 +158,17 @@ fn dead_pe_fails_the_simd_ring_with_a_diagnosis() {
 
 #[test]
 fn slow_pe_charges_fault_detour_and_still_computes_correctly() {
-    let (a, b) = paper_workload(8, 78);
+    let input = Matmul.generate(8, 78);
     let opts = RunOptions {
         fault: FaultPlan::pe_single(0, PeFault::Slow { extra_wait: 3 }),
         ..RunOptions::default()
     };
     let cfg = MachineConfig::prototype();
-    let out = run_matmul_opts(&cfg, Mode::Smimd, pasm::Params::new(8, 4), &a, &b, &opts)
+    let params = pasm::Params::new(8, 4);
+    let out = run_kernel_opts(&cfg, &Matmul, Mode::Smimd, params, &input, &opts)
         .expect("slow-PE run completes");
-    assert_eq!(out.c, a.multiply(&b), "marginal DRAM still computes right");
+    out.verify(&input)
+        .expect("marginal DRAM still computes right");
     let detour =
         out.run.accounts.as_ref().unwrap().pe_bucket_totals()[Bucket::FaultDetour as usize];
     assert!(detour > 0, "extra wait states charged to fault_detour");
@@ -166,7 +176,7 @@ fn slow_pe_charges_fault_detour_and_still_computes_correctly() {
 
 #[test]
 fn stuck_tx_port_fails_bounded_not_hanging() {
-    let (a, b) = paper_workload(8, 79);
+    let input = Matmul.generate(8, 79);
     let opts = RunOptions {
         fault: FaultPlan::pe_single(0, PeFault::StuckTx),
         ..RunOptions::default()
@@ -174,7 +184,7 @@ fn stuck_tx_port_fails_bounded_not_hanging() {
     let mut cfg = MachineConfig::prototype();
     cfg.max_cycles = 2_000_000;
     for mode in [Mode::Mimd, Mode::Smimd] {
-        match run_matmul_opts(&cfg, mode, pasm::Params::new(8, 4), &a, &b, &opts) {
+        match run_kernel_opts(&cfg, &Matmul, mode, pasm::Params::new(8, 4), &input, &opts) {
             Err(RunError::Deadlock(_) | RunError::CycleLimit(_)) => {}
             other => panic!("{mode} with a stuck port must fail bounded, got {other:?}"),
         }

@@ -5,7 +5,7 @@
 //! cycle buckets; and the registry/CLI plumbing (lookup, validation,
 //! checksums) behaves at the boundaries.
 
-use pasm::{run_kernel, MachineConfig, Mode, Params};
+use pasm::{run_kernel_opts, Kernel, KernelOutcome, MachineConfig, Mode, Params, RunOptions};
 use pasm_machine::N_BUCKETS;
 
 const SEED: u64 = 7321;
@@ -13,6 +13,16 @@ const SEED: u64 = 7321;
 /// n chosen so K = n/p stays a power of two in bitonic's 2..=128 window for
 /// every p in the sweep (p=16 → K=4, p=4 → K=16).
 const N: usize = 64;
+
+fn run_kernel(
+    cfg: &MachineConfig,
+    kernel: &'static dyn Kernel,
+    mode: Mode,
+    params: Params,
+    input: &[u16],
+) -> Result<KernelOutcome, pasm_machine::RunError> {
+    run_kernel_opts(cfg, kernel, mode, params, input, &RunOptions::default())
+}
 
 #[test]
 fn every_kernel_verifies_in_every_mode_and_partition() {

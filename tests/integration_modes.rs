@@ -2,7 +2,8 @@
 //! must hold on the simulated prototype at small problem sizes (kept small so
 //! the suite stays fast in debug builds).
 
-use pasm::{paper_workload, run_matmul, Breakdown, Mode, Params};
+use pasm::kernels::matmul::{input_words, Matmul};
+use pasm::{run_kernel_opts, Breakdown, Kernel, KernelOutcome, Mode, Params, RunOptions};
 use pasm_machine::MachineConfig;
 use pasm_prog::codegen::{PHASE_COMM, PHASE_MUL};
 
@@ -10,11 +11,18 @@ fn cfg() -> MachineConfig {
     MachineConfig::prototype()
 }
 
+fn run(mode: Mode, params: Params, input: &[u16]) -> KernelOutcome {
+    run_kernel_opts(&cfg(), &Matmul, mode, params, input, &RunOptions::default()).unwrap()
+}
+
+/// The paper workload (identity A, uniform B) of size `n` drawn from `seed`.
+fn paper(mode: Mode, n: usize, p: usize, seed: u64) -> KernelOutcome {
+    run(mode, Params::new(n, p), &Matmul.generate(n, seed))
+}
+
 fn cycles(mode: Mode, n: usize, p: usize, extra: usize) -> u64 {
-    let (a, b) = paper_workload(n, 1988);
-    run_matmul(&cfg(), mode, Params::new(n, p).with_extra(extra), &a, &b)
-        .unwrap()
-        .cycles
+    let params = Params::new(n, p).with_extra(extra);
+    run(mode, params, &Matmul.generate(n, 1988)).cycles
 }
 
 #[test]
@@ -60,12 +68,8 @@ fn mimd_to_smimd_gap_shrinks_with_n() {
 
 #[test]
 fn communication_dominates_small_n_compute_dominates_large_n() {
-    let (a, b) = paper_workload(8, 1);
-    let small = run_matmul(&cfg(), Mode::Smimd, Params::new(8, 4), &a, &b).unwrap();
-    let bs = Breakdown::of(&small);
-    let (a, b) = paper_workload(64, 1);
-    let large = run_matmul(&cfg(), Mode::Smimd, Params::new(64, 4), &a, &b).unwrap();
-    let bl = Breakdown::of(&large);
+    let bs = Breakdown::of(&paper(Mode::Smimd, 8, 4, 1));
+    let bl = Breakdown::of(&paper(Mode::Smimd, 64, 4, 1));
     let comm_share_small = bs.communication as f64 / bs.total as f64;
     let comm_share_large = bl.communication as f64 / bl.total as f64;
     assert!(
@@ -77,9 +81,8 @@ fn communication_dominates_small_n_compute_dominates_large_n() {
 
 #[test]
 fn mimd_pays_more_communication_than_smimd() {
-    let (a, b) = paper_workload(16, 1);
-    let mimd = run_matmul(&cfg(), Mode::Mimd, Params::new(16, 4), &a, &b).unwrap();
-    let smimd = run_matmul(&cfg(), Mode::Smimd, Params::new(16, 4), &a, &b).unwrap();
+    let mimd = paper(Mode::Mimd, 16, 4, 1);
+    let smimd = paper(Mode::Smimd, 16, 4, 1);
     assert!(
         mimd.run.phase_max(PHASE_COMM as usize) > smimd.run.phase_max(PHASE_COMM as usize),
         "polling must cost more than barrier communication"
@@ -108,8 +111,7 @@ fn added_multiplies_hurt_simd_more_than_smimd() {
 fn simd_queue_stays_mostly_nonempty() {
     // Precondition for the control-overlap benefit (paper §5.1): the MC must
     // supply instructions faster than the PEs drain them.
-    let (a, b) = paper_workload(32, 1);
-    let out = run_matmul(&cfg(), Mode::Simd, Params::new(32, 4), &a, &b).unwrap();
+    let out = paper(Mode::Simd, 32, 4, 1);
     let fu = &out.run.fu[0];
     assert!(fu.entries > 1000);
     assert!(
@@ -122,9 +124,8 @@ fn simd_queue_stays_mostly_nonempty() {
 
 #[test]
 fn all_pes_do_the_same_number_of_multiplies() {
-    let (a, b) = paper_workload(16, 1);
     for mode in Mode::PARALLEL {
-        let out = run_matmul(&cfg(), mode, Params::new(16, 4), &a, &b).unwrap();
+        let out = paper(mode, 16, 4, 1);
         let counts: Vec<u64> = out
             .run
             .pe
@@ -148,7 +149,7 @@ fn heavier_multipliers_slow_simd_down() {
     let a = Matrix::identity(n);
     let uniform = Matrix::bit_density(n, 8, 3);
     let heavy = Matrix::from_fn(n, |r, c| if c < 4 { 0xFFFF } else { uniform.get(r, c) });
-    let flat = run_matmul(&cfg(), Mode::Simd, Params::new(n, 4), &a, &uniform).unwrap();
-    let skew = run_matmul(&cfg(), Mode::Simd, Params::new(n, 4), &a, &heavy).unwrap();
+    let flat = run(Mode::Simd, Params::new(n, 4), &input_words(&a, &uniform));
+    let skew = run(Mode::Simd, Params::new(n, 4), &input_words(&a, &heavy));
     assert!(skew.cycles > flat.cycles);
 }

@@ -103,8 +103,11 @@ fn network_stats_count_transfers() {
     // One full matmul at n=16, p=4 moves n words per rotation step per PE:
     // n rotations × n elements × 2 bytes = 512 bytes per PE.
     let cfg = MachineConfig::prototype();
-    let (a, b) = pasm::paper_workload(16, 5);
-    let out = pasm::run_matmul(&cfg, pasm::Mode::Mimd, pasm::Params::new(16, 4), &a, &b).unwrap();
+    let matmul = pasm::kernels::find(pasm::MATMUL).unwrap();
+    let input = matmul.generate(16, 5);
+    let params = pasm::Params::new(16, 4);
+    let opts = pasm::RunOptions::default();
+    let out = pasm::run_kernel_opts(&cfg, matmul, pasm::Mode::Mimd, params, &input, &opts).unwrap();
     for t in out.run.pe.iter().filter(|t| t.instrs > 0) {
         assert_eq!(t.net_bytes_sent, 16 * 16 * 2);
     }

@@ -6,7 +6,8 @@
 //! dependencies (ISSUE 2). Coverage is equivalent: the same invariants, with
 //! fixed seeds so failures reproduce deterministically.
 
-use pasm::{run_matmul, MachineConfig, Mode, Params};
+use pasm::kernels::matmul::{input_words, Matmul};
+use pasm::{run_kernel_opts, MachineConfig, Mode, Params, RunOptions};
 use pasm_isa::timing;
 use pasm_net::EscNetwork;
 use pasm_prog::Matrix;
@@ -23,8 +24,15 @@ fn matmul_correct_on_arbitrary_data() {
         let mode = modes[rng.gen_range(modes.len())];
         let a = Matrix::uniform(n, rng.gen_u64());
         let b = Matrix::uniform(n, rng.gen_u64());
-        let out = run_matmul(&MachineConfig::prototype(), mode, Params::new(n, p), &a, &b).unwrap();
-        assert_eq!(out.c, a.multiply(&b), "case {case}: {mode} n={n} p={p}");
+        let input = input_words(&a, &b);
+        let cfg = MachineConfig::prototype();
+        let opts = RunOptions::default();
+        let out = run_kernel_opts(&cfg, &Matmul, mode, Params::new(n, p), &input, &opts).unwrap();
+        assert_eq!(
+            out.output,
+            a.multiply(&b).words(),
+            "case {case}: {mode} n={n} p={p}"
+        );
     }
 }
 
