@@ -236,7 +236,8 @@ pub enum DynTerm {
     /// Fully static: the instruction's cost never depends on data.
     #[default]
     None,
-    /// `MULU`: `2·ones(src)` — 0 to 32 extra cycles over the 38-cycle floor.
+    /// `MULU`: `mulu_cycles(src) − 38`, i.e. `2·ones(src)` — 0 to 32 extra
+    /// cycles over the 38-cycle floor.
     MuluOnes,
     /// `MULS`: `2·transitions(src << 1)` over the same 38-cycle floor.
     MulsTransitions,
@@ -319,7 +320,7 @@ pub fn cycle_split(instr: &Instr) -> CycleSplit {
 pub fn dynamic_cycles(term: DynTerm, ctx: ExecCtx) -> u32 {
     match term {
         DynTerm::None => 0,
-        DynTerm::MuluOnes => 2 * ones(ctx.src_value as u16),
+        DynTerm::MuluOnes => mulu_cycles(ctx.src_value as u16) - 38,
         DynTerm::MulsTransitions => muls_cycles(ctx.src_value as u16) - 38,
         DynTerm::DivuQuotient => divu_cycles(ctx.dst_value, ctx.src_value as u16) - 10,
         DynTerm::DivsQuotient => divs_cycles(ctx.dst_value, ctx.src_value as u16) - 18,

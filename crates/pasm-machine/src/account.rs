@@ -16,14 +16,17 @@
 //!
 //! — no cycle is dropped and none is double-counted.
 //!
-//! Accounting is enabled by default and can be switched off with
-//! [`crate::Machine::set_accounting`]; the toggle affects only what is
-//! *recorded*, never the simulated timing, so disabling it changes cycle
-//! results by exactly zero (tested) and removes the bookkeeping cost from
-//! the hot loop (guarded by `benches/accounting.rs`).
+//! The account is the machine's only per-component record: the hot loop
+//! charges nothing else, and the [`crate::PeTrace`]/[`crate::McTrace`]
+//! summaries of a [`crate::RunResult`] are views derived from it. For that it
+//! also keeps the two facts its buckets, histogram and spans cannot give:
+//! the halt time and the network words sent.
 
-use crate::trace::N_PHASES;
 use pasm_isa::Instr;
+use std::ops::Range;
+
+/// Number of distinct phase ids supported by `Mark` instrumentation.
+pub const N_PHASES: usize = 16;
 
 /// Number of cycle buckets.
 pub const N_BUCKETS: usize = 7;
@@ -186,21 +189,26 @@ pub fn opcode_index(instr: &Instr) -> usize {
     }
 }
 
-/// Data-dependent cycles beyond the instruction's minimum: the
-/// [`Bucket::MultiplyVariance`] contribution of one executed instruction.
-/// `data_dependent` is the `mulu_cycles` field of the step result.
-pub fn variance_cycles(instr: &Instr, data_dependent: u32) -> u32 {
-    let min = match instr {
+/// Histogram slots of the variable-time opcodes `MULU`, `MULS`, `DIVU` and
+/// `DIVS`, in [`OPCODE_NAMES`] order.
+const MUL_DIV: Range<usize> = 16..20;
+
+/// The floor of an instruction's data-dependent cycles (the `mulu_cycles`
+/// field of its step result): what a variable-time opcode costs at the
+/// least, so that only the cycles beyond it land in
+/// [`Bucket::MultiplyVariance`]. Zero for every other opcode, whose
+/// `mulu_cycles` is zero too.
+pub fn variance_floor(instr: &Instr) -> u32 {
+    match instr {
         // MULU/MULS: 38 + 2·(bit measure); the measure can be zero.
         Instr::Mulu { .. } | Instr::Muls { .. } => 38,
         // DIVU: 76 + 4·(quotient zeros); the overflow early-out (10) is
-        // data-dependent too but below the minimum, so it saturates to 0.
+        // data-dependent too but below the floor, so it saturates to 0.
         Instr::Divu { .. } => 76,
         // DIVS adds a constant 8-cycle sign fix-up to the DIVU core.
         Instr::Divs { .. } => 84,
-        _ => return 0,
-    };
-    data_dependent.saturating_sub(min)
+        _ => 0,
+    }
 }
 
 /// A closed instrumentation-phase interval on one component's local timeline.
@@ -219,6 +227,10 @@ pub struct PhaseSpan {
 pub struct CycleAccount {
     /// Local cycle at which the component first became runnable.
     pub started_at: u64,
+    /// Local cycle at which the component halted (0 if it never did).
+    pub(crate) finished_at: u64,
+    /// 8-bit network words sent (PEs only).
+    pub(crate) net_bytes_sent: u64,
     /// Timestamped phase intervals, in close order.
     pub spans: Vec<PhaseSpan>,
     buckets: [u64; N_BUCKETS],
@@ -231,6 +243,8 @@ impl Default for CycleAccount {
     fn default() -> Self {
         CycleAccount {
             started_at: 0,
+            finished_at: 0,
+            net_bytes_sent: 0,
             spans: Vec::new(),
             buckets: [0; N_BUCKETS],
             op_count: [0; N_OPCODES],
@@ -274,9 +288,13 @@ impl CycleAccount {
     }
 
     /// Handle a phase marker at local time `now`, recording closed intervals.
+    /// A phase begun twice or ended without a begin is a program bug
+    /// (debug-asserted); in release the second begin restarts the phase and
+    /// an unmatched end is ignored.
     pub fn mark(&mut self, begin: bool, phase: u8, now: u64) {
         let p = phase as usize % N_PHASES;
         if begin {
+            debug_assert!(self.phase_open[p].is_none(), "phase {p} begun twice");
             self.phase_open[p] = Some(now);
         } else if let Some(start) = self.phase_open[p].take() {
             self.spans.push(PhaseSpan {
@@ -284,7 +302,41 @@ impl CycleAccount {
                 start,
                 end: now,
             });
+        } else {
+            debug_assert!(false, "phase {p} ended without begin");
         }
+    }
+
+    /// Instructions executed (phase markers excluded).
+    pub(crate) fn instrs(&self) -> u64 {
+        self.op_count.iter().sum()
+    }
+
+    /// Cycles spent executing instructions, memory and network waits
+    /// included: the histogram's cycle column summed.
+    pub(crate) fn busy_cycles(&self) -> u64 {
+        self.op_cycles.iter().sum()
+    }
+
+    /// Executions of one opcode family (indexed as by [`opcode_index`]).
+    pub(crate) fn count(&self, opcode: usize) -> u64 {
+        self.op_count[opcode]
+    }
+
+    /// Executed `MULU`/`MULS`/`DIVU`/`DIVS` instructions and the cycles they
+    /// took, memory waits included.
+    pub fn mul_div(&self) -> (u64, u64) {
+        let count = self.op_count[MUL_DIV].iter().sum();
+        (count, self.op_cycles[MUL_DIV].iter().sum())
+    }
+
+    /// Cycles per phase: the summed length of its closed spans.
+    pub(crate) fn phase_cycles(&self) -> [u64; N_PHASES] {
+        let mut out = [0; N_PHASES];
+        for s in &self.spans {
+            out[s.phase as usize] += s.end - s.start;
+        }
+        out
     }
 
     /// Non-empty opcode-histogram rows as `(mnemonic, count, cycles)`.
@@ -378,19 +430,25 @@ mod tests {
 
     #[test]
     fn variance_is_cycles_beyond_minimum() {
+        let variance = |i: &Instr, dd: u32| dd.saturating_sub(variance_floor(i));
         let mul = Instr::Mulu {
             src: Ea::D(DataReg::D1),
             dst: DataReg::D0,
         };
-        assert_eq!(variance_cycles(&mul, 38), 0);
-        assert_eq!(variance_cycles(&mul, 70), 32);
-        assert_eq!(variance_cycles(&Instr::Nop, 0), 0);
+        assert_eq!(variance(&mul, 38), 0);
+        assert_eq!(variance(&mul, 70), 32);
+        assert_eq!(variance(&Instr::Nop, 0), 0);
         let div = Instr::Divu {
             src: Ea::D(DataReg::D1),
             dst: DataReg::D0,
         };
-        assert_eq!(variance_cycles(&div, 10), 0, "overflow early-out");
-        assert_eq!(variance_cycles(&div, 76 + 4 * 15), 60);
+        assert_eq!(variance(&div, 10), 0, "overflow early-out");
+        assert_eq!(variance(&div, 76 + 4 * 15), 60);
+    }
+
+    #[test]
+    fn mul_div_slots_are_the_variable_time_opcodes() {
+        assert_eq!(&OPCODE_NAMES[MUL_DIV], &["MULU", "MULS", "DIVU", "DIVS"]);
     }
 
     #[test]
@@ -400,7 +458,6 @@ mod tests {
         a.mark(true, 2, 120);
         a.mark(false, 2, 150);
         a.mark(false, 1, 200);
-        a.mark(false, 3, 500); // end without begin: ignored
         assert_eq!(
             a.spans,
             vec![
@@ -416,6 +473,22 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ended without begin")]
+    fn unmatched_end_marker_panics() {
+        CycleAccount::default().mark(false, 3, 500);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "begun twice")]
+    fn phase_begun_twice_panics() {
+        let mut a = CycleAccount::default();
+        a.mark(true, 3, 100);
+        a.mark(true, 3, 200);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! constant [`CompiledBlock::static_cycles`] is the core-cycle floor of one
 //! pass through the block, not its wall duration.
 
+use crate::account::variance_floor;
 use pasm_isa::analysis::{basic_blocks, BlockSpan};
 use pasm_isa::timing::{cycle_split, CycleSplit, DynTerm};
 use pasm_isa::Instr;
@@ -42,12 +43,8 @@ pub struct InstrMeta {
     pub instr: Instr,
     /// Precomputed static/dynamic cycle decomposition.
     pub split: CycleSplit,
-    /// Minimum data-dependent cycles of a variable-time opcode (`MULU`/
-    /// `MULS`: 38, `DIVU`: 76, `DIVS`: 84; 0 otherwise), folded so the fast
-    /// path computes the `MultiplyVariance` bucket without re-matching the
-    /// opcode — `mulu_cycles.saturating_sub(variance_min)` equals
-    /// [`variance_cycles`](crate::account::variance_cycles) exactly, because
-    /// `mulu_cycles` is nonzero only for those four opcodes.
+    /// [`variance_floor`] of the instruction, folded so the fast path
+    /// computes the `MultiplyVariance` bucket without re-matching the opcode.
     pub variance_min: u32,
     /// The fast path must return to the event scheduler *before* executing
     /// this instruction: it halts, switches mode, or talks to the Fetch Unit.
@@ -64,12 +61,7 @@ impl InstrMeta {
         InstrMeta {
             instr,
             split: cycle_split(&instr),
-            variance_min: match instr {
-                Instr::Mulu { .. } | Instr::Muls { .. } => 38,
-                Instr::Divu { .. } => 76,
-                Instr::Divs { .. } => 84,
-                _ => 0,
-            },
+            variance_min: variance_floor(&instr),
             stop: is_stop(&instr),
             block: 0,
         }
@@ -273,7 +265,6 @@ mod tests {
 
     #[test]
     fn variance_min_reproduces_account_variance() {
-        use crate::account::variance_cycles;
         let prog = vec![
             Instr::Mulu {
                 src: Ea::D(D1),
@@ -298,33 +289,8 @@ mod tests {
                 dst: D0,
             },
         ];
-        let c = compile(&prog);
-        for m in &c.meta {
-            // `mulu_cycles` at execution time is ≥ the folded floor for the
-            // variable-time opcodes and exactly 0 for everything else, so
-            // the subtraction reproduces `variance_cycles` on every value
-            // the machine can feed it.
-            let observable = if m.variance_min > 0 {
-                vec![m.variance_min, m.variance_min + 2, m.variance_min + 64]
-            } else {
-                vec![0]
-            };
-            for data_dependent in observable {
-                assert_eq!(
-                    data_dependent.saturating_sub(m.variance_min),
-                    variance_cycles(&m.instr, data_dependent),
-                    "{:?}",
-                    m.instr
-                );
-            }
-        }
-        // The floor itself matches the opcode table.
-        assert_eq!(c.meta[0].variance_min, 38);
-        assert_eq!(c.meta[1].variance_min, 38);
-        assert_eq!(c.meta[2].variance_min, 76);
-        assert_eq!(c.meta[3].variance_min, 84);
-        assert_eq!(c.meta[4].variance_min, 0);
-        assert_eq!(c.meta[5].variance_min, 0);
+        let floors: Vec<u32> = compile(&prog).meta.iter().map(|m| m.variance_min).collect();
+        assert_eq!(floors, [38, 38, 76, 84, 0, 0]);
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //!
 //! The entry point is [`Machine`]; configure with [`MachineConfig`], load
 //! [`pasm_isa::Program`]s into PEs and MCs, establish circuits, and call
-//! [`Machine::run`] to obtain a [`RunResult`] with per-component traces and
-//! — unless disabled via [`Machine::set_accounting`] — per-component
-//! [`CycleAccount`]s bucketing every simulated cycle by cause ([`account`]).
+//! [`Machine::run`] to obtain a [`RunResult`]. Every executed instruction is
+//! charged to one record per component, a [`CycleAccount`] bucketing every
+//! simulated cycle by cause ([`account`]); the result carries the accounts
+//! and the per-component [`PeTrace`]/[`McTrace`] summaries derived from
+//! them.
 
 pub mod account;
 pub mod block;
@@ -36,7 +38,9 @@ pub mod fetch_unit;
 pub mod machine;
 pub mod trace;
 
-pub use account::{Bucket, CycleAccount, MachineAccounts, PhaseSpan, BUCKET_NAMES, N_BUCKETS};
+pub use account::{
+    Bucket, CycleAccount, MachineAccounts, PhaseSpan, BUCKET_NAMES, N_BUCKETS, N_PHASES,
+};
 pub use block::{CompiledBlock, CompiledProgram, InstrMeta};
 pub use config::{MachineConfig, ReleaseMode};
 pub use cpu::{Cpu, Effect, StepOutcome};
@@ -44,4 +48,4 @@ pub use fault::{FaultPlan, PeFault, PeFaultSpec};
 pub use fetch_unit::FuStats;
 pub use machine::{drr_ea, dtr_ea, status_ea, Machine, PeMode, RunError, RunResult};
 pub use pasm_net::{single_faults, NetFault};
-pub use trace::{McTrace, PeTrace, N_PHASES};
+pub use trace::{McTrace, PeTrace};

@@ -9,16 +9,18 @@
 //! actual polling instructions, and SIMD superlinearity from the MC executing
 //! control flow while its PEs compute.
 
-use crate::account::{self, variance_cycles, Bucket, MachineAccounts};
+use crate::account::{variance_floor, Bucket, CycleAccount, MachineAccounts};
 use crate::block::{self, CompiledProgram, InstrMeta};
 use crate::config::{MachineConfig, ReleaseMode};
-use crate::cpu::{exec, exec_timed, Block, Bus, Cpu, Effect, McEffect, MemBus, StepOutcome};
+use crate::cpu::{
+    exec, exec_timed, Block, Bus, Cpu, Effect, McEffect, MemBus, StepOutcome, StepResult,
+};
 use crate::fault::{FaultPlan, PeFault};
 use crate::fetch_unit::{EntryKind, FetchUnit, FuStats, QueueEntry};
 use crate::trace::{McTrace, PeTrace};
 use pasm_isa::{Instr, Program, Size};
 use pasm_mem::map::{self, MemMap, NetReg, Region};
-use pasm_mem::{BurstClock, Memory};
+use pasm_mem::{BurstClock, MemTiming, Memory};
 use pasm_net::{ring_circuits, CircuitId, EscNetwork, NetError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,7 +92,6 @@ struct Pe {
     pending: Option<QueueEntry>,
     /// Queue cursor for `ReleaseMode::Decoupled`.
     cursor: usize,
-    trace: PeTrace,
     /// Block table of `program`, shared via the machine's fingerprint cache;
     /// `None` forces the per-instruction path (fault-plan invalidation).
     compiled: Option<Arc<CompiledProgram>>,
@@ -102,7 +103,6 @@ struct Mc {
     program: Program,
     state: McState,
     ready_at: u64,
-    trace: McTrace,
     /// Block table of `program` (see [`Pe::compiled`]).
     compiled: Option<Arc<CompiledProgram>>,
 }
@@ -114,13 +114,14 @@ pub struct RunResult {
     pub makespan: u64,
     /// Latest PE halt time (excludes MC wind-down).
     pub pe_makespan: u64,
-    /// Per-PE traces.
+    /// Per-PE summaries, derived from the cycle accounts.
     pub pe: Vec<PeTrace>,
-    /// Per-MC traces.
+    /// Per-MC summaries, derived from the cycle accounts.
     pub mc: Vec<McTrace>,
     /// Per-Fetch-Unit statistics.
     pub fu: Vec<FuStats>,
-    /// Cycle accounts per component, `None` if accounting was disabled.
+    /// Cycle accounts per component, `None` if left out with
+    /// [`Machine::set_accounting`].
     pub accounts: Option<MachineAccounts>,
 }
 
@@ -196,10 +197,11 @@ pub struct Machine {
     due: Vec<u64>,
     net: NetState,
     esc: EscNetwork,
-    /// Cycle accounts; `None` when accounting is disabled. Deliberately not
-    /// part of [`MachineConfig`] (which is hashed into cache keys): the toggle
-    /// only changes what is recorded, never the simulated timing.
-    acct: Option<MachineAccounts>,
+    /// Cycle accounts: the one record every executed instruction and every
+    /// wait is charged to.
+    acct: MachineAccounts,
+    /// Whether the result carries `acct` (see [`Machine::set_accounting`]).
+    report_accounts: bool,
     /// Injected per-PE fault models.
     pe_faults: Vec<Option<PeFault>>,
     /// Per MC, the group-local mask bits of its PEs that are not dead: the
@@ -235,7 +237,6 @@ impl Machine {
                 ready_at: 0,
                 pending: None,
                 cursor: 0,
-                trace: PeTrace::default(),
                 compiled: None,
             })
             .collect();
@@ -246,7 +247,6 @@ impl Machine {
                 program: Program::default(),
                 state: McState::Idle,
                 ready_at: 0,
-                trace: McTrace::default(),
                 compiled: None,
             })
             .collect();
@@ -259,7 +259,7 @@ impl Machine {
             detour: vec![0; cfg.n_pes],
         };
         let esc = EscNetwork::new(cfg.n_pes.max(2));
-        let acct = Some(MachineAccounts::new(cfg.n_pes, cfg.n_mcs));
+        let acct = MachineAccounts::new(cfg.n_pes, cfg.n_mcs);
         let pe_faults = vec![None; cfg.n_pes];
         let live = vec![((1u32 << cfg.pes_per_mc()) - 1) as u16; cfg.n_mcs];
         let due = vec![u64::MAX; cfg.n_pes + cfg.n_mcs];
@@ -272,6 +272,7 @@ impl Machine {
             net,
             esc,
             acct,
+            report_accounts: true,
             pe_faults,
             live,
             interrupt: None,
@@ -283,7 +284,7 @@ impl Machine {
     /// Enable or disable the block-compiled fast path (enabled by default).
     /// Disabling it forces the per-instruction interpreter everywhere; the
     /// simulated timing, traces and cycle accounts are identical either way.
-    /// Like the accounting toggle, this is deliberately not part of
+    /// Like [`Machine::set_accounting`], this is deliberately not part of
     /// [`MachineConfig`]: it changes how fast the simulator runs, never what
     /// it simulates.
     pub fn set_fast_path(&mut self, enabled: bool) {
@@ -312,20 +313,11 @@ impl Machine {
         c
     }
 
-    /// Enable or disable cycle accounting (enabled by default). Disabling it
-    /// removes all bookkeeping from the hot loop; simulated timing is
-    /// identical either way (tested and bench-guarded).
+    /// Whether the result carries the cycle accounts (default on). The
+    /// machine keeps them either way — the traces derive from them — so
+    /// this changes only [`RunResult::accounts`], never the simulation.
     pub fn set_accounting(&mut self, enabled: bool) {
-        self.acct = if enabled {
-            Some(MachineAccounts::new(self.cfg.n_pes, self.cfg.n_mcs))
-        } else {
-            None
-        };
-    }
-
-    /// Whether cycle accounting is currently recording.
-    pub fn accounting_enabled(&self) -> bool {
-        self.acct.is_some()
+        self.report_accounts = enabled;
     }
 
     /// The configuration this machine was built with.
@@ -478,9 +470,7 @@ impl Machine {
             return;
         }
         if self.pes[pe].state == PeState::Idle {
-            if let Some(a) = self.acct.as_mut() {
-                a.pe[pe].started_at = at;
-            }
+            self.acct.pe[pe].started_at = at;
         }
         self.set_pe(pe, PeState::Ready, at);
     }
@@ -597,25 +587,17 @@ impl Machine {
     }
 
     fn result(&self) -> RunResult {
-        let pe_makespan = self
-            .pes
-            .iter()
-            .map(|p| p.trace.finished_at)
-            .max()
-            .unwrap_or(0);
-        let mc_makespan = self
-            .mcs
-            .iter()
-            .map(|m| m.trace.finished_at)
-            .max()
-            .unwrap_or(0);
+        let pe: Vec<PeTrace> = self.acct.pe.iter().map(PeTrace::from).collect();
+        let mc: Vec<McTrace> = self.acct.mc.iter().map(McTrace::from).collect();
+        let pe_makespan = pe.iter().map(|t| t.finished_at).max().unwrap_or(0);
+        let mc_makespan = mc.iter().map(|t| t.finished_at).max().unwrap_or(0);
         RunResult {
             makespan: pe_makespan.max(mc_makespan),
             pe_makespan,
-            pe: self.pes.iter().map(|p| p.trace.clone()).collect(),
-            mc: self.mcs.iter().map(|m| m.trace.clone()).collect(),
+            pe,
+            mc,
             fu: self.fus.iter().map(|f| f.stats).collect(),
-            accounts: self.acct.clone(),
+            accounts: self.report_accounts.then(|| self.acct.clone()),
         }
     }
 
@@ -630,14 +612,10 @@ impl Machine {
     /// interact with any other component: nothing external mutates a Ready
     /// PE, and instructions without machine effects have none outward — so
     /// running the PE arbitrarily far ahead of global time commutes with any
-    /// scheduler interleaving. The loop leaves (and the per-instruction path
-    /// takes over) at every *stop* instruction (mode switch, barrier, halt),
-    /// at any memory-mapped access ([`Block::Mmio`], raised before any state
-    /// changes), past the cycle budget, and after [`FAST_BATCH`] instructions
-    /// so interrupts stay responsive. Charges per instruction are computed
-    /// exactly as in [`Machine::step_pe`] — including per-access
-    /// refresh-sensitive DRAM waits — so traces and cycle accounts are
-    /// byte-identical.
+    /// scheduler interleaving. The batch leaves (and the per-instruction path
+    /// takes over) at every *stop* instruction (mode switch, barrier, halt)
+    /// and at any memory-mapped access ([`Block::Mmio`], raised before any
+    /// state changes); see [`exec_batch`].
     ///
     /// Returns `true` if at least one instruction was executed.
     fn try_fast_pe(&mut self, i: usize) -> bool {
@@ -650,44 +628,23 @@ impl Machine {
         let Some(compiled) = self.pes[i].compiled.clone() else {
             return false;
         };
-        let max_cycles = self.cfg.max_cycles;
         let pe = &mut self.pes[i];
-        let mut acc = self.acct.as_mut().map(|a| &mut a.pe[i]);
-        let mut now = pe.ready_at;
-        // Incremental refresh phase: same delays as `pe_dram.burst_delay(now,
-        // …)` without the per-access modulo (property-tested in `pasm-mem`).
-        let mut clock = BurstClock::new(self.cfg.pe_dram, now);
-        let mut executed = false;
-        // Trace counters and cycle buckets are sums, so they accumulate in
-        // locals across the batch and flush once at the end — the final
-        // state is identical to charging per instruction, without the
-        // per-instruction read-modify-writes.
-        let mut batch = BatchCharges::default();
-        for _ in 0..FAST_BATCH {
-            if now > max_cycles {
-                break;
-            }
-            let pc = pe.cpu.pc;
-            let Some(m) = compiled.meta.get(pc) else {
-                panic!("PE {i}: pc {pc} fell off the program");
-            };
-            if m.stop {
-                break;
-            }
-            // MMIO touched: nothing changed — the per-instruction path
-            // re-executes this instruction against the full PE bus.
-            let Some(end) =
-                exec_main_only(pe, acc.as_deref_mut(), m, now, &clock, &clock, &mut batch)
-            else {
-                break;
-            };
-            clock.advance(end - now);
-            now = end;
-            executed = true;
-        }
-        batch.flush(&mut pe.trace, acc);
-        self.set_pe(i, PeState::Ready, now);
-        executed
+        let bus = &mut MainOnlyBus(&mut pe.mem);
+        let acc = &mut self.acct.pe[i];
+        let timing = self.cfg.pe_dram;
+        let Some(end) = exec_batch(
+            &mut pe.cpu,
+            bus,
+            &compiled,
+            acc,
+            pe.ready_at,
+            timing,
+            self.cfg.max_cycles,
+        ) else {
+            return false;
+        };
+        self.set_pe(i, PeState::Ready, end);
+        true
     }
 
     fn step_pe(&mut self, i: usize) {
@@ -774,47 +731,24 @@ impl Machine {
             Some(PeFault::Slow { extra_wait }) => extra_wait * r.data_accesses as u64,
             _ => 0,
         };
-        let fault_cycles = detour_cycles + slow_wait;
-        let duration = r.cycles as u64 + fetch_wait + data_wait + extra_cycles + fault_cycles;
-        let new_now = now + duration;
-
-        {
-            let t = &mut self.pes[i].trace;
-            if !matches!(instr, Instr::Mark { .. }) {
-                t.instrs += 1;
-            }
-            t.busy_cycles += duration;
-            t.fetch_wait_cycles += fetch_wait;
-            t.data_wait_cycles += data_wait;
-            if r.mulu_cycles > 0 {
-                t.mul_count += 1;
-                t.mul_cycles += r.mulu_cycles as u64;
-            }
-            if wrote_net_to.is_some() {
-                t.net_bytes_sent += 1;
-            }
-        }
-        if let Some(a) = self.acct.as_mut() {
-            let acc = &mut a.pe[i];
-            let var = variance_cycles(&instr, r.mulu_cycles) as u64;
-            acc.charge(Bucket::Compute, r.cycles as u64 - var);
-            acc.charge(Bucket::MultiplyVariance, var);
-            acc.charge(Bucket::Fetch, fetch_wait);
-            acc.charge(Bucket::MemoryWait, data_wait);
-            acc.charge(Bucket::Network, extra_cycles);
-            acc.charge(Bucket::FaultDetour, fault_cycles);
-            acc.record_instr(&instr, duration);
-        }
+        let waits = Waits {
+            fetch: fetch_wait,
+            data: data_wait,
+            network: extra_cycles,
+            fault: detour_cycles + slow_wait,
+        };
+        let acc = &mut self.acct.pe[i];
+        let mut charges = Charges::default();
+        let new_now = charges.charge(acc, &instr, variance_floor(&instr), &r, now, waits);
+        charges.flush(acc);
+        acc.net_bytes_sent += wrote_net_to.is_some() as u64;
 
         // Network wakeups.
         if let Some(dest) = wrote_net_to {
             if let PeState::AwaitNetRx { since } = self.pes[dest].state {
                 let valid_at = self.net.rx[dest].map(|b| b.valid_at).unwrap_or(new_now);
                 let wake = valid_at.max(since);
-                self.pes[dest].trace.net_rx_stall_cycles += wake - since;
-                if let Some(a) = self.acct.as_mut() {
-                    a.pe[dest].charge(Bucket::Network, wake - since);
-                }
+                self.acct.pe[dest].charge(Bucket::Network, wake - since);
                 self.set_pe(dest, PeState::Ready, wake);
             }
         }
@@ -824,10 +758,7 @@ impl Machine {
                 if self.net.dest[s] == Some(i) {
                     if let PeState::AwaitNetTx { since } = self.pes[s].state {
                         let wake = new_now.max(since);
-                        self.pes[s].trace.net_tx_stall_cycles += wake - since;
-                        if let Some(a) = self.acct.as_mut() {
-                            a.pe[s].charge(Bucket::Network, wake - since);
-                        }
+                        self.acct.pe[s].charge(Bucket::Network, wake - since);
                         self.set_pe(s, PeState::Ready, wake);
                     }
                 }
@@ -841,19 +772,13 @@ impl Machine {
 
         match r.effect {
             Effect::None | Effect::Mark { .. } => {
-                if let Effect::Mark { begin, phase } = r.effect {
-                    self.pes[i].trace.mark(begin, phase, new_now);
-                    if let Some(a) = self.acct.as_mut() {
-                        a.pe[i].mark(begin, phase, new_now);
-                    }
-                }
                 if self.pes[i].mode == PeMode::Simd {
                     self.issue_simd_request(i, new_now);
                 }
             }
             Effect::Halt => {
                 self.set_pe(i, PeState::Halted, new_now);
-                self.pes[i].trace.finished_at = new_now;
+                self.acct.pe[i].finished_at = new_now;
             }
             Effect::EnterSimd => {
                 self.pes[i].mode = PeMode::Simd;
@@ -948,10 +873,7 @@ impl Machine {
                 let PeState::AwaitSimd { since } = self.pes[pe].state else {
                     unreachable!()
                 };
-                self.pes[pe].trace.simd_wait_cycles += release - since;
-                if let Some(a) = self.acct.as_mut() {
-                    a.pe[pe].charge(Bucket::BarrierWait, release - since);
-                }
+                self.acct.pe[pe].charge(Bucket::BarrierWait, release - since);
                 self.set_pe(pe, PeState::Ready, release);
                 self.pes[pe].pending = match (self.pes[pe].mode, head.kind) {
                     (PeMode::Simd, EntryKind::Instr(_)) => Some(head),
@@ -982,8 +904,8 @@ impl Machine {
     /// return what the last round's release check released.
     ///
     /// Sound because a broadcast that is not a stop and touches only main
-    /// memory changes nothing but the executing PE's own registers, memory,
-    /// trace and account. The only components that can observe the order of
+    /// memory changes nothing but the executing PE's own registers, memory
+    /// and account. The only components that can observe the order of
     /// these rounds are the group's MC, its Fetch Unit controller and its
     /// other PEs, so [`Machine::group_horizon_clear`] first replays the MC's
     /// and the controller's events due before `rel.at`, and gives up if
@@ -1091,15 +1013,15 @@ impl Machine {
     /// instruction touched memory-mapped space.
     fn group_exec(&mut self, i: usize, m: &InstrMeta, now: u64) -> bool {
         let pe = &mut self.pes[i];
-        let mut acc = self.acct.as_mut().map(|a| &mut a.pe[i]);
+        let acc = &mut self.acct.pe[i];
         let fetch = BurstClock::new(self.cfg.fu_sram, now);
         let data = BurstClock::new(self.cfg.pe_dram, now);
-        let mut batch = BatchCharges::default();
-        let Some(end) = exec_main_only(pe, acc.as_deref_mut(), m, now, &fetch, &data, &mut batch)
-        else {
+        let mut charges = Charges::default();
+        let bus = &mut MainOnlyBus(&mut pe.mem);
+        let Some(end) = exec_one(&mut pe.cpu, bus, acc, m, now, &fetch, &data, &mut charges) else {
             return false;
         };
-        batch.flush(&mut pe.trace, acc);
+        charges.flush(acc);
         pe.pending = None;
         self.set_pe(i, PeState::AwaitSimd { since: end }, end);
         true
@@ -1130,10 +1052,7 @@ impl Machine {
                 }
                 self.fus[mc].queue[cursor].consumed |= bit;
                 self.pes[pe].cursor += 1;
-                self.pes[pe].trace.simd_wait_cycles += release - since;
-                if let Some(a) = self.acct.as_mut() {
-                    a.pe[pe].charge(Bucket::BarrierWait, release - since);
-                }
+                self.acct.pe[pe].charge(Bucket::BarrierWait, release - since);
                 self.set_pe(pe, PeState::Ready, release);
                 self.pes[pe].pending = match (self.pes[pe].mode, entry.kind) {
                     (PeMode::Simd, EntryKind::Instr(_)) => Some(entry),
@@ -1175,62 +1094,23 @@ impl Machine {
         let Some(compiled) = self.mcs[i].compiled.clone() else {
             return false;
         };
-        let max_cycles = self.cfg.max_cycles;
         let mc = &mut self.mcs[i];
-        let mut acc = self.acct.as_mut().map(|a| &mut a.mc[i]);
-        let mut now = mc.ready_at;
-        let mut clock = BurstClock::new(self.cfg.mc_dram, now);
-        let mut executed = false;
-        let mut batch = BatchCharges::default();
-        for _ in 0..FAST_BATCH {
-            if now > max_cycles {
-                break;
-            }
-            let pc = mc.cpu.pc;
-            let Some(m) = compiled.meta.get(pc) else {
-                panic!("MC {i}: pc {pc} fell off the program");
-            };
-            if m.stop {
-                break;
-            }
-            let instr = m.instr;
-            let r = match exec_timed(
-                &mut mc.cpu,
-                &mut MemBus(&mut mc.mem),
-                &instr,
-                Some(&m.split),
-            ) {
-                StepOutcome::Done(r) => r,
-                StepOutcome::Blocked(b) => panic!("MC {i} blocked on {b:?} — MCs have no network"),
-            };
-            let fetch_wait = clock.burst_delay(0, r.fetch_words);
-            let data_wait = clock.burst_delay(fetch_wait, r.data_accesses);
-            let duration = r.cycles as u64 + fetch_wait + data_wait;
-            clock.advance(duration);
-            now += duration;
-            executed = true;
-            batch.busy += duration;
-            batch.fetch_wait += fetch_wait;
-            batch.data_wait += data_wait;
-            if let Some(a) = acc.as_deref_mut() {
-                let var = r.mulu_cycles.saturating_sub(m.variance_min) as u64;
-                batch.compute += r.cycles as u64 - var;
-                batch.variance += var;
-                a.record_instr(&instr, duration);
-            }
-            match r.effect {
-                Effect::None => batch.instrs += 1,
-                Effect::Mark { begin, phase } => {
-                    if let Some(a) = acc.as_deref_mut() {
-                        a.mark(begin, phase, now);
-                    }
-                }
-                other => unreachable!("fast path executed effectful {other:?}"),
-            }
-        }
-        batch.flush_mc(&mut mc.trace, acc);
-        self.set_mc(i, McState::Ready, now);
-        executed
+        let bus = &mut MemBus(&mut mc.mem);
+        let acc = &mut self.acct.mc[i];
+        let timing = self.cfg.mc_dram;
+        let Some(end) = exec_batch(
+            &mut mc.cpu,
+            bus,
+            &compiled,
+            acc,
+            mc.ready_at,
+            timing,
+            self.cfg.max_cycles,
+        ) else {
+            return false;
+        };
+        self.set_mc(i, McState::Ready, end);
+        true
     }
 
     fn step_mc(&mut self, i: usize) {
@@ -1276,40 +1156,28 @@ impl Machine {
             .cfg
             .mc_dram
             .burst_delay(now + fetch_wait, r.data_accesses);
-        let new_now = now + r.cycles as u64 + fetch_wait + data_wait;
+        let waits = Waits {
+            fetch: fetch_wait,
+            data: data_wait,
+            ..Waits::default()
+        };
+        let acc = &mut self.acct.mc[i];
+        let mut charges = Charges::default();
+        let new_now = charges.charge(acc, &instr, variance_floor(&instr), &r, now, waits);
+        charges.flush(acc);
         self.set_mc(i, McState::Ready, new_now);
-        if !matches!(instr, Instr::Mark { .. }) {
-            self.mcs[i].trace.instrs += 1;
-        }
-        self.mcs[i].trace.busy_cycles += new_now - now;
-        if let Some(a) = self.acct.as_mut() {
-            let acc = &mut a.mc[i];
-            let var = variance_cycles(&instr, r.mulu_cycles) as u64;
-            acc.charge(Bucket::Compute, r.cycles as u64 - var);
-            acc.charge(Bucket::MultiplyVariance, var);
-            acc.charge(Bucket::Fetch, fetch_wait);
-            acc.charge(Bucket::MemoryWait, data_wait);
-            acc.record_instr(&instr, new_now - now);
-        }
 
         match r.effect {
-            Effect::None | Effect::Mark { .. } => {
-                if let Effect::Mark { begin, phase } = r.effect {
-                    if let Some(a) = self.acct.as_mut() {
-                        a.mc[i].mark(begin, phase, new_now);
-                    }
-                }
-            }
+            Effect::None | Effect::Mark { .. } => {}
             Effect::Halt => {
                 self.set_mc(i, McState::Halted, new_now);
-                self.mcs[i].trace.finished_at = new_now;
+                self.acct.mc[i].finished_at = new_now;
             }
             Effect::Mc(op) => match op {
                 McEffect::SetMask(m) => self.fus[i].mask = m,
                 McEffect::Enqueue(b) => {
                     let block = self.mcs[i].program.blocks[b as usize].clone();
                     self.fus[i].command_block(&block, new_now + self.cfg.fuc_command_cycles);
-                    self.mcs[i].trace.blocks_enqueued += 1;
                     return true;
                 }
                 McEffect::EnqueueWords(c) => {
@@ -1322,9 +1190,7 @@ impl Machine {
                         }
                         if self.pes[pe].state == PeState::Idle && !self.pes[pe].program.is_empty() {
                             self.set_pe(pe, PeState::Ready, new_now);
-                            if let Some(a) = self.acct.as_mut() {
-                                a.pe[pe].started_at = new_now;
-                            }
+                            self.acct.pe[pe].started_at = new_now;
                         }
                     }
                 }
@@ -1352,10 +1218,7 @@ impl Machine {
         if self.fus[i].command_done() {
             if let McState::AwaitFuc { since } = self.mcs[i].state {
                 let wake = self.fus[i].fuc_free_at.max(since);
-                self.mcs[i].trace.fuc_wait_cycles += wake - since;
-                if let Some(a) = self.acct.as_mut() {
-                    a.mc[i].charge(Bucket::BarrierWait, wake - since);
-                }
+                self.acct.mc[i].charge(Bucket::BarrierWait, wake - since);
                 self.set_mc(i, McState::Ready, wake);
             }
         }
@@ -1385,105 +1248,147 @@ enum Released {
     Many,
 }
 
-/// Execute one instruction of `pe` at `now` on the main-memory-only bus:
-/// the executor the MIMD fast path and the SIMD group step share (the
-/// interpreter it calls is always inlined, see `exec_timed`). Instruction
-/// words are priced on `fetch`, operands on `data` (both tracking `now`);
-/// sums go to `batch`, the opcode histogram and phase marks straight to the
-/// trace and account — the charges [`Machine::step_pe`] makes. Returns the
-/// end time, or `None` if a memory-mapped access escaped before any state
+/// The batch loop of both fast paths: execute compiled instructions from
+/// `now` on `bus`, pricing memory accesses on `timing`, until a stop
+/// instruction, a bus refusal (a PE's memory-mapped access), the cycle
+/// budget, or [`FAST_BATCH`] instructions — so interrupts stay responsive. A
+/// pc past the program end also ends the batch, for the per-instruction
+/// path to report. Returns the end time, or `None` if nothing executed.
+fn exec_batch<B: Bus>(
+    cpu: &mut Cpu,
+    bus: &mut B,
+    compiled: &CompiledProgram,
+    acc: &mut CycleAccount,
+    mut now: u64,
+    timing: MemTiming,
+    max_cycles: u64,
+) -> Option<u64> {
+    // Incremental refresh phase: same delays as `timing.burst_delay(now, …)`
+    // without the per-access modulo (property-tested in `pasm-mem`).
+    let mut clock = BurstClock::new(timing, now);
+    let mut charges = Charges::default();
+    let mut executed = false;
+    for _ in 0..FAST_BATCH {
+        if now > max_cycles {
+            break;
+        }
+        let Some(m) = compiled.meta.get(cpu.pc) else {
+            break;
+        };
+        if m.stop {
+            break;
+        }
+        let Some(end) = exec_one(cpu, bus, acc, m, now, &clock, &clock, &mut charges) else {
+            break;
+        };
+        clock.advance(end - now);
+        now = end;
+        executed = true;
+    }
+    charges.flush(acc);
+    executed.then_some(now)
+}
+
+/// Execute one compiled instruction at `now` on `bus` and charge it: the
+/// executor of both batch loops and of the SIMD group step (the interpreter
+/// it calls is always inlined, see `exec_timed`). Instruction words are
+/// priced on `fetch`, operands on `data` (both tracking `now`). Returns the
+/// end time, or `None` if the bus refused an access before any state
 /// changed.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn exec_main_only(
-    pe: &mut Pe,
-    acc: Option<&mut account::CycleAccount>,
+fn exec_one<B: Bus>(
+    cpu: &mut Cpu,
+    bus: &mut B,
+    acc: &mut CycleAccount,
     m: &InstrMeta,
     now: u64,
     fetch: &BurstClock,
     data: &BurstClock,
-    batch: &mut BatchCharges,
+    charges: &mut Charges,
 ) -> Option<u64> {
-    let r = match exec_timed(
-        &mut pe.cpu,
-        &mut MainOnlyBus(&mut pe.mem),
-        &m.instr,
-        Some(&m.split),
-    ) {
-        StepOutcome::Done(r) => r,
-        StepOutcome::Blocked(_) => return None,
+    let StepOutcome::Done(r) = exec_timed(cpu, bus, &m.instr, Some(&m.split)) else {
+        return None;
     };
+    // Only `Mark` has an effect here: every other effectful instruction is
+    // a stop.
+    if !matches!(r.effect, Effect::None | Effect::Mark { .. }) {
+        unreachable!("fast path executed effectful {:?}", r.effect);
+    }
     let fetch_wait = fetch.burst_delay(0, r.fetch_words);
-    let data_wait = data.burst_delay(fetch_wait, r.data_accesses);
-    let duration = r.cycles as u64 + fetch_wait + data_wait;
-    let end = now + duration;
-    batch.busy += duration;
-    batch.fetch_wait += fetch_wait;
-    batch.data_wait += data_wait;
-    if r.mulu_cycles > 0 {
-        batch.mul_count += 1;
-        batch.mul_cycles += r.mulu_cycles as u64;
-    }
-    if let Some(a) = acc {
-        // Same value as `variance_cycles(&instr, r.mulu_cycles)`:
-        // `mulu_cycles` is nonzero only for the four opcodes whose floor is
-        // folded into `variance_min` (pinned in `block.rs`).
-        let var = r.mulu_cycles.saturating_sub(m.variance_min) as u64;
-        batch.compute += r.cycles as u64 - var;
-        batch.variance += var;
-        a.record_instr(&m.instr, duration);
-        if let Effect::Mark { begin, phase } = r.effect {
-            a.mark(begin, phase, end);
-        }
-    }
-    match r.effect {
-        // Only `Mark` escapes the count: every other instruction here is
-        // effect-free by the stop classification.
-        Effect::None => batch.instrs += 1,
-        Effect::Mark { begin, phase } => pe.trace.mark(begin, phase, end),
-        other => unreachable!("fast path executed effectful {other:?}"),
-    }
-    Some(end)
+    let waits = Waits {
+        fetch: fetch_wait,
+        data: data.burst_delay(fetch_wait, r.data_accesses),
+        ..Waits::default()
+    };
+    Some(charges.charge(acc, &m.instr, m.variance_min, &r, now, waits))
 }
 
-/// Additive trace/bucket charges of one fast batch, accumulated in locals and
-/// flushed once: the result is identical to charging per instruction, the
-/// cost is one set of read-modify-writes per batch instead of per step.
+/// Cycles one executed instruction spent beyond its core cycles, by cause.
 #[derive(Default)]
-struct BatchCharges {
-    instrs: u64,
-    busy: u64,
-    fetch_wait: u64,
-    data_wait: u64,
-    mul_count: u64,
-    mul_cycles: u64,
+struct Waits {
+    /// Instruction-fetch memory wait states.
+    fetch: u64,
+    /// Operand memory wait states.
+    data: u64,
+    /// Waiting out a network byte in flight.
+    network: u64,
+    /// Injected-fault surcharges (degraded routing, slow-PE waits).
+    fault: u64,
+}
+
+/// Bucket charges of executed instructions, summed in locals and added to
+/// the account by one [`Charges::flush`]: the result is identical to charging
+/// per instruction, the cost is one set of read-modify-writes per batch
+/// instead of per step. Every executed instruction is charged through
+/// [`Charges::charge`] — a batch of one on the per-instruction path.
+#[derive(Default)]
+struct Charges {
     compute: u64,
     variance: u64,
+    fetch: u64,
+    memory: u64,
+    network: u64,
+    fault: u64,
 }
 
-impl BatchCharges {
-    fn flush(self, t: &mut PeTrace, acc: Option<&mut account::CycleAccount>) {
-        t.instrs += self.instrs;
-        t.busy_cycles += self.busy;
-        t.fetch_wait_cycles += self.fetch_wait;
-        t.data_wait_cycles += self.data_wait;
-        t.mul_count += self.mul_count;
-        t.mul_cycles += self.mul_cycles;
-        self.flush_account(acc);
-    }
-
-    fn flush_mc(self, t: &mut McTrace, acc: Option<&mut account::CycleAccount>) {
-        t.instrs += self.instrs;
-        t.busy_cycles += self.busy;
-        self.flush_account(acc);
-    }
-
-    fn flush_account(&self, acc: Option<&mut account::CycleAccount>) {
-        if let Some(a) = acc {
-            a.charge(Bucket::Compute, self.compute);
-            a.charge(Bucket::MultiplyVariance, self.variance);
-            a.charge(Bucket::Fetch, self.fetch_wait);
-            a.charge(Bucket::MemoryWait, self.data_wait);
+impl Charges {
+    /// Charge one instruction that started at `now` and return its end time.
+    /// `variance_min` is the opcode's [`variance_floor`]. The opcode
+    /// histogram and the phase marks go straight to `acc`.
+    #[inline(always)]
+    fn charge(
+        &mut self,
+        acc: &mut CycleAccount,
+        instr: &Instr,
+        variance_min: u32,
+        r: &StepResult,
+        now: u64,
+        w: Waits,
+    ) -> u64 {
+        let var = r.mulu_cycles.saturating_sub(variance_min) as u64;
+        self.compute += r.cycles as u64 - var;
+        self.variance += var;
+        self.fetch += w.fetch;
+        self.memory += w.data;
+        self.network += w.network;
+        self.fault += w.fault;
+        let duration = r.cycles as u64 + w.fetch + w.data + w.network + w.fault;
+        let end = now + duration;
+        acc.record_instr(instr, duration);
+        if let Effect::Mark { begin, phase } = r.effect {
+            acc.mark(begin, phase, end);
         }
+        end
+    }
+
+    fn flush(self, acc: &mut CycleAccount) {
+        acc.charge(Bucket::Compute, self.compute);
+        acc.charge(Bucket::MultiplyVariance, self.variance);
+        acc.charge(Bucket::Fetch, self.fetch);
+        acc.charge(Bucket::MemoryWait, self.memory);
+        acc.charge(Bucket::Network, self.network);
+        acc.charge(Bucket::FaultDetour, self.fault);
     }
 }
 

@@ -273,11 +273,8 @@ fn network_blocked_read_wakes_on_send() {
     m.start_pe(1, 0);
     let r = m.run().unwrap();
     assert_eq!(m.pe_cpu(1).d[0] & 0xFF, 0x42);
-    assert!(
-        r.pe[1].net_rx_stall_cycles > 500,
-        "stall {}",
-        r.pe[1].net_rx_stall_cycles
-    );
+    let stall = r.accounts.unwrap().pe[1].bucket(Bucket::Network);
+    assert!(stall > 500, "stall {stall}");
 }
 
 #[test]
@@ -314,10 +311,49 @@ fn network_tx_backpressure() {
     let r = m.run().unwrap();
     assert_eq!(m.pe_cpu(1).d[0] & 0xFF, 1);
     assert_eq!(m.pe_cpu(1).d[1] & 0xFF, 2);
-    assert!(
-        r.pe[0].net_tx_stall_cycles > 100,
-        "stall {}",
-        r.pe[0].net_tx_stall_cycles
+    let stall = r.accounts.unwrap().pe[0].bucket(Bucket::Network);
+    assert!(stall > 100, "stall {stall}");
+}
+
+/// Leaving the accounts out of the result changes nothing else: the
+/// accounts are always kept, and the traces derive from them.
+#[test]
+fn disabling_accounting_leaves_out_only_the_accounts() {
+    let run = |accounting: bool| {
+        let (pe, mc) = simd_pair(&[
+            Instr::Mulu {
+                src: Ea::D(DataReg::D2),
+                dst: DataReg::D0,
+            },
+            Instr::Mark {
+                begin: true,
+                phase: 1,
+            },
+            Instr::Nop,
+            Instr::Mark {
+                begin: false,
+                phase: 1,
+            },
+        ]);
+        let mut m = small_machine();
+        m.set_accounting(accounting);
+        for i in 0..4 {
+            m.load_pe_program(i, pe.clone());
+            m.pe_cpu_mut(i).d[2] = 0x0F0F << i;
+        }
+        m.load_mc_program(0, mc);
+        m.run().unwrap()
+    };
+    let on = run(true);
+    let off = run(false);
+    assert!(on.accounts.is_some());
+    assert_eq!(off.accounts, None);
+    assert_eq!(
+        RunResult {
+            accounts: None,
+            ..on
+        },
+        off
     );
 }
 

@@ -1,8 +1,9 @@
-//! Per-component instrumentation: instruction counts, stall accounting, and
-//! the phase breakdown used to regenerate the paper's Figures 8–10.
+//! Per-component summaries: instruction counts, waits, and the phase
+//! breakdown used to regenerate the paper's Figures 8–10. Both are views of
+//! a component's [`CycleAccount`], built once when the run ends.
 
-/// Number of distinct phase ids supported by `Mark` instrumentation.
-pub const N_PHASES: usize = 16;
+use crate::account::{opcode_index, Bucket, CycleAccount, N_PHASES};
+use pasm_isa::Instr;
 
 /// Execution statistics of one PE.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -11,10 +12,8 @@ pub struct PeTrace {
     pub instrs: u64,
     /// Cycles spent executing instructions (incl. memory waits, excl. stalls).
     pub busy_cycles: u64,
-    /// Multiply instructions executed.
+    /// Multiply and divide instructions executed.
     pub mul_count: u64,
-    /// Total cycles inside multiply instructions.
-    pub mul_cycles: u64,
     /// Cycles from issuing a SIMD-space request to the release (lockstep wait
     /// + queue-empty wait).
     pub simd_wait_cycles: u64,
@@ -22,37 +21,27 @@ pub struct PeTrace {
     pub fetch_wait_cycles: u64,
     /// Extra cycles charged for operand (data) memory waits.
     pub data_wait_cycles: u64,
-    /// Cycles stalled on the network transmit register (receiver not ready).
-    pub net_tx_stall_cycles: u64,
-    /// Cycles stalled on the network receive register (no byte in flight).
-    pub net_rx_stall_cycles: u64,
     /// 8-bit network words sent.
     pub net_bytes_sent: u64,
     /// Local time when this PE halted (0 if it never ran).
     pub finished_at: u64,
     /// Accumulated cycles per instrumentation phase.
     pub phase_cycles: [u64; N_PHASES],
-    /// Open phase start times (begin marker seen, end pending).
-    pub(crate) phase_open: [Option<u64>; N_PHASES],
 }
 
-impl PeTrace {
-    /// Handle a `Mark` instruction executed at local time `now`.
-    pub fn mark(&mut self, begin: bool, phase: u8, now: u64) {
-        let p = phase as usize % N_PHASES;
-        if begin {
-            debug_assert!(self.phase_open[p].is_none(), "phase {p} begun twice");
-            self.phase_open[p] = Some(now);
-        } else if let Some(start) = self.phase_open[p].take() {
-            self.phase_cycles[p] += now.saturating_sub(start);
-        } else {
-            debug_assert!(false, "phase {p} ended without begin");
+impl From<&CycleAccount> for PeTrace {
+    fn from(a: &CycleAccount) -> PeTrace {
+        PeTrace {
+            instrs: a.instrs(),
+            busy_cycles: a.busy_cycles(),
+            mul_count: a.mul_div().0,
+            simd_wait_cycles: a.bucket(Bucket::BarrierWait),
+            fetch_wait_cycles: a.bucket(Bucket::Fetch),
+            data_wait_cycles: a.bucket(Bucket::MemoryWait),
+            net_bytes_sent: a.net_bytes_sent,
+            finished_at: a.finished_at,
+            phase_cycles: a.phase_cycles(),
         }
-    }
-
-    /// Total stall time (everything that is not instruction execution).
-    pub fn stall_cycles(&self) -> u64 {
-        self.simd_wait_cycles + self.net_tx_stall_cycles + self.net_rx_stall_cycles
     }
 }
 
@@ -71,40 +60,99 @@ pub struct McTrace {
     pub finished_at: u64,
 }
 
+impl From<&CycleAccount> for McTrace {
+    fn from(a: &CycleAccount) -> McTrace {
+        McTrace {
+            instrs: a.instrs(),
+            busy_cycles: a.busy_cycles(),
+            fuc_wait_cycles: a.bucket(Bucket::BarrierWait),
+            blocks_enqueued: a.count(opcode_index(&Instr::Enqueue { block: 0 })),
+            finished_at: a.finished_at,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pasm_isa::{DataReg, Ea};
 
     #[test]
     fn phase_accounting_accumulates() {
-        let mut t = PeTrace::default();
-        t.mark(true, 1, 100);
-        t.mark(false, 1, 150);
-        t.mark(true, 1, 200);
-        t.mark(false, 1, 230);
+        let mut a = CycleAccount::default();
+        a.mark(true, 1, 100);
+        a.mark(false, 1, 150);
+        a.mark(true, 1, 200);
+        a.mark(false, 1, 230);
+        let t = PeTrace::from(&a);
         assert_eq!(t.phase_cycles[1], 80);
         assert_eq!(t.phase_cycles[2], 0);
     }
 
     #[test]
     fn nested_distinct_phases() {
-        let mut t = PeTrace::default();
-        t.mark(true, 1, 0);
-        t.mark(true, 2, 10);
-        t.mark(false, 2, 30);
-        t.mark(false, 1, 100);
+        let mut a = CycleAccount::default();
+        a.mark(true, 1, 0);
+        a.mark(true, 2, 10);
+        a.mark(false, 2, 30);
+        a.mark(false, 1, 100);
+        let t = PeTrace::from(&a);
         assert_eq!(t.phase_cycles[1], 100);
         assert_eq!(t.phase_cycles[2], 20);
     }
 
     #[test]
-    fn stall_total() {
-        let t = PeTrace {
-            simd_wait_cycles: 5,
-            net_tx_stall_cycles: 7,
-            net_rx_stall_cycles: 11,
-            ..Default::default()
-        };
-        assert_eq!(t.stall_cycles(), 23);
+    fn views_derive_from_a_hand_charged_account() {
+        let src = Ea::D(DataReg::D1);
+        let dst = DataReg::D0;
+        let mut a = CycleAccount::default();
+        a.record_instr(&Instr::Mulu { src, dst }, 70);
+        a.record_instr(&Instr::Mulu { src, dst }, 40);
+        a.record_instr(&Instr::Divs { src, dst }, 150);
+        a.record_instr(&Instr::Enqueue { block: 3 }, 12);
+        a.record_instr(
+            &Instr::Mark {
+                begin: true,
+                phase: 4,
+            },
+            0,
+        );
+        a.mark(true, 4, 10);
+        a.mark(false, 4, 25);
+        a.mark(true, 4, 100);
+        a.mark(false, 4, 140);
+        a.charge(Bucket::BarrierWait, 33);
+        a.charge(Bucket::Fetch, 6);
+        a.charge(Bucket::MemoryWait, 9);
+        a.finished_at = 500;
+        a.net_bytes_sent = 7;
+
+        let pe = PeTrace::from(&a);
+        let mut phase_cycles = [0; N_PHASES];
+        phase_cycles[4] = 15 + 40;
+        assert_eq!(
+            pe,
+            PeTrace {
+                instrs: 4,
+                busy_cycles: 70 + 40 + 150 + 12,
+                mul_count: 3,
+                simd_wait_cycles: 33,
+                fetch_wait_cycles: 6,
+                data_wait_cycles: 9,
+                net_bytes_sent: 7,
+                finished_at: 500,
+                phase_cycles,
+            }
+        );
+        assert_eq!(
+            McTrace::from(&a),
+            McTrace {
+                instrs: 4,
+                busy_cycles: 272,
+                fuc_wait_cycles: 33,
+                blocks_enqueued: 1,
+                finished_at: 500,
+            }
+        );
     }
 }

@@ -253,12 +253,14 @@ fn main() -> ExitCode {
             }
             println!("CCR: {}", cpu.ccr);
             let t = &run.pe[0];
+            let accounts = run.accounts.as_ref().expect("accounting is on by default");
+            let (_, mul_div_cycles) = accounts.pe[0].mul_div();
             println!(
-                "\n{} instructions in {} cycles ({:.3} ms at 8 MHz); {} multiply/divide cycles, {} memory-wait cycles",
+                "\n{} instructions in {} cycles ({:.3} ms at 8 MHz); {} cycles in MULU/MULS/DIVU/DIVS (memory waits included), {} memory-wait cycles",
                 t.instrs,
                 t.finished_at,
                 pasm_isa::cycles_to_ms(t.finished_at),
-                t.mul_cycles,
+                mul_div_cycles,
                 t.fetch_wait_cycles + t.data_wait_cycles,
             );
             if let Some(path) = trace {

@@ -24,7 +24,8 @@ pub use pasm_kernels::{self as kernels, MATMUL};
 
 /// Convert a run's recorded phase spans into a named [`SpanLog`]: sources are
 /// `pe<i>` / `mc<i>`, names come from [`pasm_prog::codegen::phase_name`].
-/// Empty when the machine ran with accounting disabled.
+/// Empty when the result carries no accounts (see
+/// [`pasm_machine::Machine::set_accounting`]).
 pub fn run_span_log(run: &RunResult) -> SpanLog {
     let mut log = SpanLog::new();
     let Some(accounts) = &run.accounts else {
@@ -53,16 +54,11 @@ pub fn run_span_log(run: &RunResult) -> SpanLog {
     log
 }
 
-/// Everything a run can be parameterized with beyond what runs where: cycle
-/// accounting, injected faults, an external interrupt flag for
-/// cancellation/watchdog use, and the fast-path toggle.
+/// Everything a run can be parameterized with beyond what runs where:
+/// injected faults, an external interrupt flag for cancellation/watchdog
+/// use, and the fast-path toggle.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Collect per-component [`pasm_machine::CycleAccount`]s (default on).
-    /// Disabling accounting never changes simulated timing — the buckets
-    /// observe the scheduler, they are not an input to it (asserted by the
-    /// integration tests) — it only drops the per-PE breakdowns.
-    pub accounting: bool,
     /// Faults to inject before circuits are established (default none).
     pub fault: FaultPlan,
     /// Cooperative stop flag, polled by the scheduler; setting it makes the
@@ -78,7 +74,6 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            accounting: true,
             fault: FaultPlan::default(),
             interrupt: None,
             fast_path: true,
@@ -158,7 +153,6 @@ pub fn run_placements(
         );
     }
     let mut machine = Machine::new(cfg.clone());
-    machine.set_accounting(opts.accounting);
     machine.set_fast_path(opts.fast_path);
     machine
         .apply_fault_plan(&opts.fault)
@@ -270,7 +264,8 @@ pub struct ExperimentResult {
     /// Instructions executed across all PEs.
     pub pe_instrs: u64,
     /// Cycle buckets summed over all PEs, indexed like
-    /// [`pasm_machine::BUCKET_NAMES`] (all zero if accounting was disabled).
+    /// [`pasm_machine::BUCKET_NAMES`] (all zero if the run carried no
+    /// accounts).
     pub pe_buckets: [u64; N_BUCKETS],
     /// FNV-1a fingerprint of the output words (for matmul: the row-major
     /// product matrix).
@@ -521,7 +516,7 @@ pub fn run_keyed(key: &ExperimentKey) -> Result<ExperimentResult, RunError> {
 #[derive(Debug, Clone)]
 pub struct ExperimentTrace {
     pub result: ExperimentResult,
-    /// Phase spans (`pe<i>`/`mc<i>` sources; empty if accounting was off).
+    /// Phase spans (`pe<i>`/`mc<i>` sources; empty without accounts).
     pub spans: SpanLog,
     /// Per-PE bucket rows, `pe_buckets[pe][bucket]` per [`BUCKET_NAMES`].
     pub pe_buckets: Vec<[u64; N_BUCKETS]>,

@@ -28,7 +28,7 @@ fn sizes_for(p: usize, ns: &[usize]) -> Vec<usize> {
 }
 
 /// One matmul run over `input` (see [`Matmul::generate`]) with default
-/// options: accounting on, no faults.
+/// options: no faults, fast path on.
 fn matmul(cfg: &MachineConfig, mode: Mode, params: Params, input: &[u16]) -> KernelOutcome {
     run_kernel_opts(cfg, &Matmul, mode, params, input, &RunOptions::default())
         .unwrap_or_else(|e| panic!("{mode:?} n={} p={}: {e}", params.n, params.p))
