@@ -34,6 +34,11 @@ cargo run --release -q -p bench --bin kernelsweep -- --quick >/dev/null
 echo "==> blockbench smoke-run (fast path byte-identical to interpreter)"
 cargo run --release -q -p bench --bin blockbench -- --quick >/dev/null
 
+echo "==> examples (each asserts its own results)"
+for ex in quickstart mode_tradeoff fault_tolerance image_smoothing partitioning kernels; do
+    cargo run --release -q -p pasm --example "$ex" >/dev/null
+done
+
 echo "==> fast-path equivalence tests (kernels x modes x fault plans)"
 cargo test -q -p pasm --test integration_fastpath
 

@@ -6,6 +6,7 @@
 use bench::micro::{BenchmarkId, Criterion, Throughput};
 use bench::{criterion_group, criterion_main};
 use pasm_machine::{Machine, MachineConfig};
+use pasm_prog::codegen::simd_bootstrap;
 use pasm_prog::microbench::{self, MipsKind};
 
 fn bench_interpreter(c: &mut Criterion) {
@@ -35,7 +36,8 @@ fn bench_interpreter(c: &mut Criterion) {
     });
 
     g.bench_function(BenchmarkId::new("simd_broadcast", "add_reg"), |b| {
-        let (pe, mc) = microbench::simd_programs(MipsKind::AddRegister, UNROLL, REPS, 0xF);
+        let pe = simd_bootstrap();
+        let mc = microbench::simd_mc_program(MipsKind::AddRegister, UNROLL, REPS, 0xF);
         b.iter(|| {
             let mut m = Machine::new(MachineConfig::small());
             for i in 0..4 {

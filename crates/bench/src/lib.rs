@@ -7,6 +7,7 @@ use pasm_util::{Json, ToJson};
 use std::fs;
 use std::path::PathBuf;
 
+pub mod http;
 pub mod micro;
 
 /// Directory the binaries write raw JSON results into.

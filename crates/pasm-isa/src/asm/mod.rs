@@ -33,15 +33,6 @@ mod parse;
 
 pub use parse::{assemble, AsmError};
 
-use crate::program::Program;
-
-/// Disassemble a program back to assembler-like text (one instruction per
-/// line, numeric branch targets, blocks appended). The output is accepted by
-/// [`assemble`] only up to label naming; it is intended for inspection.
-pub fn disassemble(p: &Program) -> String {
-    p.listing()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,8 @@
 //!   effective-address calculation times, and the data-dependent multiply
 //!   formulas, all taken from the M68000 user's manual,
 //! * [`Program`] and [`ProgramBuilder`] — label-resolved instruction sequences,
-//! * [`asm`] — a small two-pass text assembler and disassembler for the subset.
+//! * [`asm`] — a small two-pass text assembler for the subset (listings come
+//!   from [`Program::listing`]).
 //!
 //! The crate is purely architectural: it knows how long an instruction takes on
 //! the CPU core and how many instruction words it occupies, but nothing about

@@ -40,10 +40,10 @@
 
 use crate::Kernel;
 use pasm_isa::{Cond, DataReg, Ea, Instr, Program, ProgramBuilder, ShiftCount, ShiftKind, Size};
-use pasm_machine::{Machine, RunError};
+use pasm_machine::Machine;
 use pasm_prog::codegen::{
-    lea_abs, movei_w, xfer_element, ProgSink, A_PTR, B_PTR, CNT_MID, CNT_OUT, C_PTR, PHASE_COMM,
-    PHASE_RANK, PHASE_SORT, TT_PTR,
+    lea_abs, mimd_mc_program, movei_w, simd_bootstrap, xfer_element, A_PTR, BOOTSTRAP_HALT, B_PTR,
+    CNT_MID, CNT_OUT, C_PTR, PHASE_COMM, PHASE_RANK, PHASE_SORT, TT_PTR,
 };
 use pasm_prog::matmul::{CommSync, MatmulParams};
 use pasm_prog::{Mode, VirtualMachine};
@@ -219,10 +219,7 @@ pub fn pe_program(params: MatmulParams, sync: CommSync) -> Program {
     b.emit(lea_abs(XBUF, A_PTR));
     b.emit(movei_w(k as u32 - 1, CNT_MID));
     let rot = b.here("rot");
-    {
-        let mut sink = ProgSink { b: &mut b };
-        xfer_element(sync == CommSync::Polling, &mut sink);
-    }
+    xfer_element(sync == CommSync::Polling, &mut b);
     b.branch(
         Instr::Dbra {
             dst: CNT_MID,
@@ -313,30 +310,10 @@ pub fn pe_program(params: MatmulParams, sync: CommSync) -> Program {
     b.build().expect("bitonic PE program")
 }
 
-/// MC program for MIMD / S-MIMD (start + one barrier word per ring step).
-pub fn mc_program(params: MatmulParams, sync: CommSync, mask: u16) -> Program {
-    let mut b = ProgramBuilder::new();
-    b.emit(Instr::SetMask { mask });
-    if sync == CommSync::Barrier {
-        b.emit(Instr::EnqueueWords {
-            count: params.p as u16 - 1,
-        });
-    }
-    b.emit(Instr::StartPes);
-    b.emit(Instr::Halt);
-    b.build().expect("bitonic MC program")
-}
-
 /// SIMD sort+rank: branch-free comparators, MC-driven loop nest.
-/// Returns `(pe_bootstrap, mc_program)`.
-pub fn simd_programs(params: MatmulParams, mask: u16) -> (Program, Program) {
+pub fn simd_mc_program(params: MatmulParams, mask: u16) -> Program {
     let k = params.n / params.p;
     let n_comp = comparators(k).len();
-
-    let mut pe = ProgramBuilder::new();
-    pe.emit(Instr::JmpSimd);
-    pe.emit(Instr::Halt);
-    let pe = pe.build().expect("SIMD bitonic bootstrap");
 
     let mut b = ProgramBuilder::new();
     let sort_init = b.begin_block();
@@ -475,10 +452,7 @@ pub fn simd_programs(params: MatmulParams, mask: u16) -> (Program, Program) {
     b.emit(lea_abs(XBUF, A_PTR));
     b.end_block();
     let rot_body = b.begin_block();
-    {
-        let mut sink = ProgSink { b: &mut b };
-        xfer_element(false, &mut sink);
-    }
+    xfer_element(false, &mut b);
     b.end_block();
 
     let rank_head = b.begin_block();
@@ -551,7 +525,9 @@ pub fn simd_programs(params: MatmulParams, mask: u16) -> (Program, Program) {
     });
     b.end_block();
     let done = b.begin_block();
-    b.emit(Instr::JmpMimd { target: 1 });
+    b.emit(Instr::JmpMimd {
+        target: BOOTSTRAP_HALT,
+    });
     b.end_block();
 
     // The MC drive loop nest.
@@ -645,7 +621,7 @@ pub fn simd_programs(params: MatmulParams, mask: u16) -> (Program, Program) {
     );
     b.emit(Instr::Enqueue { block: done.0 });
     b.emit(Instr::Halt);
-    (pe, b.build().expect("SIMD bitonic MC program"))
+    b.build().expect("SIMD bitonic MC program")
 }
 
 /// The registered bitonic sort/rank kernel (see module docs).
@@ -713,52 +689,35 @@ impl Kernel for Bitonic {
         out
     }
 
-    fn load(
+    /// S/MIMD pre-enqueues one barrier word per ring step.
+    fn programs(&self, mode: Mode, params: MatmulParams, mask: u16) -> (Program, Program) {
+        match mode.comm_sync() {
+            Some(sync) => (
+                pe_program(params, sync),
+                mimd_mc_program(sync, mask, params.p - 1),
+            ),
+            None => (simd_bootstrap(), simd_mc_program(params, mask)),
+        }
+    }
+
+    /// The keys, and the comparator table every PE walks.
+    fn place(
         &self,
         machine: &mut Machine,
-        mode: Mode,
+        _mode: Mode,
         params: MatmulParams,
-        vm: &VirtualMachine,
+        pes: &[usize],
         input: &[u16],
-    ) -> Result<(), RunError> {
-        let k = params.n / params.p;
+    ) {
         assert_eq!(input.len(), params.n, "bitonic input is n words");
-        machine
-            .connect_ring(&vm.pes)
-            .map_err(|e| RunError::Net(e.to_string()))?;
-        let table: Vec<u16> = comparators(k)
+        crate::scatter(machine, pes, KEYS, input);
+        let table: Vec<u16> = comparators(params.n / params.p)
             .into_iter()
             .flat_map(|(a, b)| [a, b])
             .collect();
-        for (l, &pe) in vm.pes.iter().enumerate() {
-            let mem = machine.pe_mem_mut(pe);
-            mem.load_words(KEYS, &input[l * k..(l + 1) * k]);
-            mem.load_words(CTAB, &table);
+        for &pe in pes {
+            machine.pe_mem_mut(pe).load_words(CTAB, &table);
         }
-        match mode {
-            Mode::Simd => {
-                let (pe_prog, mc_prog) = simd_programs(params, vm.mask);
-                for &pe in &vm.pes {
-                    machine.load_pe_program(pe, pe_prog.clone());
-                }
-                for &mc in &vm.mcs {
-                    machine.load_mc_program(mc, mc_prog.clone());
-                }
-            }
-            Mode::Mimd | Mode::Smimd => {
-                let sync = mode.comm_sync().expect("parallel mode");
-                let pe_prog = pe_program(params, sync);
-                for &pe in &vm.pes {
-                    machine.load_pe_program(pe, pe_prog.clone());
-                }
-                let mc_prog = mc_program(params, sync, vm.mask);
-                for &mc in &vm.mcs {
-                    machine.load_mc_program(mc, mc_prog.clone());
-                }
-            }
-            Mode::Serial => panic!("bitonic is a parallel workload"),
-        }
-        Ok(())
     }
 
     fn read_output(
@@ -772,11 +731,8 @@ impl Kernel for Bitonic {
         let mut out = Vec::with_capacity(2 * params.n);
         for &pe in &vm.pes {
             let mem = machine.pe_mem(pe);
-            for i in 0..k {
-                out.push(mem.read_word(KEYS + 2 * i as u32));
-            }
-            for i in 0..k {
-                out.push(mem.read_word(RANKS + 2 * i as u32));
+            for base in [KEYS, RANKS] {
+                out.extend((0..k as u32).map(|i| mem.read_word(base + 2 * i)));
             }
         }
         out
@@ -852,9 +808,7 @@ mod tests {
                 };
                 pe_program(params, CommSync::Polling).validate().unwrap();
                 pe_program(params, CommSync::Barrier).validate().unwrap();
-                let (pe, mc) = simd_programs(params, 0xFFFF);
-                pe.validate().unwrap();
-                mc.validate().unwrap();
+                simd_mc_program(params, 0xFFFF).validate().unwrap();
             }
         }
     }

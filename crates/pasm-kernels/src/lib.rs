@@ -4,9 +4,10 @@
 //! (column-partitioned matrix multiplication). This crate turns "a PASM
 //! experiment" into "any registered workload": a [`Kernel`] is a named
 //! workload that knows how to generate its own seeded input, emit per-mode
-//! programs through the shared `pasm-prog` code generators, read its output
-//! back from PE memories, and verify that output against a scalar host
-//! reference.
+//! programs through the shared `pasm-prog` code generators, place its input
+//! in PE memories, read its output back, and verify that output against a
+//! scalar host reference. One provided method, [`Kernel::load`], puts any
+//! kernel's run on a machine.
 //!
 //! Four kernels are registered, chosen for genuinely different
 //! communication/compute signatures:
@@ -28,6 +29,7 @@ pub mod matmul;
 pub mod reduce;
 pub mod smooth;
 
+use pasm_isa::Program;
 use pasm_machine::{Machine, RunError};
 use pasm_prog::{MatmulParams, Mode, VirtualMachine};
 use std::hash::Hasher;
@@ -75,9 +77,26 @@ pub trait Kernel: Sync {
     /// these parameters produces.
     fn reference(&self, params: MatmulParams, input: &[u16]) -> Vec<u16>;
 
-    /// Load data, programs and network circuits for one run onto `machine`'s
+    /// The `(pe, mc)` programs of a run in `mode`: every PE of the virtual
+    /// machine runs the first, every MC the second. `mask` is the Fetch-Unit
+    /// mask of the participating PEs of each group.
+    fn programs(&self, mode: Mode, params: MatmulParams, mask: u16) -> (Program, Program);
+
+    /// Write the input words into the memories of `pes` (logical PE `l` is
+    /// `pes[l]`; a serial run has one).
+    fn place(
+        &self,
+        machine: &mut Machine,
+        mode: Mode,
+        params: MatmulParams,
+        pes: &[usize],
+        input: &[u16],
+    );
+
+    /// Load network circuits, data and programs for one run onto `machine`'s
     /// virtual machine. Fails with [`RunError::Net`] when the circuits cannot
-    /// be established (a real outcome on a faulted network).
+    /// be established (a real outcome on a faulted network). Kernels do not
+    /// override it.
     fn load(
         &self,
         machine: &mut Machine,
@@ -85,7 +104,37 @@ pub trait Kernel: Sync {
         params: MatmulParams,
         vm: &VirtualMachine,
         input: &[u16],
-    ) -> Result<(), RunError>;
+    ) -> Result<(), RunError> {
+        if mode == Mode::Serial {
+            assert!(
+                self.supports_serial(),
+                "{} has no serial variant",
+                self.name()
+            );
+            assert_eq!(
+                (vm.pes.len(), vm.mcs.len()),
+                (1, 1),
+                "a serial run has one PE and one MC"
+            );
+        } else {
+            // On a faulted network a failed ring is a real outcome, not a
+            // bug: a full-machine ring uses every interior stage completely,
+            // so an interior-box fault leaves no one-pass routing (the ESC
+            // permutation two-pass limit; see docs/FAULTS.md).
+            machine
+                .connect_ring(&vm.pes)
+                .map_err(|e| RunError::Net(e.to_string()))?;
+        }
+        self.place(machine, mode, params, &vm.pes, input);
+        let (pe_prog, mc_prog) = self.programs(mode, params, vm.mask);
+        for &pe in &vm.pes {
+            machine.load_pe_program(pe, pe_prog.clone());
+        }
+        for &mc in &vm.mcs {
+            machine.load_mc_program(mc, mc_prog.clone());
+        }
+        Ok(())
+    }
 
     /// Read the output words back from PE memories after the run, in the
     /// same layout [`Kernel::reference`] produces. `mode` is the mode the
@@ -120,6 +169,27 @@ pub fn find(name: &str) -> Option<&'static dyn Kernel> {
 /// The registered names, for error messages and listings.
 pub fn names() -> Vec<&'static str> {
     kernels().iter().map(|k| k.name()).collect()
+}
+
+/// Split `input` into `pes.len()` equal blocks and write block `l` at `base`
+/// in the memory of `pes[l]` — the placement of every block-partitioned
+/// kernel.
+pub(crate) fn scatter(machine: &mut Machine, pes: &[usize], base: u32, input: &[u16]) {
+    let k = input.len() / pes.len();
+    assert_eq!(k * pes.len(), input.len(), "input must split evenly");
+    for (&pe, block) in pes.iter().zip(input.chunks_exact(k)) {
+        machine.pe_mem_mut(pe).load_words(base, block);
+    }
+}
+
+/// The inverse of [`scatter`]: `k` words at `base` from each of `pes`, in order.
+pub(crate) fn gather(machine: &Machine, pes: &[usize], base: u32, k: usize) -> Vec<u16> {
+    let mut out = Vec::with_capacity(k * pes.len());
+    for &pe in pes {
+        let mem = machine.pe_mem(pe);
+        out.extend((0..k as u32).map(|i| mem.read_word(base + 2 * i)));
+    }
+    out
 }
 
 /// FNV-1a fingerprint of a word sequence (big-endian bytes — the same

@@ -8,8 +8,9 @@
 //! row-major C product read back from the PE column blocks.
 
 use crate::Kernel;
-use pasm_machine::{Machine, RunError};
-use pasm_prog::codegen::{PHASE_COMM, PHASE_MUL};
+use pasm_isa::Program;
+use pasm_machine::Machine;
+use pasm_prog::codegen::{mimd_mc_program, simd_bootstrap, PHASE_COMM, PHASE_MUL};
 use pasm_prog::matmul::{mimd, serial, simd, MatmulParams};
 use pasm_prog::{Layout, Matrix, Mode, VirtualMachine};
 
@@ -74,43 +75,29 @@ impl Kernel for Matmul {
         a.multiply(&b).words().to_vec()
     }
 
-    fn load(
+    /// Serial keeps its own MC program (`StartPes; Halt`, no mask); S/MIMD
+    /// pre-enqueues one barrier word per column transfer.
+    fn programs(&self, mode: Mode, params: MatmulParams, mask: u16) -> (Program, Program) {
+        match mode.comm_sync() {
+            _ if mode == Mode::Serial => (serial::pe_program(params), serial::mc_program()),
+            Some(sync) => (
+                mimd::pe_program(params, sync),
+                mimd_mc_program(sync, mask, params.n),
+            ),
+            None => (simd_bootstrap(), simd::mc_program(params, mask)),
+        }
+    }
+
+    fn place(
         &self,
         machine: &mut Machine,
         mode: Mode,
         params: MatmulParams,
-        vm: &VirtualMachine,
+        pes: &[usize],
         input: &[u16],
-    ) -> Result<(), RunError> {
+    ) {
         let (a, b) = operands(params.n, input);
-        if mode == Mode::Serial {
-            Layout::serial(params.n).load(machine, &vm.pes[..1], &a, &b);
-            machine.load_pe_program(vm.pes[0], serial::pe_program(params));
-            machine.load_mc_program(vm.mcs[0], serial::mc_program());
-            return Ok(());
-        }
-        Layout::parallel(params.n, params.p).load(machine, &vm.pes, &a, &b);
-        // On a faulted network a failed ring is a real outcome, not a bug: a
-        // full-machine ring uses every interior stage completely, so an
-        // interior-box fault leaves no one-pass routing (the ESC permutation
-        // two-pass limit; see docs/FAULTS.md).
-        machine
-            .connect_ring(&vm.pes)
-            .map_err(|e| RunError::Net(e.to_string()))?;
-        let (pe_prog, mc_prog) = match mode.comm_sync() {
-            Some(sync) => (
-                mimd::pe_program(params, sync),
-                mimd::mc_program(params, sync, vm.mask),
-            ),
-            None => (simd::pe_program(), simd::mc_program(params, vm.mask)),
-        };
-        for &pe in &vm.pes {
-            machine.load_pe_program(pe, pe_prog.clone());
-        }
-        for &mc in &vm.mcs {
-            machine.load_mc_program(mc, mc_prog.clone());
-        }
-        Ok(())
+        layout(mode, params).load(machine, pes, &a, &b);
     }
 
     fn read_output(
@@ -120,12 +107,17 @@ impl Kernel for Matmul {
         params: MatmulParams,
         vm: &VirtualMachine,
     ) -> Vec<u16> {
-        let layout = if mode == Mode::Serial {
-            Layout::serial(params.n)
-        } else {
-            Layout::parallel(params.n, params.p)
-        };
+        let layout = layout(mode, params);
         layout.read_c(machine, &vm.pes[..layout.p]).words().to_vec()
+    }
+}
+
+/// The columnar layout of a run: one PE for serial, `p` otherwise.
+fn layout(mode: Mode, params: MatmulParams) -> Layout {
+    if mode == Mode::Serial {
+        Layout::serial(params.n)
+    } else {
+        Layout::parallel(params.n, params.p)
     }
 }
 

@@ -18,10 +18,11 @@
 //! Output: `p` words, one per PE, all equal to the global sum.
 
 use crate::Kernel;
-use pasm_machine::{Machine, RunError};
-use pasm_prog::codegen::{PHASE_COMM, PHASE_LSUM};
+use pasm_isa::Program;
+use pasm_machine::Machine;
+use pasm_prog::codegen::{mimd_mc_program, simd_bootstrap, PHASE_COMM, PHASE_LSUM};
 use pasm_prog::matmul::MatmulParams;
-use pasm_prog::reduction::{self, ReduceParams, RESULT_ADDR, VEC_BASE};
+use pasm_prog::reduction::{self, RESULT_ADDR, VEC_BASE};
 use pasm_prog::{Mode, VirtualMachine};
 
 /// The registered reduction kernel (see module docs).
@@ -66,49 +67,27 @@ impl Kernel for Reduce {
         vec![sum; params.p]
     }
 
-    fn load(
+    /// S/MIMD pre-enqueues one barrier word per ring step.
+    fn programs(&self, mode: Mode, params: MatmulParams, mask: u16) -> (Program, Program) {
+        match mode.comm_sync() {
+            Some(sync) => (
+                reduction::pe_program(params, sync),
+                mimd_mc_program(sync, mask, params.p - 1),
+            ),
+            None => (simd_bootstrap(), reduction::simd_mc_program(params, mask)),
+        }
+    }
+
+    fn place(
         &self,
         machine: &mut Machine,
-        mode: Mode,
+        _mode: Mode,
         params: MatmulParams,
-        vm: &VirtualMachine,
+        pes: &[usize],
         input: &[u16],
-    ) -> Result<(), RunError> {
-        let k = params.n / params.p;
+    ) {
         assert_eq!(input.len(), params.n, "reduce input is n words");
-        let rp = ReduceParams { k, p: params.p };
-        machine
-            .connect_ring(&vm.pes)
-            .map_err(|e| RunError::Net(e.to_string()))?;
-        for (l, &pe) in vm.pes.iter().enumerate() {
-            machine
-                .pe_mem_mut(pe)
-                .load_words(VEC_BASE, &input[l * k..(l + 1) * k]);
-        }
-        match mode {
-            Mode::Simd => {
-                let (pe_prog, mc_prog) = reduction::simd_programs(rp, vm.mask);
-                for &pe in &vm.pes {
-                    machine.load_pe_program(pe, pe_prog.clone());
-                }
-                for &mc in &vm.mcs {
-                    machine.load_mc_program(mc, mc_prog.clone());
-                }
-            }
-            Mode::Mimd | Mode::Smimd => {
-                let sync = mode.comm_sync().expect("parallel mode");
-                let pe_prog = reduction::pe_program(rp, sync);
-                for &pe in &vm.pes {
-                    machine.load_pe_program(pe, pe_prog.clone());
-                }
-                let mc_prog = reduction::mc_program(rp, sync, vm.mask);
-                for &mc in &vm.mcs {
-                    machine.load_mc_program(mc, mc_prog.clone());
-                }
-            }
-            Mode::Serial => panic!("reduce is a parallel workload"),
-        }
-        Ok(())
+        crate::scatter(machine, pes, VEC_BASE, input);
     }
 
     fn read_output(
@@ -118,10 +97,7 @@ impl Kernel for Reduce {
         _params: MatmulParams,
         vm: &VirtualMachine,
     ) -> Vec<u16> {
-        vm.pes
-            .iter()
-            .map(|&pe| machine.pe_mem(pe).read_word(RESULT_ADDR))
-            .collect()
+        crate::gather(machine, &vm.pes, RESULT_ADDR, 1)
     }
 }
 

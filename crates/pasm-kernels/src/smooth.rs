@@ -29,10 +29,10 @@
 
 use crate::Kernel;
 use pasm_isa::{AddrReg, DataReg, Ea, Instr, Program, ProgramBuilder, ShiftCount, ShiftKind, Size};
-use pasm_machine::{Machine, RunError};
+use pasm_machine::Machine;
 use pasm_prog::codegen::{
-    lea_abs, movea_a, movei_w, xfer_element, ProgSink, A_PTR, CNT_MID, CNT_OUT, C_PTR, PHASE_HALO,
-    PHASE_STENCIL,
+    lea_abs, mimd_mc_program, movea_a, movei_w, simd_bootstrap, xfer_element, A_PTR,
+    BOOTSTRAP_HALT, CNT_MID, CNT_OUT, C_PTR, PHASE_HALO, PHASE_STENCIL,
 };
 use pasm_prog::matmul::{CommSync, MatmulParams};
 use pasm_prog::{Mode, VirtualMachine};
@@ -153,11 +153,8 @@ pub fn pe_program(params: MatmulParams, sync: CommSync) -> Program {
         src: Ea::Imm(halo_off),
         dst: A_PTR,
     });
-    {
-        let mut sink = ProgSink { b: &mut b };
-        xfer_element(sync == CommSync::Polling, &mut sink);
-        xfer_element(sync == CommSync::Polling, &mut sink);
-    }
+    xfer_element(sync == CommSync::Polling, &mut b);
+    xfer_element(sync == CommSync::Polling, &mut b);
     b.emit(Instr::Mark {
         begin: false,
         phase: PHASE_HALO,
@@ -202,32 +199,12 @@ pub fn pe_program(params: MatmulParams, sync: CommSync) -> Program {
     b.build().expect("smooth PE program")
 }
 
-/// MC program for MIMD / S-MIMD smoothing (start + one barrier word per pass).
-pub fn mc_program(params: MatmulParams, sync: CommSync, mask: u16) -> Program {
-    let mut b = ProgramBuilder::new();
-    b.emit(Instr::SetMask { mask });
-    if sync == CommSync::Barrier {
-        b.emit(Instr::EnqueueWords {
-            count: passes(params) as u16,
-        });
-    }
-    b.emit(Instr::StartPes);
-    b.emit(Instr::Halt);
-    b.build().expect("smooth MC program")
-}
-
 /// SIMD smoothing: the MC unrolls the passes (parity-specific halo and
 /// pointer-setup blocks, one shared stencil-body block enqueued `K` times).
-/// Returns `(pe_bootstrap, mc_program)`.
-pub fn simd_programs(params: MatmulParams, mask: u16) -> (Program, Program) {
+pub fn simd_mc_program(params: MatmulParams, mask: u16) -> Program {
     let k = params.n / params.p;
     let t = passes(params);
     let halo_off = 2 * k as u32;
-
-    let mut pe = ProgramBuilder::new();
-    pe.emit(Instr::JmpSimd);
-    pe.emit(Instr::Halt);
-    let pe = pe.build().expect("SIMD smooth bootstrap");
 
     let mut b = ProgramBuilder::new();
     let bases = [(BUF0, BUF1), (BUF1, BUF0)];
@@ -249,11 +226,8 @@ pub fn simd_programs(params: MatmulParams, mask: u16) -> (Program, Program) {
                 });
             }
             b.emit(lea_abs(cur + halo_off, A_PTR));
-            {
-                let mut sink = ProgSink { b: &mut b };
-                xfer_element(false, &mut sink);
-                xfer_element(false, &mut sink);
-            }
+            xfer_element(false, &mut b);
+            xfer_element(false, &mut b);
             b.emit(Instr::Mark {
                 begin: false,
                 phase: PHASE_HALO,
@@ -288,7 +262,9 @@ pub fn simd_programs(params: MatmulParams, mask: u16) -> (Program, Program) {
     });
     b.end_block();
     let done = b.begin_block();
-    b.emit(Instr::JmpMimd { target: 1 });
+    b.emit(Instr::JmpMimd {
+        target: BOOTSTRAP_HALT,
+    });
     b.end_block();
 
     b.emit(Instr::SetMask { mask });
@@ -313,7 +289,7 @@ pub fn simd_programs(params: MatmulParams, mask: u16) -> (Program, Program) {
     }
     b.emit(Instr::Enqueue { block: done.0 });
     b.emit(Instr::Halt);
-    (pe, b.build().expect("SIMD smooth MC program"))
+    b.build().expect("SIMD smooth MC program")
 }
 
 /// The registered smoothing kernel (see module docs).
@@ -361,48 +337,27 @@ impl Kernel for Smooth {
         x
     }
 
-    fn load(
+    /// S/MIMD pre-enqueues one barrier word per pass.
+    fn programs(&self, mode: Mode, params: MatmulParams, mask: u16) -> (Program, Program) {
+        match mode.comm_sync() {
+            Some(sync) => (
+                pe_program(params, sync),
+                mimd_mc_program(sync, mask, passes(params)),
+            ),
+            None => (simd_bootstrap(), simd_mc_program(params, mask)),
+        }
+    }
+
+    fn place(
         &self,
         machine: &mut Machine,
-        mode: Mode,
+        _mode: Mode,
         params: MatmulParams,
-        vm: &VirtualMachine,
+        pes: &[usize],
         input: &[u16],
-    ) -> Result<(), RunError> {
-        let k = params.n / params.p;
+    ) {
         assert_eq!(input.len(), params.n, "smooth input is n words");
-        machine
-            .connect_ring(&vm.pes)
-            .map_err(|e| RunError::Net(e.to_string()))?;
-        for (l, &pe) in vm.pes.iter().enumerate() {
-            machine
-                .pe_mem_mut(pe)
-                .load_words(BUF0, &input[l * k..(l + 1) * k]);
-        }
-        match mode {
-            Mode::Simd => {
-                let (pe_prog, mc_prog) = simd_programs(params, vm.mask);
-                for &pe in &vm.pes {
-                    machine.load_pe_program(pe, pe_prog.clone());
-                }
-                for &mc in &vm.mcs {
-                    machine.load_mc_program(mc, mc_prog.clone());
-                }
-            }
-            Mode::Mimd | Mode::Smimd => {
-                let sync = mode.comm_sync().expect("parallel mode");
-                let pe_prog = pe_program(params, sync);
-                for &pe in &vm.pes {
-                    machine.load_pe_program(pe, pe_prog.clone());
-                }
-                let mc_prog = mc_program(params, sync, vm.mask);
-                for &mc in &vm.mcs {
-                    machine.load_mc_program(mc, mc_prog.clone());
-                }
-            }
-            Mode::Serial => panic!("smooth is a parallel workload"),
-        }
-        Ok(())
+        crate::scatter(machine, pes, BUF0, input);
     }
 
     fn read_output(
@@ -412,15 +367,7 @@ impl Kernel for Smooth {
         params: MatmulParams,
         vm: &VirtualMachine,
     ) -> Vec<u16> {
-        let k = params.n / params.p;
-        let base = result_base(params);
-        let mut out = Vec::with_capacity(params.n);
-        for &pe in &vm.pes {
-            for i in 0..k {
-                out.push(machine.pe_mem(pe).read_word(base + 2 * i as u32));
-            }
-        }
-        out
+        crate::gather(machine, &vm.pes, result_base(params), params.n / params.p)
     }
 }
 
@@ -453,9 +400,7 @@ mod tests {
             };
             pe_program(params, CommSync::Polling).validate().unwrap();
             pe_program(params, CommSync::Barrier).validate().unwrap();
-            let (pe, mc) = simd_programs(params, 0xF);
-            pe.validate().unwrap();
-            mc.validate().unwrap();
+            simd_mc_program(params, 0xF).validate().unwrap();
         }
     }
 

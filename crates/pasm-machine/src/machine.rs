@@ -291,11 +291,6 @@ impl Machine {
         self.fast_path = enabled;
     }
 
-    /// Whether the block-compiled fast path is active.
-    pub fn fast_path_enabled(&self) -> bool {
-        self.fast_path
-    }
-
     /// The block table a PE's loaded program compiled to (diagnostics), or
     /// `None` if the PE was invalidated back to the per-instruction path.
     pub fn pe_compiled(&self, pe: usize) -> Option<&CompiledProgram> {
@@ -415,11 +410,6 @@ impl Machine {
             self.pes[spec.pe].compiled = None;
         }
         Ok(())
-    }
-
-    /// The injected fault model of a PE, if any.
-    pub fn pe_fault(&self, pe: usize) -> Option<PeFault> {
-        self.pe_faults[pe]
     }
 
     /// Install a cooperative cancellation flag: [`Machine::run`] checks it

@@ -203,12 +203,6 @@ impl EscNetwork {
         self.reconfigure_for_faults();
     }
 
-    /// True if any box or link is currently faulty.
-    pub fn has_faults(&self) -> bool {
-        self.boxes.iter().flatten().any(|b| b.faulty)
-            || self.link_faulty.iter().flatten().any(|&f| f)
-    }
-
     /// Reconfigure the bypass stages for the current fault set, per the ESC
     /// fault-tolerance rules:
     ///

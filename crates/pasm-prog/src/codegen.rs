@@ -22,7 +22,10 @@
 //! | D6  | transfer high byte / poll scratch / inner counter |
 //! | D7  | outer (rotation-step) counter |
 
-use pasm_isa::{AddrReg, Cond, DataReg, Ea, Instr, ShiftCount, ShiftKind, Size};
+use crate::matmul::CommSync;
+use pasm_isa::{
+    AddrReg, Cond, DataReg, Ea, Instr, Program, ProgramBuilder, ShiftCount, ShiftKind, Size,
+};
 
 /// Phase id of the multiplication section (Figures 8–10 breakdown).
 pub const PHASE_MUL: u8 = 1;
@@ -168,8 +171,8 @@ pub fn j_setup() -> Vec<Instr> {
 ///
 /// Reads the outgoing element at `(A0)`, writes the incoming element back to
 /// the same slot, and advances `A0`.
-pub fn xfer_element(polls: bool, out: &mut ProgSink<'_>) {
-    out.emit(Instr::Move {
+pub fn xfer_element(polls: bool, b: &mut ProgramBuilder) {
+    b.emit(Instr::Move {
         size: Size::Word,
         src: Ea::Ind(A_PTR),
         dst: Ea::D(XFER_OUT),
@@ -177,60 +180,60 @@ pub fn xfer_element(polls: bool, out: &mut ProgSink<'_>) {
     // The received low byte lands in D5 with MOVE.B, which merges only the low
     // byte — clear the word first or the previous element's high byte survives
     // the OR.
-    out.emit(Instr::Clr {
+    b.emit(Instr::Clr {
         size: Size::Word,
         dst: Ea::D(XFER_IN),
     });
     if polls {
-        emit_poll(out, 1); // transmitter ready
+        emit_poll(b, 1); // transmitter ready
     }
-    out.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: Ea::D(XFER_OUT),
         dst: pasm_machine::dtr_ea(),
     });
     if polls {
-        emit_poll(out, 2); // receive valid
+        emit_poll(b, 2); // receive valid
     }
-    out.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: pasm_machine::drr_ea(),
         dst: Ea::D(XFER_IN),
     });
-    out.emit(Instr::Shift {
+    b.emit(Instr::Shift {
         kind: ShiftKind::Lsr,
         size: Size::Word,
         count: ShiftCount::Imm(8),
         dst: XFER_OUT,
     });
     if polls {
-        emit_poll(out, 1);
+        emit_poll(b, 1);
     }
-    out.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: Ea::D(XFER_OUT),
         dst: pasm_machine::dtr_ea(),
     });
     if polls {
-        emit_poll(out, 2);
+        emit_poll(b, 2);
     }
-    out.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: pasm_machine::drr_ea(),
         dst: Ea::D(XFER_HI),
     });
-    out.emit(Instr::Shift {
+    b.emit(Instr::Shift {
         kind: ShiftKind::Lsl,
         size: Size::Word,
         count: ShiftCount::Imm(8),
         dst: XFER_HI,
     });
-    out.emit(Instr::Or {
+    b.emit(Instr::Or {
         size: Size::Word,
         src: Ea::D(XFER_HI),
         dst: XFER_IN,
     });
-    out.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Word,
         src: Ea::D(XFER_IN),
         dst: Ea::PostInc(A_PTR),
@@ -239,19 +242,19 @@ pub fn xfer_element(polls: bool, out: &mut ProgSink<'_>) {
 
 /// Status-register poll loop: spin until `bit` (1 = tx ready, 2 = rx valid) is
 /// set. This is the MIMD handshake the S/MIMD version replaces with a barrier.
-fn emit_poll(out: &mut ProgSink<'_>, bit: u32) {
-    let top = out.here();
-    out.emit(Instr::Move {
+fn emit_poll(b: &mut ProgramBuilder, bit: u32) {
+    let top = b.here(format!("L{}", b.position()));
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: pasm_machine::status_ea(),
         dst: Ea::D(XFER_HI),
     });
-    out.emit(Instr::And {
+    b.emit(Instr::And {
         size: Size::Word,
         src: Ea::Imm(bit),
         dst: XFER_HI,
     });
-    out.branch_back(
+    b.branch(
         Instr::Bcc {
             cond: Cond::Eq,
             target: 0,
@@ -260,22 +263,35 @@ fn emit_poll(out: &mut ProgSink<'_>, bit: u32) {
     );
 }
 
-/// A thin sink over `ProgramBuilder` that lets shared emitters create local
-/// back-branches without owning the builder.
-pub struct ProgSink<'b> {
-    pub b: &'b mut pasm_isa::ProgramBuilder,
+/// Index of the `HALT` in [`simd_bootstrap`]: the `JMPMIMD` target that
+/// ends every SIMD program.
+pub const BOOTSTRAP_HALT: usize = 1;
+
+/// The PE program of every SIMD run: enter SIMD mode, and a halt the final
+/// broadcast `JMPMIMD` jumps back to — mode switching on the prototype is
+/// that cheap.
+pub fn simd_bootstrap() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.emit(Instr::JmpSimd);
+    b.emit(Instr::Halt);
+    b.build().expect("SIMD PE bootstrap")
 }
 
-impl ProgSink<'_> {
-    pub fn emit(&mut self, i: Instr) {
-        self.b.emit(i);
+/// The MC program of every MIMD and S/MIMD run: it only enables and starts
+/// its PEs. For S/MIMD it first pre-enqueues the `barriers` barrier words
+/// the PE program reads — the mechanism of paper §3: "the Fetch Unit Queue
+/// is empty when the MIMD program completes".
+pub fn mimd_mc_program(sync: CommSync, mask: u16, barriers: usize) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.emit(Instr::SetMask { mask });
+    if sync == CommSync::Barrier {
+        b.emit(Instr::EnqueueWords {
+            count: u16::try_from(barriers).expect("barrier count fits ENQWORDS"),
+        });
     }
-    pub fn here(&mut self) -> pasm_isa::Label {
-        self.b.here(format!("L{}", self.b.position()))
-    }
-    pub fn branch_back(&mut self, i: Instr, l: pasm_isa::Label) {
-        self.b.branch(i, l);
-    }
+    b.emit(Instr::StartPes);
+    b.emit(Instr::Halt);
+    b.build().expect("MIMD MC program")
 }
 
 #[cfg(test)]
@@ -301,11 +317,8 @@ mod tests {
     #[test]
     fn xfer_sequence_matches_paper_shape() {
         // Without polls: 2 network writes, 2 network reads, 2 shifts, 1 OR.
-        let mut b = pasm_isa::ProgramBuilder::new();
-        {
-            let mut s = ProgSink { b: &mut b };
-            xfer_element(false, &mut s);
-        }
+        let mut b = ProgramBuilder::new();
+        xfer_element(false, &mut b);
         b.emit(Instr::Halt);
         let p = b.build().unwrap();
         let writes = p
@@ -333,11 +346,8 @@ mod tests {
 
     #[test]
     fn polled_xfer_adds_four_poll_loops() {
-        let mut b = pasm_isa::ProgramBuilder::new();
-        {
-            let mut s = ProgSink { b: &mut b };
-            xfer_element(true, &mut s);
-        }
+        let mut b = ProgramBuilder::new();
+        xfer_element(true, &mut b);
         b.emit(Instr::Halt);
         let p = b.build().unwrap();
         let polls = p
@@ -346,5 +356,26 @@ mod tests {
             .filter(|i| matches!(i, Instr::Move { src, .. } if *src == pasm_machine::status_ea()))
             .count();
         assert_eq!(polls, 4);
+    }
+
+    #[test]
+    fn bootstrap_is_two_instructions() {
+        let p = simd_bootstrap();
+        assert_eq!(p.instrs, vec![Instr::JmpSimd, Instr::Halt]);
+        assert_eq!(p.instrs[BOOTSTRAP_HALT], Instr::Halt);
+    }
+
+    #[test]
+    fn mc_program_variants() {
+        let mimd = mimd_mc_program(CommSync::Polling, 0xF, 16);
+        assert!(!mimd
+            .instrs
+            .iter()
+            .any(|i| matches!(i, Instr::EnqueueWords { .. })));
+        let smimd = mimd_mc_program(CommSync::Barrier, 0xF, 16);
+        assert!(smimd
+            .instrs
+            .iter()
+            .any(|i| matches!(i, Instr::EnqueueWords { count: 16 })));
     }
 }

@@ -17,7 +17,9 @@
 //!   of each program the `pasm-machine` block compiler can fold statically),
 //! * [`layout`] — the columnar in-memory data layout shared by all variants,
 //! * [`codegen`] — the common register conventions and code idioms, kept
-//!   identical across variants so that mode effects are the only difference.
+//!   identical across variants so that mode effects are the only difference,
+//!   and the two programs every kernel shares: the SIMD PE bootstrap and the
+//!   MIMD/S-MIMD MC program.
 
 pub mod blocks;
 pub mod codegen;

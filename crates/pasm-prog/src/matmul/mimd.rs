@@ -1,8 +1,9 @@
 //! The pure-MIMD and hybrid S/MIMD matrix multiplications (paper §5.2, §5.3).
 //!
 //! Both run the full algorithm — all control flow included — on the PEs; the
-//! MC only starts them (and, for S/MIMD, pre-enqueues the barrier words). The
-//! two variants differ in exactly one place: the communication handshake.
+//! MC only starts them (and, for S/MIMD, pre-enqueues the `n` barrier words:
+//! [`mimd_mc_program`]). The two variants differ in exactly one place: the
+//! communication handshake.
 //! MIMD polls the network status register before every 8-bit network
 //! operation; S/MIMD executes **one barrier per column transfer** and then
 //! uses plain move instructions, because the transfer code itself has no
@@ -111,10 +112,7 @@ pub fn pe_program(params: MatmulParams, sync: CommSync) -> Program {
     });
     b.emit(movei_w((n - 1) as u32, CNT_MID));
     let xloop = b.here("xloop");
-    {
-        let mut sink = ProgSink { b: &mut b };
-        xfer_element(sync == CommSync::Polling, &mut sink);
-    }
+    xfer_element(sync == CommSync::Polling, &mut b);
     b.branch(
         Instr::Dbra {
             dst: CNT_MID,
@@ -175,25 +173,6 @@ pub fn pe_program(params: MatmulParams, sync: CommSync) -> Program {
     b.build().expect("MIMD PE program")
 }
 
-/// Build the MC orchestration program.
-///
-/// For pure MIMD the MC only starts its PEs. For S/MIMD it additionally
-/// pre-enqueues the `n` barrier words the PEs will read — one per column
-/// transfer — exactly the mechanism of paper §3: "the Fetch Unit Queue is
-/// empty when the MIMD program completes".
-pub fn mc_program(params: MatmulParams, sync: CommSync, mask: u16) -> Program {
-    let mut b = ProgramBuilder::new();
-    b.emit(Instr::SetMask { mask });
-    if sync == CommSync::Barrier {
-        b.emit(Instr::EnqueueWords {
-            count: params.n as u16,
-        });
-    }
-    b.emit(Instr::StartPes);
-    b.emit(Instr::Halt);
-    b.build().expect("MIMD MC program")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,20 +216,6 @@ mod tests {
                 .count()
         };
         assert_eq!(count(&extra), count(&base) + 14);
-    }
-
-    #[test]
-    fn mc_program_variants() {
-        let mimd = mc_program(MatmulParams::new(16, 4), CommSync::Polling, 0xF);
-        assert!(!mimd
-            .instrs
-            .iter()
-            .any(|i| matches!(i, Instr::EnqueueWords { .. })));
-        let smimd = mc_program(MatmulParams::new(16, 4), CommSync::Barrier, 0xF);
-        assert!(smimd
-            .instrs
-            .iter()
-            .any(|i| matches!(i, Instr::EnqueueWords { count: 16 })));
     }
 
     #[test]

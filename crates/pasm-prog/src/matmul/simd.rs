@@ -9,25 +9,13 @@
 //! speed-up. Network transfers need no handshake at all: the per-instruction
 //! release keeps all PEs of a group in lockstep.
 //!
-//! The PE programs themselves are a two-instruction bootstrap (`JMPSIMD`, then
-//! a `HALT` the final broadcast jumps back to), reflecting how cheap mode
-//! switching is on the prototype.
+//! The PE programs themselves are the shared two-instruction
+//! [`simd_bootstrap`].
 
 use crate::codegen::*;
 use crate::layout::{Layout, PARAM_BASE, TT_BASE};
 use crate::matmul::MatmulParams;
 use pasm_isa::{Ea, Instr, Program, ProgramBuilder, Size};
-
-/// Index of the `HALT` in the PE bootstrap program (the `JMPMIMD` target).
-pub const PE_HALT_INDEX: usize = 1;
-
-/// The PE bootstrap: enter SIMD mode, and a halt to return to.
-pub fn pe_program() -> Program {
-    let mut b = ProgramBuilder::new();
-    b.emit(Instr::JmpSimd);
-    b.emit(Instr::Halt);
-    b.build().expect("SIMD PE bootstrap")
-}
 
 /// The MC control program: loops on the MC, work broadcast through blocks.
 pub fn mc_program(params: MatmulParams, mask: u16) -> Program {
@@ -93,10 +81,7 @@ pub fn mc_program(params: MatmulParams, mask: u16) -> Program {
     b.end_block();
 
     let blk_xfer = b.begin_block();
-    {
-        let mut sink = ProgSink { b: &mut b };
-        xfer_element(false, &mut sink);
-    }
+    xfer_element(false, &mut b);
     b.end_block();
 
     let (blk_rot_save, blk_rot_step, blk_rot_fin) = if cols >= 2 {
@@ -152,7 +137,7 @@ pub fn mc_program(params: MatmulParams, mask: u16) -> Program {
 
     let blk_done = b.begin_block();
     b.emit(Instr::JmpMimd {
-        target: PE_HALT_INDEX,
+        target: BOOTSTRAP_HALT,
     });
     b.emit(Instr::Halt); // broadcast halt is unreachable; JMPMIMD lands on the PE's own HALT
     b.end_block();
@@ -254,12 +239,6 @@ pub fn mc_program(params: MatmulParams, mask: u16) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bootstrap_is_two_instructions() {
-        let p = pe_program();
-        assert_eq!(p.instrs, vec![Instr::JmpSimd, Instr::Halt]);
-    }
 
     #[test]
     fn mc_program_builds_for_paper_sizes() {

@@ -7,7 +7,7 @@
 //! instruction inside a `reps`-iteration loop, either fetched from PE memory
 //! (MIMD) or broadcast through the Fetch Unit queue (SIMD).
 
-use crate::codegen::{lea_abs, movei_w};
+use crate::codegen::{lea_abs, movei_w, BOOTSTRAP_HALT};
 use pasm_isa::{DataReg, Ea, Instr, Program, ProgramBuilder, Size};
 
 /// The two instruction classes of Table 1.
@@ -72,14 +72,9 @@ pub fn mimd_program(kind: MipsKind, unroll: usize, reps: usize) -> Program {
     b.build().expect("MIPS MIMD program")
 }
 
-/// SIMD version: the MC loops and broadcasts the unrolled block.
-/// Returns `(pe_bootstrap, mc_program)`.
-pub fn simd_programs(kind: MipsKind, unroll: usize, reps: usize, mask: u16) -> (Program, Program) {
-    let mut pe = ProgramBuilder::new();
-    pe.emit(Instr::JmpSimd);
-    pe.emit(Instr::Halt);
-    let pe = pe.build().expect("MIPS PE bootstrap");
-
+/// SIMD version: the MC loops and broadcasts the unrolled block (the PEs
+/// run [`simd_bootstrap`](crate::codegen::simd_bootstrap)).
+pub fn simd_mc_program(kind: MipsKind, unroll: usize, reps: usize, mask: u16) -> Program {
     let mut b = ProgramBuilder::new();
     let init = b.begin_block();
     b.emit(lea_abs(SCRATCH, pasm_isa::AddrReg::A0));
@@ -90,7 +85,9 @@ pub fn simd_programs(kind: MipsKind, unroll: usize, reps: usize, mask: u16) -> (
     }
     b.end_block();
     let done = b.begin_block();
-    b.emit(Instr::JmpMimd { target: 1 });
+    b.emit(Instr::JmpMimd {
+        target: BOOTSTRAP_HALT,
+    });
     b.end_block();
 
     b.emit(Instr::SetMask { mask });
@@ -108,7 +105,7 @@ pub fn simd_programs(kind: MipsKind, unroll: usize, reps: usize, mask: u16) -> (
     );
     b.emit(Instr::Enqueue { block: done.0 });
     b.emit(Instr::Halt);
-    (pe, b.build().expect("MIPS MC program"))
+    b.build().expect("MIPS MC program")
 }
 
 #[cfg(test)]
@@ -130,8 +127,7 @@ mod tests {
 
     #[test]
     fn simd_program_shape() {
-        let (pe, mc) = simd_programs(MipsKind::MoveMemory, 16, 10, 0xF);
-        assert_eq!(pe.instrs.len(), 2);
+        let mc = simd_mc_program(MipsKind::MoveMemory, 16, 10, 0xF);
         mc.validate().unwrap();
         let moves = mc.blocks[1]
             .iter()

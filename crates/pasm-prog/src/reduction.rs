@@ -12,7 +12,7 @@
 //! moves vs SIMD lockstep — with almost no multiply-variance in the way.
 
 use crate::codegen::*;
-use crate::matmul::CommSync;
+use crate::matmul::{CommSync, MatmulParams};
 use pasm_isa::{DataReg, Ea, Instr, Program, ProgramBuilder, Size};
 
 /// Base address of each PE's input block.
@@ -22,15 +22,6 @@ const TX_READY_BIT: u8 = 0;
 const RX_VALID_BIT: u8 = 1;
 /// Address where each PE stores the final global sum.
 pub const RESULT_ADDR: u32 = 0x0200;
-
-/// Parameters of a reduction run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReduceParams {
-    /// Elements per PE.
-    pub k: usize,
-    /// Number of PEs in the ring.
-    pub p: usize,
-}
 
 /// Host reference: wrapping 16-bit sum of all blocks.
 pub fn reference_sum(blocks: &[Vec<u16>]) -> u16 {
@@ -42,59 +33,59 @@ pub fn reference_sum(blocks: &[Vec<u16>]) -> u16 {
 
 /// Emit the two-byte ring transfer of `D4`, receiving into `D5`
 /// (shared by the MIMD/S-MIMD PE program and the SIMD block).
-fn emit_exchange(sink: &mut ProgSink<'_>, polls: bool) {
+fn emit_exchange(b: &mut ProgramBuilder, polls: bool) {
     // Reuse the matmul element protocol but on a register, not memory:
     // send low, receive low, send high, receive high, reassemble.
     use pasm_machine::{drr_ea, dtr_ea};
-    sink.emit(Instr::Clr {
+    b.emit(Instr::Clr {
         size: Size::Word,
         dst: Ea::D(XFER_IN),
     });
     if polls {
-        emit_status_poll(sink, TX_READY_BIT);
+        emit_status_poll(b, TX_READY_BIT);
     }
-    sink.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: Ea::D(XFER_OUT),
         dst: dtr_ea(),
     });
     if polls {
-        emit_status_poll(sink, RX_VALID_BIT);
+        emit_status_poll(b, RX_VALID_BIT);
     }
-    sink.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: drr_ea(),
         dst: Ea::D(XFER_IN),
     });
-    sink.emit(Instr::Shift {
+    b.emit(Instr::Shift {
         kind: pasm_isa::ShiftKind::Lsr,
         size: Size::Word,
         count: pasm_isa::ShiftCount::Imm(8),
         dst: XFER_OUT,
     });
     if polls {
-        emit_status_poll(sink, TX_READY_BIT);
+        emit_status_poll(b, TX_READY_BIT);
     }
-    sink.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: Ea::D(XFER_OUT),
         dst: dtr_ea(),
     });
     if polls {
-        emit_status_poll(sink, RX_VALID_BIT);
+        emit_status_poll(b, RX_VALID_BIT);
     }
-    sink.emit(Instr::Move {
+    b.emit(Instr::Move {
         size: Size::Byte,
         src: drr_ea(),
         dst: Ea::D(XFER_HI),
     });
-    sink.emit(Instr::Shift {
+    b.emit(Instr::Shift {
         kind: pasm_isa::ShiftKind::Lsl,
         size: Size::Word,
         count: pasm_isa::ShiftCount::Imm(8),
         dst: XFER_HI,
     });
-    sink.emit(Instr::Or {
+    b.emit(Instr::Or {
         size: Size::Word,
         src: Ea::D(XFER_HI),
         dst: XFER_IN,
@@ -103,13 +94,13 @@ fn emit_exchange(sink: &mut ProgSink<'_>, polls: bool) {
 
 /// Status poll using `BTST` (tighter than the AND/BEQ idiom of the matmul —
 /// both protocols existed on the prototype).
-fn emit_status_poll(sink: &mut ProgSink<'_>, bit: u8) {
-    let top = sink.here();
-    sink.emit(Instr::Btst {
+fn emit_status_poll(b: &mut ProgramBuilder, bit: u8) {
+    let top = b.here(format!("L{}", b.position()));
+    b.emit(Instr::Btst {
         bit,
         dst: pasm_machine::status_ea(),
     });
-    sink.branch_back(
+    b.branch(
         Instr::Bcc {
             cond: pasm_isa::Cond::Eq,
             target: 0,
@@ -118,9 +109,11 @@ fn emit_status_poll(sink: &mut ProgSink<'_>, bit: u8) {
     );
 }
 
-/// PE program for the MIMD (polling) and S/MIMD (barrier) variants.
-pub fn pe_program(params: ReduceParams, sync: CommSync) -> Program {
-    let ReduceParams { k, p } = params;
+/// PE program for the MIMD (polling) and S/MIMD (barrier) variants over `n`
+/// values on `p` PEs (`params.extra_muls` is unused). The MC program is
+/// [`mimd_mc_program`] with `p − 1` barrier words, one per ring step.
+pub fn pe_program(params: MatmulParams, sync: CommSync) -> Program {
+    let (k, p) = (params.n / params.p, params.p);
     assert!(p >= 2 && k >= 1);
     let mut b = ProgramBuilder::new();
 
@@ -168,10 +161,7 @@ pub fn pe_program(params: ReduceParams, sync: CommSync) -> Program {
     if sync == CommSync::Barrier {
         b.emit(Instr::Barrier);
     }
-    {
-        let mut sink = ProgSink { b: &mut b };
-        emit_exchange(&mut sink, sync == CommSync::Polling);
-    }
+    emit_exchange(&mut b, sync == CommSync::Polling);
     b.emit(Instr::Add {
         size: Size::Word,
         src: Ea::D(XFER_IN),
@@ -203,30 +193,11 @@ pub fn pe_program(params: ReduceParams, sync: CommSync) -> Program {
     b.build().expect("reduction PE program")
 }
 
-/// MC program for MIMD / S-MIMD reductions (start + barrier words).
-pub fn mc_program(params: ReduceParams, sync: CommSync, mask: u16) -> Program {
-    let mut b = ProgramBuilder::new();
-    b.emit(Instr::SetMask { mask });
-    if sync == CommSync::Barrier {
-        b.emit(Instr::EnqueueWords {
-            count: params.p as u16 - 1,
-        });
-    }
-    b.emit(Instr::StartPes);
-    b.emit(Instr::Halt);
-    b.build().expect("reduction MC program")
-}
-
-/// SIMD variant: the MC drives the local-sum loop and the ring steps.
-/// Returns `(pe_bootstrap, mc_program)`.
-pub fn simd_programs(params: ReduceParams, mask: u16) -> (Program, Program) {
-    let ReduceParams { k, p } = params;
+/// SIMD variant: the MC drives the local-sum loop and the ring steps (the
+/// PEs run [`simd_bootstrap`]).
+pub fn simd_mc_program(params: MatmulParams, mask: u16) -> Program {
+    let (k, p) = (params.n / params.p, params.p);
     assert!(p >= 2 && k >= 1);
-
-    let mut pe = ProgramBuilder::new();
-    pe.emit(Instr::JmpSimd);
-    pe.emit(Instr::Halt);
-    let pe = pe.build().expect("SIMD reduction bootstrap");
 
     let mut b = ProgramBuilder::new();
     let init = b.begin_block();
@@ -266,10 +237,7 @@ pub fn simd_programs(params: ReduceParams, mask: u16) -> (Program, Program) {
     b.end_block();
 
     let exch = b.begin_block();
-    {
-        let mut sink = ProgSink { b: &mut b };
-        emit_exchange(&mut sink, false);
-    }
+    emit_exchange(&mut b, false);
     b.emit(Instr::Add {
         size: Size::Word,
         src: Ea::D(XFER_IN),
@@ -292,7 +260,9 @@ pub fn simd_programs(params: ReduceParams, mask: u16) -> (Program, Program) {
         src: Ea::D(PROD),
         dst: Ea::AbsW(RESULT_ADDR as u16),
     });
-    b.emit(Instr::JmpMimd { target: 1 });
+    b.emit(Instr::JmpMimd {
+        target: BOOTSTRAP_HALT,
+    });
     b.end_block();
 
     b.emit(Instr::SetMask { mask });
@@ -321,7 +291,7 @@ pub fn simd_programs(params: ReduceParams, mask: u16) -> (Program, Program) {
     );
     b.emit(Instr::Enqueue { block: done.0 });
     b.emit(Instr::Halt);
-    (pe, b.build().expect("SIMD reduction MC program"))
+    b.build().expect("SIMD reduction MC program")
 }
 
 #[cfg(test)]
@@ -331,15 +301,10 @@ mod tests {
     #[test]
     fn programs_build_for_ring_sizes() {
         for p in [2usize, 4, 8, 16] {
-            pe_program(ReduceParams { k: 32, p }, CommSync::Polling)
-                .validate()
-                .unwrap();
-            pe_program(ReduceParams { k: 32, p }, CommSync::Barrier)
-                .validate()
-                .unwrap();
-            let (pe, mc) = simd_programs(ReduceParams { k: 32, p }, 0xF);
-            pe.validate().unwrap();
-            mc.validate().unwrap();
+            let params = MatmulParams::new(32 * p, p);
+            pe_program(params, CommSync::Polling).validate().unwrap();
+            pe_program(params, CommSync::Barrier).validate().unwrap();
+            simd_mc_program(params, 0xF).validate().unwrap();
         }
     }
 
@@ -351,9 +316,9 @@ mod tests {
 
     #[test]
     fn polling_variant_uses_btst() {
-        let p = pe_program(ReduceParams { k: 8, p: 4 }, CommSync::Polling);
+        let p = pe_program(MatmulParams::new(32, 4), CommSync::Polling);
         assert!(p.instrs.iter().any(|i| matches!(i, Instr::Btst { .. })));
-        let q = pe_program(ReduceParams { k: 8, p: 4 }, CommSync::Barrier);
+        let q = pe_program(MatmulParams::new(32, 4), CommSync::Barrier);
         assert!(!q.instrs.iter().any(|i| matches!(i, Instr::Btst { .. })));
         assert_eq!(
             q.instrs

@@ -1502,3 +1502,35 @@ fn stats(state: &AppState) -> (u16, Json) {
     }
     payload
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    #[test]
+    fn request_head_past_the_cap_gets_400() {
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let flood = thread::spawn(move || {
+            let mut head = b"GET /healthz HTTP/1.1\r\nX-Long: ".to_vec();
+            head.resize(head.len() + (1 << 20) + 1, b'a');
+            // The server stops reading at the cap, so this write may fail.
+            let _ = writer.write_all(&head);
+        });
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        assert!(response.contains("bad_request"), "{response}");
+        flood.join().unwrap();
+    }
+}

@@ -50,11 +50,6 @@ impl Rng {
             }
         }
     }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.gen_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 #[cfg(test)]

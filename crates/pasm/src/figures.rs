@@ -12,6 +12,7 @@ use crate::sweep::par_map;
 use pasm_kernels::matmul::{input_words, Matmul};
 use pasm_kernels::Kernel;
 use pasm_machine::MachineConfig;
+use pasm_prog::codegen::simd_bootstrap;
 use pasm_prog::matmul::select_vm;
 use pasm_prog::microbench::{self, MipsKind};
 use pasm_prog::Matrix;
@@ -63,11 +64,10 @@ pub fn table1(cfg: &MachineConfig) -> Vec<Table1Row> {
             // SIMD: the MC loops, the PE executes the broadcast block.
             let vm = select_vm(cfg, cfg.pes_per_mc());
             let mut m = pasm_machine::Machine::new(cfg.clone());
-            let (pe, mc) = microbench::simd_programs(kind, UNROLL, REPS, vm.mask);
             for &p in &vm.pes {
-                m.load_pe_program(p, pe.clone());
+                m.load_pe_program(p, simd_bootstrap());
             }
-            m.load_mc_program(0, mc);
+            m.load_mc_program(0, microbench::simd_mc_program(kind, UNROLL, REPS, vm.mask));
             let r = m.run().expect("MIPS SIMD run");
             let simd_mips = mips(r.pe[vm.pes[0]].instrs, r.pe[vm.pes[0]].finished_at);
 

@@ -62,15 +62,6 @@ impl WorkerPool {
         }
     }
 
-    /// Pool sized to the host parallelism.
-    pub fn with_host_parallelism() -> Self {
-        Self::new(
-            thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4),
-        )
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()

@@ -8,10 +8,11 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use pasm::{ExperimentKey, FaultPlan, Machine, MachineConfig, Params};
+use pasm::kernels::matmul::{input_words, Matmul};
+use pasm::{ExperimentKey, FaultPlan, Kernel, Machine, MachineConfig, Mode, Params};
 use pasm_net::EscNetwork;
-use pasm_prog::matmul::{mimd, select_vm};
-use pasm_prog::{CommSync, Layout, Matrix};
+use pasm_prog::matmul::select_vm;
+use pasm_prog::Matrix;
 
 fn demonstrate(stage: u32, box_idx: usize, label: &str) {
     let mut net = EscNetwork::new(16);
@@ -50,20 +51,11 @@ fn main() {
     let a = Matrix::uniform(16, 1);
     let b = Matrix::uniform(16, 2);
     let vm = select_vm(&cfg, 4);
-    let layout = Layout::parallel(16, 4);
-    layout.load(&mut machine, &vm.pes, &a, &b);
-    machine
-        .connect_ring(&vm.pes)
+    Matmul
+        .load(&mut machine, Mode::Smimd, params, &vm, &input_words(&a, &b))
         .expect("ring routed around the fault");
-    for &pe in &vm.pes {
-        machine.load_pe_program(pe, mimd::pe_program(params, CommSync::Barrier));
-    }
-    machine.load_mc_program(
-        vm.mcs[0],
-        mimd::mc_program(params, CommSync::Barrier, vm.mask),
-    );
     let run = machine.run().expect("run");
-    let correct = layout.read_c(&machine, &vm.pes) == a.multiply(&b);
+    let correct = Matmul.read_output(&machine, Mode::Smimd, params, &vm) == a.multiply(&b).words();
     println!(
         "completed in {:.2} ms of machine time; result {} against the host reference.",
         pasm_isa::cycles_to_ms(run.makespan),
@@ -76,7 +68,7 @@ fn main() {
     println!("\nMeasured cost of the fault (keyed runner, `fault` in the key):");
     let key = ExperimentKey {
         config: cfg,
-        mode: pasm::Mode::Smimd,
+        mode: Mode::Smimd,
         params,
         seed: 1988,
         fault: FaultPlan::parse("box:2:5").unwrap(),

@@ -2,9 +2,10 @@
 //! fault injection, reconfiguration, and end-to-end correctness on a degraded
 //! network.
 
-use pasm::{Machine, MachineConfig};
+use pasm::kernels::matmul::{input_words, Matmul};
+use pasm::{Kernel, Machine, MachineConfig, Mode};
 use pasm_prog::matmul::select_vm;
-use pasm_prog::{Layout, Matrix};
+use pasm_prog::Matrix;
 
 #[test]
 fn matmul_survives_an_interior_stage_fault() {
@@ -21,21 +22,14 @@ fn matmul_survives_an_interior_stage_fault() {
     assert!(machine.network_mut().extra_enabled());
 
     let vm = select_vm(&cfg, 4);
-    let layout = Layout::parallel(16, 4);
-    layout.load(&mut machine, &vm.pes, &a, &b);
-    machine
-        .connect_ring(&vm.pes)
+    Matmul
+        .load(&mut machine, Mode::Smimd, params, &vm, &input_words(&a, &b))
         .expect("ring must route around the fault");
-    let pe_prog = pasm_prog::matmul::mimd::pe_program(params, pasm_prog::CommSync::Barrier);
-    for &pe in &vm.pes {
-        machine.load_pe_program(pe, pe_prog.clone());
-    }
-    machine.load_mc_program(
-        vm.mcs[0],
-        pasm_prog::matmul::mimd::mc_program(params, pasm_prog::CommSync::Barrier, vm.mask),
-    );
     machine.run().expect("run on degraded network");
-    assert_eq!(layout.read_c(&machine, &vm.pes), a.multiply(&b));
+    assert_eq!(
+        Matmul.read_output(&machine, Mode::Smimd, params, &vm),
+        a.multiply(&b).words()
+    );
 }
 
 #[test]

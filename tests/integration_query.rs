@@ -14,56 +14,21 @@
 //!   reached disk is indexed and served, and idempotent re-ingest keeps the
 //!   listing duplicate-free.
 
+mod common;
+
+use common::{await_ready, get, request_raw, submit, tmpdir};
 use pasm::{ExperimentKey, Mode};
 use pasm_server::store::read_records;
 use pasm_server::{CrashFuse, FsyncPolicy, Server, ServerConfig};
 use pasm_store::{RunSummary, SpanRecord};
 use pasm_util::{json, Json, ToJson};
 use std::collections::HashSet;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- helpers
-
-fn request_raw(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line: {raw:?}"));
-    let (_, payload) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
-    (status, payload.to_string())
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Json) {
-    let (status, payload) = request_raw(addr, method, path, body);
-    let parsed = json::parse(&payload).unwrap_or_else(|e| panic!("bad JSON body {payload:?}: {e}"));
-    (status, parsed)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    request(addr, "GET", path, None)
-}
-
-fn submit(addr: SocketAddr, body: &str) -> (u16, Json) {
-    request(addr, "POST", "/submit", Some(body))
-}
 
 /// Submit, await `done`, return the job's content fingerprint (16 hex).
 fn run_to_done(addr: SocketAddr, body: &str) -> String {
@@ -90,18 +55,6 @@ fn run_to_done(addr: SocketAddr, body: &str) -> String {
     }
 }
 
-fn await_ready(addr: SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (code, _) = get(addr, "/healthz");
-        if code == 200 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 fn stat_u64(addr: SocketAddr, path: &[&str]) -> u64 {
     let (code, mut v) = get(addr, "/stats");
     assert_eq!(code, 200);
@@ -110,13 +63,6 @@ fn stat_u64(addr: SocketAddr, path: &[&str]) -> u64 {
     }
     v.as_u64()
         .unwrap_or_else(|| panic!("{} missing from /stats", path.join(".")))
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pasm-query-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn start_memory() -> Server {
@@ -206,14 +152,14 @@ fn span_payload_is_byte_identical_to_a_direct_traced_run() {
     );
     assert_eq!(stat_u64(addr, &["sim_runs"]), 1, "one job, one simulation");
 
-    let (code, payload) = request_raw(addr, "GET", &format!("/spans/{fp}"), None);
+    let (code, _, payload) = request_raw(addr, "GET", &format!("/spans/{fp}"), None);
     assert_eq!(code, 200, "{payload}");
     assert_eq!(payload, expected, "span record drifted from the traced run");
 
     // Hammer every query endpoint, then resubmit the same job (cache hit):
     // none of it may reach the simulator.
     for _ in 0..3 {
-        let (code, _) = request_raw(addr, "GET", &format!("/spans/{fp}"), None);
+        let (code, _, _) = request_raw(addr, "GET", &format!("/spans/{fp}"), None);
         assert_eq!(code, 200);
         let (code, _) = get(addr, "/results?workload=matmul&mode=simd&p=4");
         assert_eq!(code, 200);
@@ -425,7 +371,7 @@ fn seeded_crashes_recover_every_indexed_fingerprint() {
     // own bytes to "most of the run survived".
     let budgets: [u64; 8] = [0, 10, 60, 300, 1200, 4000, 12000, 40000];
     for (i, &budget) in budgets.iter().enumerate() {
-        let dir = tmpdir(&format!("crash-{i}"));
+        let dir = tmpdir("query", &format!("crash-{i}"));
 
         // Victim run: writes past `budget` bytes silently vanish.
         {
@@ -464,7 +410,7 @@ fn seeded_crashes_recover_every_indexed_fingerprint() {
             if !durable.contains(fp) {
                 continue;
             }
-            let (code, payload) = request_raw(addr, "GET", &format!("/spans/{fp}"), None);
+            let (code, _, payload) = request_raw(addr, "GET", &format!("/spans/{fp}"), None);
             assert_eq!(code, 200, "budget {budget}: indexed span {fp} lost");
             assert_eq!(
                 &payload, expected,
@@ -477,7 +423,7 @@ fn seeded_crashes_recover_every_indexed_fingerprint() {
         // exactly once.
         for (fp, expected, body) in &truth {
             assert_eq!(&run_to_done(addr, body), fp, "budget {budget}");
-            let (code, payload) = request_raw(addr, "GET", &format!("/spans/{fp}"), None);
+            let (code, _, payload) = request_raw(addr, "GET", &format!("/spans/{fp}"), None);
             assert_eq!(code, 200, "budget {budget}: span {fp} missing after heal");
             assert_eq!(
                 &payload, expected,

@@ -14,94 +14,18 @@
 //!   original ids, and complete;
 //! * a restarted server answers a cached `/result` without re-simulating.
 
+mod common;
+
+use common::{await_ready, await_terminal, get, request_raw, status_str, submit, tmpdir};
 use pasm_server::store::read_records;
 use pasm_server::{CrashFuse, FsyncPolicy, Server, ServerConfig};
 use pasm_util::{json, Json};
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------- helpers
-
-fn request_raw(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line: {raw:?}"));
-    let (_, payload) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
-    (status, String::new(), payload.to_string())
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Json) {
-    let (status, _, payload) = request_raw(addr, method, path, body);
-    let parsed = json::parse(&payload).unwrap_or_else(|e| panic!("bad JSON body {payload:?}: {e}"));
-    (status, parsed)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    request(addr, "GET", path, None)
-}
-
-fn submit(addr: SocketAddr, body: &str) -> (u16, Json) {
-    request(addr, "POST", "/submit", Some(body))
-}
-
-fn status_str(resp: &Json) -> String {
-    resp.get("status")
-        .and_then(Json::as_str)
-        .expect("status in response")
-        .to_string()
-}
-
-fn await_terminal(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (code, body) = get(addr, &format!("/status/{id}"));
-        assert_eq!(code, 200, "status of known job: {body:?}");
-        match status_str(&body).as_str() {
-            "queued" | "running" => {
-                assert!(Instant::now() < deadline, "job {id} did not finish in time");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            _ => return body,
-        }
-    }
-}
-
-/// Poll `/healthz` until the recovery phase is over (200) — readiness.
-fn await_ready(addr: SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (code, _) = get(addr, "/healthz");
-        if code == 200 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
 
 fn metric(addr: SocketAddr, name: &str) -> u64 {
     let (code, _, text) = request_raw(addr, "GET", "/metrics", None);
@@ -112,13 +36,6 @@ fn metric(addr: SocketAddr, name: &str) -> u64 {
                 .and_then(|rest| rest.trim().parse().ok())
         })
         .unwrap_or_else(|| panic!("metric {name} not found"))
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pasm-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn start_durable(dir: &Path, fuse: Option<Arc<CrashFuse>>) -> Server {
@@ -213,7 +130,7 @@ fn read_journal(dir: &Path) -> JournalView {
 #[test]
 fn restart_serves_persisted_results_without_resimulating() {
     let truth = ground_truth();
-    let dir = tmpdir("restart");
+    let dir = tmpdir("recovery", "restart");
 
     {
         let mut server = start_durable(&dir, None);
@@ -271,7 +188,7 @@ fn seeded_crash_points_never_lose_or_corrupt_completed_results() {
     ];
 
     for (i, &budget) in budgets.iter().enumerate() {
-        let dir = tmpdir(&format!("crash-{i}"));
+        let dir = tmpdir("recovery", &format!("crash-{i}"));
 
         // Victim run: every write past `budget` bytes silently vanishes.
         let mut by_id: HashMap<u64, &'static str> = HashMap::new();
@@ -361,7 +278,7 @@ fn seeded_crash_points_never_lose_or_corrupt_completed_results() {
 #[test]
 fn bit_flipped_result_is_skipped_counted_and_recomputed() {
     let truth = ground_truth();
-    let dir = tmpdir("bitflip");
+    let dir = tmpdir("recovery", "bitflip");
     {
         let mut server = start_durable(&dir, None);
         let addr = server.addr();
@@ -409,7 +326,7 @@ fn bit_flipped_result_is_skipped_counted_and_recomputed() {
 /// the index is rebuilt.
 #[test]
 fn healthz_is_503_recovering_until_replay_finishes() {
-    let dir = tmpdir("readiness");
+    let dir = tmpdir("recovery", "readiness");
     let mut server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
@@ -446,7 +363,7 @@ fn healthz_is_503_recovering_until_replay_finishes() {
 /// snapshot lands in the data dir.
 #[test]
 fn graceful_drain_flushes_journal_store_and_snapshot() {
-    let dir = tmpdir("drain");
+    let dir = tmpdir("recovery", "drain");
     {
         let mut server = start_durable(&dir, None);
         let addr = server.addr();

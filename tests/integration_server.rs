@@ -2,85 +2,12 @@
 //! a real TCP client submits jobs, polls them to completion, exercises the
 //! cache and the bounded queue, and drains the server (ISSUE 2 acceptance).
 
+mod common;
+
+use common::{await_terminal, get, job_id, request, request_raw, status_str, submit};
 use pasm_server::{Server, ServerConfig};
 use pasm_util::{json, Json};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
-
-/// Minimal HTTP/1.1 client: one request per connection, like the server.
-/// Returns status, headers, and the raw body (`/metrics` is not JSON).
-fn request_raw(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line: {raw:?}"));
-    let (head, payload) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
-    (status, head.to_string(), payload.to_string())
-}
-
-/// JSON-body variant of [`request_raw`] (every endpoint except `/metrics`).
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Json) {
-    let (status, _, payload) = request_raw(addr, method, path, body);
-    let parsed = json::parse(&payload).unwrap_or_else(|e| panic!("bad JSON body {payload:?}: {e}"));
-    (status, parsed)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    request(addr, "GET", path, None)
-}
-
-fn submit(addr: SocketAddr, body: &str) -> (u16, Json) {
-    request(addr, "POST", "/submit", Some(body))
-}
-
-fn job_id(resp: &Json) -> u64 {
-    resp.get("job_id")
-        .and_then(Json::as_u64)
-        .expect("job_id in response")
-}
-
-fn status_str(resp: &Json) -> String {
-    resp.get("status")
-        .and_then(Json::as_str)
-        .expect("status in response")
-        .to_string()
-}
-
-/// Poll `/status/<id>` until the job is terminal.
-fn await_terminal(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let (code, body) = get(addr, &format!("/status/{id}"));
-        assert_eq!(code, 200, "status of known job: {body:?}");
-        match status_str(&body).as_str() {
-            "queued" | "running" => {
-                assert!(Instant::now() < deadline, "job {id} did not finish in time");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            _ => return body,
-        }
-    }
-}
+use std::net::TcpStream;
 
 fn start(workers: usize, queue_depth: usize) -> Server {
     Server::start(ServerConfig {

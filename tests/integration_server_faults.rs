@@ -6,68 +6,17 @@
 //! body, which makes a worker attempt panic deliberately without touching
 //! the simulation itself (and is excluded from the cache key).
 
+mod common;
+
+use common::{
+    await_ready, await_terminal, get, job_id, request, request_raw, status_str, submit, tmpdir,
+};
 use pasm_server::store::read_records;
 use pasm_server::{FsyncPolicy, Server, ServerConfig};
 use pasm_util::{json, Json};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-fn request_raw(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line: {raw:?}"));
-    let (head, payload) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
-    (status, head.to_string(), payload.to_string())
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Json) {
-    let (status, _, payload) = request_raw(addr, method, path, body);
-    let parsed = json::parse(&payload).unwrap_or_else(|e| panic!("bad JSON body {payload:?}: {e}"));
-    (status, parsed)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    request(addr, "GET", path, None)
-}
-
-fn submit(addr: SocketAddr, body: &str) -> (u16, Json) {
-    request(addr, "POST", "/submit", Some(body))
-}
-
-fn job_id(resp: &Json) -> u64 {
-    resp.get("job_id")
-        .and_then(Json::as_u64)
-        .expect("job_id in response")
-}
-
-fn status_str(resp: &Json) -> String {
-    resp.get("status")
-        .and_then(Json::as_str)
-        .expect("status in response")
-        .to_string()
-}
 
 fn message(resp: &Json) -> String {
     resp.get("message")
@@ -84,21 +33,6 @@ fn stat(addr: SocketAddr, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("stat {key} in {body:?}"))
 }
 
-fn await_terminal(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (code, body) = get(addr, &format!("/status/{id}"));
-        assert_eq!(code, 200, "status of known job: {body:?}");
-        match status_str(&body).as_str() {
-            "queued" | "running" => {
-                assert!(Instant::now() < deadline, "job {id} did not finish in time");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            _ => return body,
-        }
-    }
-}
-
 fn start(workers: usize) -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -107,13 +41,6 @@ fn start(workers: usize) -> Server {
         ..ServerConfig::default()
     })
     .expect("server starts")
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pasm-faults-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Start a server with a durable data dir and wait out its recovery phase.
@@ -127,15 +54,8 @@ fn start_durable(workers: usize, dir: &Path) -> Server {
         ..ServerConfig::default()
     })
     .expect("server starts");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (code, _) = get(server.addr(), "/healthz");
-        if code == 200 {
-            return server;
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    await_ready(server.addr());
+    server
 }
 
 /// Journal event counts for one job id: `(submitted, started, terminals)`.
@@ -368,7 +288,7 @@ fn fault_plan_jobs_report_their_slowdown() {
 /// `started` and one terminal record for the id.
 #[test]
 fn cancel_while_retrying_is_canceled_with_one_terminal_journal_record() {
-    let dir = tmpdir("cancel-retry");
+    let dir = tmpdir("faults", "cancel-retry");
     let mut server = start_durable(1, &dir);
     let addr = server.addr();
 
@@ -404,7 +324,7 @@ fn cancel_while_retrying_is_canceled_with_one_terminal_journal_record() {
 /// journal record.
 #[test]
 fn deadline_during_backoff_fails_once_with_one_terminal_journal_record() {
-    let dir = tmpdir("deadline-backoff");
+    let dir = tmpdir("faults", "deadline-backoff");
     let mut server = start_durable(1, &dir);
     let addr = server.addr();
 
