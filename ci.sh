@@ -39,6 +39,12 @@ for ex in quickstart mode_tradeoff fault_tolerance image_smoothing partitioning 
     cargo run --release -q -p pasm --example "$ex" >/dev/null
 done
 
+echo "==> CLI smoke-runs (pasm-run programs and S/MIMD matmul, pasm-serve --help)"
+cargo run --release -q -p pasm --bin pasm-run -- examples/programs/sum.s --stats >/dev/null
+cargo run --release -q -p pasm --bin pasm-run -- examples/programs/mulu_timing.s --stats >/dev/null
+cargo run --release -q -p pasm --bin pasm-run -- --mode smimd --n 16 --p 4 | grep "output correct" >/dev/null
+cargo run --release -q -p pasm-server --bin pasm-serve -- --help >/dev/null
+
 echo "==> fast-path equivalence tests (kernels x modes x fault plans)"
 cargo test -q -p pasm --test integration_fastpath
 

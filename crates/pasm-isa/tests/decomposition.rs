@@ -10,6 +10,7 @@
 //! fast path relies on. Each formula stated there is exercised here, either
 //! by the exhaustive opcode sweep or by the operand property sweeps below.
 
+use pasm_isa::analysis::{instr_bounds, is_data_dependent};
 use pasm_isa::instr::Instr;
 use pasm_isa::operand::{Ea, Size};
 use pasm_isa::reg::{AddrReg::*, DataReg::*};
@@ -280,6 +281,38 @@ fn split_resums_to_interpreter_charge_for_every_opcode() {
     }
     // The sweep really covers the whole ISA: all 46 variants appeared.
     assert_eq!(seen.len(), 46, "opcode sweep missed variants: {seen:?}");
+}
+
+/// Every charge lies inside the static bounds the analysis reports for the
+/// instruction. Shift counts above 63 are skipped: the CPU masks a register
+/// count with `& 63`, so it never charges one.
+#[test]
+fn every_charge_lies_within_instr_bounds() {
+    let ctxs = ctx_grid();
+    for i in &all_opcodes() {
+        let b = instr_bounds(i);
+        for ctx in ctxs.iter().filter(|ctx| ctx.shift_count <= 63) {
+            let c = base_cycles(i, *ctx);
+            assert!(
+                b.min <= c && c <= b.max,
+                "{i:?} charges {c} under {ctx:?}, outside {b:?}"
+            );
+        }
+    }
+}
+
+/// The classifier calls an instruction data-dependent exactly when its
+/// bounds have a spread.
+#[test]
+fn data_dependent_exactly_when_bounds_spread() {
+    for i in &all_opcodes() {
+        assert_eq!(
+            is_data_dependent(i),
+            instr_bounds(i).spread() > 0,
+            "{i:?}: bounds {:?}",
+            instr_bounds(i)
+        );
+    }
 }
 
 /// Instructions whose split claims to be fully static must charge the same

@@ -18,10 +18,10 @@
 //! already persisted the worker's cache check dedupes it without
 //! re-simulating.
 //!
-//! The journal shares its [`CrashFuse`] with the result store, so crash
-//! injection cuts both logs at one global byte offset — including exactly
-//! between a result append and its `completed` record, the ordering the
-//! recovery tests exercise hardest.
+//! The journal shares its [`CrashFuse`] with the result store and the span
+//! store, so crash injection cuts all three logs at one global byte offset —
+//! including exactly between a result append and its `completed` record,
+//! the ordering the recovery tests exercise hardest.
 
 use crate::store::{CrashFuse, FsyncPolicy, ReplayStats, SegmentLog, DEFAULT_SEGMENT_BYTES};
 use pasm_util::{json, Json};

@@ -43,12 +43,13 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Optional JSONL job-log path.
     pub log_path: Option<PathBuf>,
-    /// Durable data directory (`results/` and `journal/` segment logs plus a
-    /// `stats.json` drain snapshot live inside). `None` runs memory-only.
+    /// Durable data directory (the `results/`, `journal/` and `spans/`
+    /// segment logs plus a `stats.json` drain snapshot live inside). `None`
+    /// runs memory-only.
     pub data_dir: Option<PathBuf>,
     /// Fsync policy of the durable logs (see `docs/DURABILITY.md`).
     pub fsync: FsyncPolicy,
-    /// Test-only crash injector shared by both durable logs.
+    /// Test-only crash injector shared by the three durable logs.
     #[doc(hidden)]
     pub test_fuse: Option<Arc<CrashFuse>>,
     /// Test-only: hold the startup recovery phase open this many extra
@@ -76,7 +77,7 @@ impl Default for ServerConfig {
 }
 
 /// One tracked job.
-struct Job {
+pub(crate) struct Job {
     spec: JobSpec,
     status: JobStatus,
     cached: bool,
@@ -94,56 +95,62 @@ struct Job {
 }
 
 /// The durable half of the service: result store + job journal, both over
-/// crash-safe segment logs. Present only when a data dir is configured.
-struct Durability {
-    store: ResultStore,
-    journal: JobJournal,
+/// crash-safe segment logs, and what the replay of the three logs (these
+/// two and the span store) found. Present only when a data dir is
+/// configured, from the end of the recovery phase on.
+pub(crate) struct Durability {
+    pub(crate) store: ResultStore,
+    pub(crate) journal: JobJournal,
+    pub(crate) recovery: RecoveryInfo,
 }
 
-/// What the startup recovery phase found (rendered by `/metrics`).
-#[derive(Debug, Clone, Copy, Default)]
-struct RecoveryInfo {
+/// What the startup recovery phase found (rendered by both telemetry views).
+#[derive(Debug)]
+pub(crate) struct RecoveryInfo {
     /// Results replayed from the store into the cache.
-    results_replayed: u64,
+    pub(crate) results_replayed: u64,
     /// Span records replayed into the query-tier index.
-    spans_replayed: u64,
-    /// Torn-tail records truncated across both logs.
-    records_truncated: u64,
-    /// Corrupt (CRC/undecodable) records skipped across both logs.
-    records_corrupt: u64,
+    pub(crate) spans_replayed: u64,
+    /// Torn-tail records truncated across the three logs (results, journal,
+    /// spans).
+    pub(crate) records_truncated: u64,
+    /// Corrupt (CRC/undecodable) records skipped across the three logs, plus
+    /// malformed journal events.
+    pub(crate) records_corrupt: u64,
     /// Journaled pending jobs re-enqueued.
-    jobs_reenqueued: u64,
+    pub(crate) jobs_reenqueued: u64,
     /// Re-enqueued jobs that had already started when the crash hit.
-    jobs_interrupted: u64,
+    pub(crate) jobs_interrupted: u64,
     /// Recovery wall time in milliseconds.
-    recovery_ms: u64,
+    pub(crate) recovery_ms: u64,
 }
 
-struct AppState {
-    queue: JobQueue,
-    cache: ResultCache,
-    stats: Stats,
-    jobs: Mutex<HashMap<u64, Job>>,
+/// Everything the request, worker and recovery paths share. The telemetry
+/// table (`metrics::scalars`) reads its counters, gauges and stores.
+pub(crate) struct AppState {
+    pub(crate) queue: JobQueue,
+    pub(crate) cache: ResultCache,
+    pub(crate) stats: Stats,
+    pub(crate) jobs: Mutex<HashMap<u64, Job>>,
     /// Interrupt flags of currently-running jobs, keyed by job id. Tripping
     /// a flag (cancel, watchdog) makes the simulation return `Interrupted`
     /// at its next scheduler check. Lock order: `jobs` before `interrupts`.
     interrupts: Mutex<HashMap<u64, Arc<AtomicBool>>>,
     next_id: AtomicU64,
-    draining: AtomicBool,
+    pub(crate) draining: AtomicBool,
     /// Tells the watchdog thread to exit (set after the worker pool joins,
     /// so deadlines keep firing while the drain finishes running jobs).
     watchdog_stop: AtomicBool,
-    workers: usize,
+    pub(crate) workers: usize,
     /// Set once by the recovery thread (or never, memory-only mode).
-    durability: OnceLock<Durability>,
+    pub(crate) durability: OnceLock<Durability>,
     /// The query tier: set at startup (memory-only mode) or by the recovery
     /// thread (disk backing). Workers ingest every cold completion; the
     /// `/results`, `/spans/<fp>` and `/sweep/phases` endpoints read it.
-    spans: OnceLock<SpanStore>,
+    pub(crate) spans: OnceLock<SpanStore>,
     /// True from bind until the durable logs are replayed; readiness, not
     /// liveness — `/healthz` answers 503 and `/submit` refuses meanwhile.
-    recovering: AtomicBool,
-    recovery: Mutex<RecoveryInfo>,
+    pub(crate) recovering: AtomicBool,
 }
 
 /// Run `f` against the journal if durability is enabled; a failed journal
@@ -190,7 +197,6 @@ impl Server {
             durability: OnceLock::new(),
             spans: OnceLock::new(),
             recovering: AtomicBool::new(config.data_dir.is_some()),
-            recovery: Mutex::new(RecoveryInfo::default()),
         });
         // Memory-only servers still get the query tier — just not durable.
         // With a data dir, the recovery thread installs the disk-backed
@@ -283,7 +289,13 @@ impl Server {
     /// JSON snapshot of the service counters (the `/stats` payload).
     /// Usable after [`Server::shutdown`], when the listener is gone.
     pub fn snapshot(&self) -> Json {
-        stats(&self.state).1
+        metrics::stats_json(&self.state)
+    }
+
+    /// The shared state, for the telemetry unit tests.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> &AppState {
+        &self.state
     }
 
     /// True when every tracked job has reached a terminal state.
@@ -327,7 +339,7 @@ impl Server {
         }
         self.state.stats.flush_sync();
         if let Some(dir) = &self.data_dir {
-            let snapshot = stats(&self.state).1.dump();
+            let snapshot = metrics::stats_json(&self.state).dump();
             match std::fs::File::create(dir.join("stats.json")) {
                 Ok(mut f) => {
                     let _ = f.write_all(snapshot.as_bytes());
@@ -360,10 +372,10 @@ impl Drop for Server {
 // ----------------------------------------------------------------------
 
 /// Startup recovery: replay the result store into the cache, replay the job
-/// journal, re-enqueue pending jobs, then flip `recovering` off. Never
-/// panics on damaged logs — torn and corrupt records are counted and
-/// skipped. If the data dir is unusable the server degrades to memory-only
-/// (loudly) rather than refusing to serve.
+/// journal and the span store, re-enqueue pending jobs, then flip
+/// `recovering` off. Never panics on damaged logs — torn and corrupt
+/// records are counted and skipped. If the data dir is unusable the server
+/// degrades to memory-only (loudly) rather than refusing to serve.
 fn recover(
     state: &AppState,
     dir: &Path,
@@ -375,8 +387,6 @@ fn recover(
     if hold_ms > 0 {
         thread::sleep(Duration::from_millis(hold_ms));
     }
-    let mut info = RecoveryInfo::default();
-
     let store = ResultStore::open(&dir.join("results"), policy, fuse.clone(), |fp, result| {
         state.cache.insert_replayed(fp, Arc::new(result));
     });
@@ -413,40 +423,54 @@ fn recover(
             Default::default()
         }
     };
-    info.results_replayed = store_stats.replayed;
-    info.spans_replayed = span_stats.replayed;
-    info.records_truncated = store_stats.truncated + journal_stats.truncated + span_stats.truncated;
-    info.records_corrupt =
-        store_stats.corrupt + journal_stats.corrupt + span_stats.corrupt + replay.malformed;
-    info.jobs_interrupted = replay.interrupted;
-
-    // Durability must be live before any recovered job runs, so workers
-    // journal its lifecycle and persist its result.
-    let _ = state.durability.set(Durability { store, journal });
-    let durability = state.durability.get().expect("just set");
     state.next_id.fetch_max(replay.next_id, Ordering::SeqCst);
 
-    // Re-validate and re-enqueue every pending job under its original id.
-    // Bodies come off disk, so a journal from an older build gets the same
-    // scrutiny as a client request; an unparseable body is closed out in
-    // the journal instead of replaying forever.
+    // Re-validate every pending job. Bodies come off disk, so a journal
+    // from an older build gets the same scrutiny as a client request; an
+    // unparseable body is closed out in the journal instead of replaying
+    // forever.
     let mut recovered = Vec::new();
     for (id, body) in &replay.pending {
         let spec = pasm_util::json::parse(body)
             .ok()
             .and_then(|v| JobSpec::from_json(&v).ok());
-        let Some(spec) = spec else {
-            eprintln!("pasm-serve: journaled job {id} no longer parses; marking failed");
-            if let Err(e) = durability.journal.terminal("failed", *id) {
-                eprintln!("pasm-serve: journal write failed: {e}");
+        match spec {
+            Some(spec) => recovered.push((*id, spec)),
+            None => {
+                eprintln!("pasm-serve: journaled job {id} no longer parses; marking failed");
+                if let Err(e) = journal.terminal("failed", *id) {
+                    eprintln!("pasm-serve: journal write failed: {e}");
+                }
             }
-            continue;
-        };
-        let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        }
+    }
+    let recovery = RecoveryInfo {
+        results_replayed: store_stats.replayed,
+        spans_replayed: span_stats.replayed,
+        records_truncated: store_stats.truncated + journal_stats.truncated + span_stats.truncated,
+        records_corrupt: store_stats.corrupt
+            + journal_stats.corrupt
+            + span_stats.corrupt
+            + replay.malformed,
+        jobs_reenqueued: recovered.len() as u64,
+        jobs_interrupted: replay.interrupted,
+        recovery_ms: t0.elapsed().as_millis() as u64,
+    };
+    // Durability must be live before any recovered job is visible, so its
+    // lifecycle is journaled and its result persisted.
+    let _ = state.durability.set(Durability {
+        store,
+        journal,
+        recovery,
+    });
+
+    // Re-enqueue every pending job under its original id.
+    let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
+    for (id, spec) in &recovered {
         jobs.insert(
             *id,
             Job {
-                spec,
+                spec: spec.clone(),
                 status: JobStatus::Queued,
                 cached: false,
                 error: None,
@@ -458,18 +482,13 @@ fn recover(
                 watchdog_fired: false,
             },
         );
-        drop(jobs);
-        recovered.push(*id);
     }
-    info.jobs_reenqueued = recovered.len() as u64;
+    drop(jobs);
     // push_front prepends, so feed it in reverse to preserve FIFO order —
     // recovered jobs run before anything submitted after restart.
-    for id in recovered.iter().rev() {
+    for (id, _) in recovered.iter().rev() {
         state.queue.push_front(*id);
     }
-
-    info.recovery_ms = t0.elapsed().as_millis() as u64;
-    *state.recovery.lock().unwrap_or_else(|e| e.into_inner()) = info;
     state.recovering.store(false, Ordering::SeqCst);
 }
 
@@ -812,7 +831,7 @@ fn handle_connection(state: &AppState, mut stream: TcpStream) {
                     &mut stream,
                     200,
                     metrics::CONTENT_TYPE,
-                    &render_metrics(state),
+                    &metrics::exposition(state),
                 );
                 return;
             }
@@ -823,46 +842,12 @@ fn handle_connection(state: &AppState, mut stream: TcpStream) {
     let _ = write_json(&mut stream, response.0, &response.1);
 }
 
-fn render_metrics(state: &AppState) -> String {
-    let jobs_tracked = state.jobs.lock().unwrap_or_else(|e| e.into_inner()).len();
-    let spans = state.spans.get();
-    let durability = state.durability.get().map(|d| {
-        let info = *state.recovery.lock().unwrap_or_else(|e| e.into_inner());
-        metrics::DurabilityMetrics {
-            results_replayed: info.results_replayed,
-            records_truncated: info.records_truncated,
-            records_corrupt: info.records_corrupt,
-            jobs_reenqueued: info.jobs_reenqueued,
-            recovery_wall_ms: info.recovery_ms,
-            store_appends: d.store.appends(),
-            store_fsyncs: d.store.fsyncs(),
-            journal_appends: d.journal.appends(),
-            journal_fsyncs: d.journal.fsyncs(),
-            spans_replayed: info.spans_replayed,
-            span_appends: spans.map_or(0, |s| s.appends()),
-            span_fsyncs: spans.map_or(0, |s| s.fsyncs()),
-        }
-    });
-    metrics::render(
-        &state.stats,
-        &state.cache,
-        state.queue.len(),
-        state.queue.capacity(),
-        jobs_tracked,
-        state.workers,
-        state.draining.load(Ordering::SeqCst),
-        state.recovering.load(Ordering::SeqCst),
-        spans.map_or(0, |s| s.len() as u64),
-        durability.as_ref(),
-    )
-}
-
 fn route(state: &AppState, req: &Request) -> (u16, Json) {
     let path = req.path.as_str();
     match (req.method.as_str(), path) {
         ("POST", "/submit") => submit(state, &req.body),
         ("GET", "/healthz") => healthz(state),
-        ("GET", "/stats") => stats(state),
+        ("GET", "/stats") => (200, metrics::stats_json(state)),
         ("GET", "/results") => results_list(state, req),
         ("GET", "/sweep/phases") => sweep_phases(state, req),
         ("GET", _) if path.starts_with("/spans/") => {
@@ -1346,161 +1331,6 @@ fn healthz(state: &AppState) -> (u16, Json) {
             ),
         ]),
     )
-}
-
-fn stats(state: &AppState) -> (u16, Json) {
-    let s = &state.stats;
-    let (cold, hit) = s.latency_snapshots();
-    let latency = |snap: &crate::stats::HistSnapshot| {
-        Json::obj(vec![
-            ("count", Json::Int(snap.count as i64)),
-            ("total_ms", Json::Int(snap.sum as i64)),
-            ("mean_ms", Json::Float(snap.mean_ms())),
-        ])
-    };
-    let mut payload = (
-        200,
-        Json::obj(vec![
-            (
-                "submitted",
-                Json::Int(s.submitted.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "completed",
-                Json::Int(s.completed.load(Ordering::Relaxed) as i64),
-            ),
-            ("failed", Json::Int(s.failed.load(Ordering::Relaxed) as i64)),
-            (
-                "canceled",
-                Json::Int(s.canceled.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "expired",
-                Json::Int(s.expired.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "rejected_queue_full",
-                Json::Int(s.rejected_queue_full.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "retries",
-                Json::Int(s.retries.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "quarantined",
-                Json::Int(s.quarantined.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "watchdog_timeouts",
-                Json::Int(s.watchdog_timeouts.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "fault_jobs",
-                Json::Int(s.fault_jobs.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "total_cycles",
-                Json::Int(s.total_cycles.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "total_wall_ms",
-                Json::Int(s.total_wall_ms.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "latency",
-                Json::obj(vec![("cold", latency(&cold)), ("hit", latency(&hit))]),
-            ),
-            (
-                "sim_cycle_buckets",
-                Json::obj(
-                    pasm_machine::BUCKET_NAMES
-                        .iter()
-                        .zip(s.sim_bucket_totals().iter())
-                        .map(|(name, v)| (*name, Json::Int(*v as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "sim_runs",
-                Json::Int(s.sim_runs.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "queries",
-                Json::obj(vec![
-                    (
-                        "results",
-                        Json::Int(s.results_queries.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "spans",
-                        Json::Int(s.span_queries.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "span_misses",
-                        Json::Int(s.span_misses.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "sweeps",
-                        Json::Int(s.sweep_queries.load(Ordering::Relaxed) as i64),
-                    ),
-                ]),
-            ),
-            (
-                "span_store",
-                match state.spans.get() {
-                    Some(spans) => Json::obj(vec![
-                        ("runs", Json::Int(spans.len() as i64)),
-                        ("durable", Json::Bool(spans.is_durable())),
-                        ("appends", Json::Int(spans.appends() as i64)),
-                        ("fsyncs", Json::Int(spans.fsyncs() as i64)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::Int(state.cache.hits() as i64)),
-                    ("misses", Json::Int(state.cache.misses() as i64)),
-                    ("entries", Json::Int(state.cache.entries() as i64)),
-                ]),
-            ),
-            (
-                "recent",
-                Json::Arr(s.recent_lines().into_iter().map(Json::Str).collect()),
-            ),
-        ]),
-    );
-    if let Some(d) = state.durability.get() {
-        let info = *state.recovery.lock().unwrap_or_else(|e| e.into_inner());
-        if let (code, Json::Obj(members)) = &mut payload {
-            debug_assert_eq!(*code, 200);
-            members.push((
-                "durability".to_string(),
-                Json::obj(vec![
-                    (
-                        "recovering",
-                        Json::Bool(state.recovering.load(Ordering::SeqCst)),
-                    ),
-                    ("results_replayed", Json::Int(info.results_replayed as i64)),
-                    ("spans_replayed", Json::Int(info.spans_replayed as i64)),
-                    (
-                        "records_truncated",
-                        Json::Int(info.records_truncated as i64),
-                    ),
-                    ("records_corrupt", Json::Int(info.records_corrupt as i64)),
-                    ("jobs_reenqueued", Json::Int(info.jobs_reenqueued as i64)),
-                    ("jobs_interrupted", Json::Int(info.jobs_interrupted as i64)),
-                    ("recovery_ms", Json::Int(info.recovery_ms as i64)),
-                    ("store_appends", Json::Int(d.store.appends() as i64)),
-                    ("store_fsyncs", Json::Int(d.store.fsyncs() as i64)),
-                    ("journal_appends", Json::Int(d.journal.appends() as i64)),
-                    ("journal_fsyncs", Json::Int(d.journal.fsyncs() as i64)),
-                ]),
-            ));
-        }
-    }
-    payload
 }
 
 #[cfg(test)]
