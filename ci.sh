@@ -19,6 +19,9 @@ cargo test -q
 echo "==> paper golden gate, paper-scale points (release)"
 cargo test -q --release -p pasm --test paper_golden -- --ignored
 
+echo "==> SIMD group step vs interpreter, 20 000 seeded random programs (release)"
+cargo test -q --release -p pasm-machine random_simd_programs_match_the_interpreter_20k_seeds -- --ignored
+
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 

@@ -1,10 +1,12 @@
 //! `blockbench` — wall-clock payoff of the block-compiled fast path.
 //!
-//! Runs every registered kernel in all three parallel modes twice per grid
-//! cell — once on the block-compiled fast path, once forced onto the
-//! per-instruction interpreter (`RunOptions::fast_path = false`) — and
-//! reports the host wall-time ratio. Before timing is trusted, every cell's
-//! two runs are compared as full [`pasm::ExperimentResult`]s: simulated
+//! Runs every registered kernel in all three parallel modes on every grid
+//! cell, [`REPEATS`] times per path — the block-compiled fast path and the
+//! per-instruction interpreter (`RunOptions::fast_path = false`),
+//! alternating — and reports the median, minimum and maximum host wall
+//! time of each path and the ratio of the medians. Before timing is
+//! trusted, every run is compared with the cell's first interpreter run as
+//! a full [`pasm::ExperimentResult`]: simulated
 //! makespan, per-bucket cycle totals, instruction counts and output
 //! checksums must be byte-identical, or the bench exits nonzero. The fast
 //! path is an *optimization of the scheduler*, never of the timing model —
@@ -31,6 +33,7 @@
 //! `BENCH_blockbench.json` in the stable trajectory schema (see
 //! `bench::save_bench_json`).
 
+use bench::Spread;
 use pasm::{ExperimentResult, MachineConfig, Mode, Params, RunOptions};
 use pasm_util::{Json, ToJson};
 use std::process::ExitCode;
@@ -41,6 +44,9 @@ const MODES: [Mode; 3] = [Mode::Simd, Mode::Mimd, Mode::Smimd];
 /// The headline cell: speed-up is judged at this partition and size.
 const GATE_N: usize = 1024;
 const GATE_P: usize = 16;
+
+/// Timed runs per path and cell in a full run (`--quick`: one).
+const REPEATS: usize = 3;
 
 /// Full-mode floor on the best n = 1024, p = 16 speed-up.
 ///
@@ -72,8 +78,9 @@ struct Row {
     n: usize,
     p: usize,
     cycles: u64,
-    fast_ms: f64,
-    interp_ms: f64,
+    fast_ms: Spread,
+    interp_ms: Spread,
+    /// Ratio of the median wall times, interpreter over fast path.
     speedup: f64,
     identical: bool,
 }
@@ -86,8 +93,12 @@ impl ToJson for Row {
             ("n", Json::Int(self.n as i64)),
             ("p", Json::Int(self.p as i64)),
             ("cycles", Json::Int(self.cycles as i64)),
-            ("fast_wall_ms", Json::Float(self.fast_ms)),
-            ("interp_wall_ms", Json::Float(self.interp_ms)),
+            ("fast_wall_ms", Json::Float(self.fast_ms.median)),
+            ("fast_wall_ms_min", Json::Float(self.fast_ms.min)),
+            ("fast_wall_ms_max", Json::Float(self.fast_ms.max)),
+            ("interp_wall_ms", Json::Float(self.interp_ms.median)),
+            ("interp_wall_ms_min", Json::Float(self.interp_ms.min)),
+            ("interp_wall_ms_max", Json::Float(self.interp_ms.max)),
             ("speedup", Json::Float(self.speedup)),
             ("identical", Json::Bool(self.identical)),
         ])
@@ -120,6 +131,7 @@ fn main() -> ExitCode {
     let cfg = MachineConfig::prototype();
     let seed = pasm::figures::DEFAULT_SEED;
     let ps: &[usize] = if quick { &[4] } else { &[4, 8, 16] };
+    let repeats = if quick { 1 } else { REPEATS };
 
     let mut rows: Vec<Row> = Vec::new();
     let mut failures = Vec::new();
@@ -138,17 +150,24 @@ fn main() -> ExitCode {
                 }
                 for mode in MODES {
                     let params = Params::new(n, p);
-                    let interp = run_cell(&cfg, kernel, mode, params, &input, seed, false);
-                    let fast = run_cell(&cfg, kernel, mode, params, &input, seed, true);
-                    let ((interp_res, interp_ms), (fast_res, fast_ms)) = match (interp, fast) {
-                        (Ok(i), Ok(f)) => (i, f),
-                        (i, f) => {
-                            let e = i.err().or(f.err()).unwrap();
+                    let run =
+                        |fast_path| run_cell(&cfg, kernel, mode, params, &input, seed, fast_path);
+                    // The paths alternate; every run must match the first
+                    // interpreter run.
+                    let samples = (0..repeats)
+                        .map(|_| Ok((run(false)?, run(true)?)))
+                        .collect::<Result<Vec<_>, pasm_machine::RunError>>();
+                    let samples = match samples {
+                        Ok(samples) => samples,
+                        Err(e) => {
                             failures.push(format!("{} {mode} n={n} p={p}: {e}", kernel.name()));
                             continue;
                         }
                     };
-                    let identical = fast_res == interp_res;
+                    let ((interp_res, _), (fast_res, _)) = &samples[0];
+                    let identical = samples
+                        .iter()
+                        .all(|((i, _), (f, _))| i == interp_res && f == interp_res);
                     if !identical {
                         failures.push(format!(
                             "{} {mode} n={n} p={p}: fast path diverged from interpreter \
@@ -160,7 +179,9 @@ fn main() -> ExitCode {
                             interp_res.pe_buckets,
                         ));
                     }
-                    let speedup = interp_ms / fast_ms.max(1e-9);
+                    let interp_ms = Spread::of(&samples.iter().map(|s| s.0 .1).collect::<Vec<_>>());
+                    let fast_ms = Spread::of(&samples.iter().map(|s| s.1 .1).collect::<Vec<_>>());
+                    let speedup = interp_ms.median / fast_ms.median.max(1e-9);
                     println!(
                         "{:>8} {:>6} {:>6} {:>4} {:>12} {:>10.2} {:>10.2} {:>7.2}x {:>6}",
                         kernel.name(),
@@ -168,8 +189,8 @@ fn main() -> ExitCode {
                         n,
                         p,
                         fast_res.cycles,
-                        interp_ms,
-                        fast_ms,
+                        interp_ms.median,
+                        fast_ms.median,
                         speedup,
                         if identical { "yes" } else { "NO" },
                     );
@@ -257,7 +278,7 @@ fn main() -> ExitCode {
             Json::Bool(rows.iter().all(|r| r.identical)),
         ),
     ]);
-    bench::save_bench_json("blockbench", 1, config, metrics);
+    bench::save_bench_json("blockbench", repeats, config, metrics);
 
     if failures.is_empty() {
         println!(

@@ -86,6 +86,36 @@ pub fn git_revision() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Median, minimum and maximum of repeated samples of one measurement.
+/// Host wall times drift run to run, so benchmarks compare medians.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    pub median: f64,
+    pub min: f64,
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`, which must not be empty. The median of an
+    /// even count is the mean of the middle two.
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "Spread::of needs at least one sample");
+        let mut s = samples.to_vec();
+        s.sort_by(f64::total_cmp);
+        let mid = s.len() / 2;
+        let median = if s.len() % 2 == 1 {
+            s[mid]
+        } else {
+            (s[mid - 1] + s[mid]) / 2.0
+        };
+        Spread {
+            median,
+            min: s[0],
+            max: s[s.len() - 1],
+        }
+    }
+}
+
 /// `--quick` on the command line caps the problem-size sweep for smoke runs.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
@@ -98,5 +128,19 @@ pub fn sizes() -> Vec<usize> {
         all.into_iter().filter(|&n| n <= 64).collect()
     } else {
         all
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Spread;
+
+    #[test]
+    fn spread_takes_the_median_of_odd_and_even_counts() {
+        let odd = Spread::of(&[3.0, 1.0, 2.0]);
+        assert_eq!((odd.median, odd.min, odd.max), (2.0, 1.0, 3.0));
+        let even = Spread::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((even.median, even.min, even.max), (2.5, 1.0, 4.0));
+        assert_eq!(Spread::of(&[7.0]).median, 7.0);
     }
 }

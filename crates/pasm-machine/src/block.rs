@@ -29,7 +29,7 @@
 use crate::account::variance_floor;
 use pasm_isa::analysis::{basic_blocks, BlockSpan};
 use pasm_isa::timing::{cycle_split, CycleSplit, DynTerm};
-use pasm_isa::Instr;
+use pasm_isa::{Instr, Program};
 use std::hash::{Hash, Hasher};
 
 /// Per-instruction compiled metadata, parallel to the program's `instrs`.
@@ -54,8 +54,9 @@ pub struct InstrMeta {
 }
 
 impl InstrMeta {
-    /// The metadata of one instruction, outside any block (`block` = 0).
-    /// The SIMD group step builds one per broadcast instruction, so queue
+    /// The metadata of one instruction, outside any block (`block` = 0):
+    /// what [`compile`] starts from for the main stream, and what
+    /// [`compile_program`] keeps for each SIMD-block instruction, so queue
     /// entries run through the same executor as compiled programs.
     pub fn of(instr: Instr) -> InstrMeta {
         InstrMeta {
@@ -86,15 +87,23 @@ pub struct CompiledBlock {
 }
 
 /// A program compiled to its block table. Built once per distinct program
-/// (see [`fingerprint`]) and shared by every PE/MC running it.
-#[derive(Debug, Clone)]
+/// (see [`program_fingerprint`]) and shared by every PE/MC running it.
+#[derive(Debug, Clone, Default)]
 pub struct CompiledProgram {
-    /// FNV-style hash of the instruction stream this table was built from.
+    /// FNV-style hash of the main instruction stream this table was built
+    /// from ([`fingerprint`]).
     pub fingerprint: u64,
     /// Basic blocks in program order, tiling the instruction stream.
     pub blocks: Vec<CompiledBlock>,
     /// Per-instruction metadata, same length as the instruction stream.
     pub meta: Vec<InstrMeta>,
+    /// Metadata of the program's SIMD blocks (the Fetch Unit RAM), block
+    /// after block. A Fetch-Unit queue entry names its broadcast instruction
+    /// by its index here; empty unless built by [`compile_program`].
+    pub simd: Vec<InstrMeta>,
+    /// Index into [`CompiledProgram::simd`] of each SIMD block's first
+    /// instruction.
+    pub simd_start: Vec<u32>,
 }
 
 impl CompiledProgram {
@@ -161,6 +170,31 @@ pub fn fingerprint(instrs: &[Instr]) -> u64 {
     h.finish()
 }
 
+/// Deterministic identity of a whole program — main stream and SIMD
+/// blocks — used as the block-table cache key: programs that differ only in
+/// their blocks (two MCs broadcasting different bodies from the same
+/// control loop) must not share a table.
+pub fn program_fingerprint(program: &Program) -> u64 {
+    let mut h = Fnv1a(fingerprint(&program.instrs));
+    program.blocks.len().hash(&mut h);
+    for block in &program.blocks {
+        h.write_u64(fingerprint(block));
+    }
+    h.finish()
+}
+
+/// Compile a program: its main stream into the block table ([`compile`])
+/// and its SIMD blocks into [`CompiledProgram::simd`], once at load, so
+/// neither an enqueue nor a broadcast decodes an instruction.
+pub fn compile_program(program: &Program) -> CompiledProgram {
+    let mut c = compile(&program.instrs);
+    for block in &program.blocks {
+        c.simd_start.push(c.simd.len() as u32);
+        c.simd.extend(block.iter().map(|&i| InstrMeta::of(i)));
+    }
+    c
+}
+
 /// Compile an instruction stream into its block table.
 pub fn compile(instrs: &[Instr]) -> CompiledProgram {
     let spans = basic_blocks(instrs);
@@ -192,6 +226,7 @@ pub fn compile(instrs: &[Instr]) -> CompiledProgram {
         fingerprint: fingerprint(instrs),
         blocks,
         meta,
+        ..CompiledProgram::default()
     }
 }
 

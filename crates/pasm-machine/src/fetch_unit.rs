@@ -23,8 +23,9 @@ use std::collections::VecDeque;
 /// What a queue entry carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryKind {
-    /// A broadcast SIMD instruction.
-    Instr(Instr),
+    /// A broadcast SIMD instruction, named by its index into the MC's
+    /// compiled SIMD blocks (`CompiledProgram::simd`).
+    Instr(u32),
     /// An arbitrary data word (barrier synchronization).
     Data,
 }
@@ -113,12 +114,13 @@ impl FetchUnit {
         self.pending.is_empty()
     }
 
-    /// Queue an MC command: move `block` (a list of instructions) starting no
-    /// earlier than `earliest`.
-    pub fn command_block(&mut self, block: &[Instr], earliest: u64) {
-        for &i in block {
+    /// Queue an MC command: move `block` (a list of instructions, whose
+    /// first is compiled SIMD entry `first`) starting no earlier than
+    /// `earliest`.
+    pub fn command_block(&mut self, first: u32, block: &[Instr], earliest: u64) {
+        for (k, i) in (first..).zip(block) {
             self.pending.push_back(FucItem {
-                kind: EntryKind::Instr(i),
+                kind: EntryKind::Instr(k),
                 mask: self.mask,
                 words: i.words().max(1),
                 earliest,
@@ -193,7 +195,7 @@ mod tests {
     fn commands_snapshot_mask() {
         let mut fu = FetchUnit::new(64);
         fu.mask = 0b0101;
-        fu.command_block(&[Instr::Nop], 0);
+        fu.command_block(0, &[Instr::Nop], 0);
         fu.mask = 0b1111;
         fu.command_data_words(1, 0);
         assert_eq!(fu.pending[0].mask, 0b0101);
@@ -203,7 +205,7 @@ mod tests {
     #[test]
     fn controller_moves_in_fifo_order() {
         let mut fu = FetchUnit::new(64);
-        fu.command_block(&[Instr::Nop, Instr::Halt], 10);
+        fu.command_block(0, &[Instr::Nop, Instr::Halt], 10);
         let c1 = fu.next_move_completion(2).unwrap();
         assert_eq!(c1, 10 + 2); // NOP = 1 word * 2 cycles, starting at 10
         fu.do_move(c1);
@@ -219,7 +221,7 @@ mod tests {
     #[test]
     fn capacity_blocks_and_pop_unblocks() {
         let mut fu = FetchUnit::new(2);
-        fu.command_block(&[Instr::Nop, Instr::Nop, Instr::Nop], 0);
+        fu.command_block(0, &[Instr::Nop, Instr::Nop, Instr::Nop], 0);
         let c = fu.next_move_completion(1).unwrap();
         fu.do_move(c);
         let c = fu.next_move_completion(1).unwrap();

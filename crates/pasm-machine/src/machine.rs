@@ -103,8 +103,9 @@ struct Mc {
     program: Program,
     state: McState,
     ready_at: u64,
-    /// Block table of `program` (see [`Pe::compiled`]).
-    compiled: Option<Arc<CompiledProgram>>,
+    /// Block table of `program`, with its SIMD blocks compiled: the queue
+    /// entries of this MC's Fetch Unit index [`CompiledProgram::simd`].
+    compiled: Arc<CompiledProgram>,
 }
 
 /// Result of a completed run.
@@ -247,7 +248,7 @@ impl Machine {
                 program: Program::default(),
                 state: McState::Idle,
                 ready_at: 0,
-                compiled: None,
+                compiled: Arc::default(),
             })
             .collect();
         let fus = (0..cfg.n_mcs)
@@ -299,11 +300,11 @@ impl Machine {
 
     /// Fetch or build the shared block table for a program.
     fn compile_program(&mut self, program: &Program) -> Arc<CompiledProgram> {
-        let fp = block::fingerprint(&program.instrs);
+        let fp = block::program_fingerprint(program);
         if let Some(c) = self.block_cache.get(&fp) {
             return Arc::clone(c);
         }
-        let c = Arc::new(block::compile(&program.instrs));
+        let c = Arc::new(block::compile_program(program));
         self.block_cache.insert(fp, Arc::clone(&c));
         c
     }
@@ -362,7 +363,7 @@ impl Machine {
         program.validate().expect("invalid MC program");
         let compiled = self.compile_program(&program);
         self.mcs[mc].program = program;
-        self.mcs[mc].compiled = Some(compiled);
+        self.mcs[mc].compiled = compiled;
         self.set_mc(mc, McState::Ready, self.mcs[mc].ready_at);
     }
 
@@ -609,26 +610,24 @@ impl Machine {
     ///
     /// Returns `true` if at least one instruction was executed.
     fn try_fast_pe(&mut self, i: usize) -> bool {
-        if self.pes[i].mode != PeMode::Mimd
-            || self.pes[i].pending.is_some()
-            || self.pe_faults[i].is_some()
-        {
+        let pe = &mut self.pes[i];
+        if pe.mode != PeMode::Mimd || pe.pending.is_some() {
             return false;
         }
-        let Some(compiled) = self.pes[i].compiled.clone() else {
+        // A faulted PE has no table (see `apply_fault_plan`).
+        let Some(compiled) = pe.compiled.as_deref() else {
             return false;
         };
-        let pe = &mut self.pes[i];
-        let bus = &mut MainOnlyBus(&mut pe.mem);
-        let acc = &mut self.acct.pe[i];
-        let timing = self.cfg.pe_dram;
+        if compiled.meta.get(pe.cpu.pc).is_none_or(|m| m.stop) {
+            return false;
+        }
         let Some(end) = exec_batch(
             &mut pe.cpu,
-            bus,
-            &compiled,
-            acc,
+            &mut MainOnlyBus(&mut pe.mem),
+            compiled,
+            &mut self.acct.pe[i],
             pe.ready_at,
-            timing,
+            self.cfg.pe_dram,
             self.cfg.max_cycles,
         ) else {
             return false;
@@ -645,9 +644,12 @@ impl Machine {
 
         let (instr, simd_delivered) = match self.pes[i].pending {
             Some(QueueEntry {
-                kind: EntryKind::Instr(ins),
+                kind: EntryKind::Instr(k),
                 ..
-            }) => (ins, true),
+            }) => {
+                let mc = &self.mcs[self.mc_of_pe(i)];
+                (mc.compiled.simd[k as usize].instr, true)
+            }
             _ => {
                 let pc = self.pes[i].cpu.pc;
                 let prog = &self.pes[i].program;
@@ -812,15 +814,24 @@ impl Machine {
 
     /// Lockstep release, then — on the fast path — the SIMD group step for
     /// as long as each release hands one broadcast instruction to its group
-    /// (see [`Machine::group_step`]).
+    /// (see [`Machine::group_step`]). The chain's bucket charges are added
+    /// to the PE accounts once, when it ends (see [`Chain`]).
     fn check_release_lockstep(&mut self, mc: usize) {
         let mut released = self.release_lockstep(mc);
-        if !self.fast_path {
+        if !self.fast_path || !matches!(released, Released::One(_)) {
             return;
         }
-        let mut budget = FAST_BATCH;
+        let mut chain = Chain {
+            budget: FAST_BATCH,
+            simd_ok: 0,
+            charged: 0,
+            charges: Default::default(),
+        };
         while let Released::One(rel) = released {
-            released = self.group_step(mc, rel, &mut budget);
+            released = self.group_step(mc, rel, &mut chain);
+        }
+        for pe in self.group_members(mc, chain.charged) {
+            chain.charges[self.group_bit(pe) as usize].flush(&mut self.acct.pe[pe]);
         }
     }
 
@@ -899,39 +910,58 @@ impl Machine {
     /// these rounds are the group's MC, its Fetch Unit controller and its
     /// other PEs, so [`Machine::group_horizon_clear`] first replays the MC's
     /// and the controller's events due before `rel.at`, and gives up if
-    /// anything else is due. Each round is preceded by the controller check
-    /// the scheduler makes (keeping its `fuc_blocked` side effect). A
-    /// PE whose operand is memory-mapped stays `Ready` for
-    /// [`Machine::step_pe`]. The step stops — returning
-    /// [`Released::Nothing`] — only between rounds, so the machine is always
-    /// left in a state the per-instruction path passes through.
-    fn group_step(&mut self, mc: usize, rel: Release, budget: &mut u32) -> Released {
-        let EntryKind::Instr(instr) = rel.kind else {
+    /// anything else is due. A round's release check runs only where it can
+    /// act ([`Machine::release_may_act`]). The horizon's last controller
+    /// check (with its `fuc_blocked` side effect) stands for the one the
+    /// scheduler makes before every round: only a pop changes the
+    /// controller's state, and a check in the rounds pops only when it
+    /// releases, which ends the step. A PE whose operand is memory-mapped
+    /// stays `Ready` for [`Machine::step_pe`]. The step stops
+    /// — returning [`Released::Nothing`] — only between rounds, so the
+    /// machine is always left in a state the per-instruction path passes
+    /// through.
+    fn group_step(&mut self, mc: usize, rel: Release, chain: &mut Chain) -> Released {
+        let EntryKind::Instr(k) = rel.kind else {
             return Released::Nothing;
         };
-        if block::is_stop(&instr)
-            || rel.at > self.cfg.max_cycles
-            || !self.group_horizon_clear(mc, rel, budget)
-        {
+        let meta = self.mcs[mc].compiled.simd[k as usize];
+        if meta.stop || rel.at > self.cfg.max_cycles || !self.group_horizon_clear(mc, rel, chain) {
             return Released::Nothing;
         }
-        let meta = InstrMeta::of(instr);
-        let cpw = self.cfg.fuc_cycles_per_word;
-        let mut left = rel.enabled.count_ones();
+        let b = Broadcast {
+            meta,
+            at: rel.at,
+            fetch: BurstClock::new(self.cfg.fu_sram, rel.at),
+            data: BurstClock::new(self.cfg.pe_dram, rel.at),
+        };
+        // Group bits of this release's PEs not yet visited, and of those
+        // not requesting again (not yet run, or left `Ready` by an MMIO
+        // operand).
+        let mut unvisited = rel.enabled;
+        let mut ready = rel.enabled;
         for pe in self.group_members(mc, rel.enabled) {
-            if self.fus[mc]
-                .next_move_completion(cpw)
-                .is_some_and(|c| c < rel.at)
-            {
-                return Released::Nothing;
-            }
-            left -= 1;
-            if !self.group_exec(pe, &meta, rel.at) {
+            let j = self.group_bit(pe);
+            unvisited &= !(1 << j);
+            if !self.group_exec(pe, &b, &mut chain.charges[j as usize]) {
                 continue;
             }
-            *budget -= 1;
-            let released = self.release_lockstep(mc);
-            if left == 0 {
+            ready &= !(1 << j);
+            chain.charged |= 1 << j;
+            chain.budget -= 1;
+            let queued = self.fus[mc].queue.len();
+            let released = if self.release_may_act(mc, ready) {
+                self.release_lockstep(mc)
+            } else {
+                Released::Nothing
+            };
+            // A check leaves no drained entry at the head and nothing
+            // enqueues during the rounds, so one that releases nothing
+            // pops nothing: the controller's state is the horizon's.
+            debug_assert!(
+                !matches!(released, Released::Nothing) || self.fus[mc].queue.len() == queued,
+                "a release check popped without releasing"
+            );
+            if unvisited == 0 {
                 return released;
             }
             if !matches!(released, Released::Nothing) {
@@ -943,6 +973,18 @@ impl Machine {
         Released::Nothing
     }
 
+    /// Whether [`Machine::release_lockstep`] on MC `mc` could change any
+    /// state, given that the group's PEs in `ready` (group bits) are not
+    /// requesting. It cannot on an empty queue, nor when the head enables
+    /// one of them: the check returns at the first enabled PE that is not
+    /// requesting, before it pops or releases anything.
+    fn release_may_act(&self, mc: usize, ready: u16) -> bool {
+        self.fus[mc]
+            .queue
+            .front()
+            .is_some_and(|head| head.mask & self.live[mc] & ready == 0)
+    }
+
     /// Whether nothing of MC `mc`'s group acts before its PEs run `rel` at
     /// `rel.at` (the group step's horizon). The MC's steps and controller
     /// moves due earlier are replayed inline, in the scheduler's order — the
@@ -950,7 +992,8 @@ impl Machine {
     /// as long as the release check they trigger releases nothing. The step
     /// ends at anything else:
     ///
-    /// * an enabled PE that is not a fault-free SIMD-mode PE;
+    /// * an enabled PE that is not a fault-free SIMD-mode PE (checked once
+    ///   per chain: neither changes while it runs);
     /// * another PE of the group `Ready` at or before `rel.at` (a tie is
     ///   settled by PE index, which this check does not model), or blocked
     ///   on the network (another group can wake it at any time);
@@ -958,16 +1001,18 @@ impl Machine {
     ///
     /// The MC and the controller lose a tie at `rel.at` to the PEs, which
     /// the scheduler picks first.
-    fn group_horizon_clear(&mut self, mc: usize, rel: Release, budget: &mut u32) -> bool {
+    fn group_horizon_clear(&mut self, mc: usize, rel: Release, chain: &mut Chain) -> bool {
         let rounds = rel.enabled.count_ones();
-        for pe in self.group_members(mc, rel.enabled) {
+        let unchecked = rel.enabled & !chain.simd_ok;
+        for pe in self.group_members(mc, unchecked) {
             if self.pes[pe].mode != PeMode::Simd || self.pe_faults[pe].is_some() {
                 return false;
             }
         }
+        chain.simd_ok |= unchecked;
         let cpw = self.cfg.fuc_cycles_per_word;
         loop {
-            if *budget < rounds {
+            if chain.budget < rounds {
                 return false;
             }
             for pe in self.group_members(mc, self.live[mc] & !rel.enabled) {
@@ -988,7 +1033,7 @@ impl Machine {
                 }
                 _ => return true,
             };
-            *budget -= 1;
+            chain.budget -= 1;
             if enqueued && !matches!(self.release_lockstep(mc), Released::Nothing) {
                 return false;
             }
@@ -996,22 +1041,27 @@ impl Machine {
     }
 
     /// One round of the group step: PE `i` executes the released broadcast
-    /// `m` at `now` on the main-memory-only bus with the charges
-    /// [`Machine::step_pe`] makes for a SIMD-delivered instruction (fetch
-    /// waits from the queue SRAM, data waits from PE DRAM), then requests
+    /// `b` on the main-memory-only bus with the charges [`Machine::step_pe`]
+    /// makes for a SIMD-delivered instruction (fetch waits from the queue
+    /// SRAM, data waits from PE DRAM), summed into `charges`, then requests
     /// its next word. Returns `false`, with nothing changed, if the
     /// instruction touched memory-mapped space.
-    fn group_exec(&mut self, i: usize, m: &InstrMeta, now: u64) -> bool {
+    fn group_exec(&mut self, i: usize, b: &Broadcast, charges: &mut Charges) -> bool {
         let pe = &mut self.pes[i];
-        let acc = &mut self.acct.pe[i];
-        let fetch = BurstClock::new(self.cfg.fu_sram, now);
-        let data = BurstClock::new(self.cfg.pe_dram, now);
-        let mut charges = Charges::default();
         let bus = &mut MainOnlyBus(&mut pe.mem);
-        let Some(end) = exec_one(&mut pe.cpu, bus, acc, m, now, &fetch, &data, &mut charges) else {
+        let acc = &mut self.acct.pe[i];
+        let Some(end) = exec_one(
+            &mut pe.cpu,
+            bus,
+            acc,
+            &b.meta,
+            b.at,
+            &b.fetch,
+            &b.data,
+            charges,
+        ) else {
             return false;
         };
-        charges.flush(acc);
         pe.pending = None;
         self.set_pe(i, PeState::AwaitSimd { since: end }, end);
         true
@@ -1081,20 +1131,17 @@ impl Machine {
     /// [`Machine::step_mc`]. MCs execute against plain memory (no MMIO), so
     /// the only exits are stops, the cycle budget, and the batch cap.
     fn try_fast_mc(&mut self, i: usize) -> bool {
-        let Some(compiled) = self.mcs[i].compiled.clone() else {
-            return false;
-        };
         let mc = &mut self.mcs[i];
-        let bus = &mut MemBus(&mut mc.mem);
-        let acc = &mut self.acct.mc[i];
-        let timing = self.cfg.mc_dram;
+        if mc.compiled.meta.get(mc.cpu.pc).is_none_or(|m| m.stop) {
+            return false;
+        }
         let Some(end) = exec_batch(
             &mut mc.cpu,
-            bus,
-            &compiled,
-            acc,
+            &mut MemBus(&mut mc.mem),
+            &mc.compiled,
+            &mut self.acct.mc[i],
             mc.ready_at,
-            timing,
+            self.cfg.mc_dram,
             self.cfg.max_cycles,
         ) else {
             return false;
@@ -1166,8 +1213,11 @@ impl Machine {
             Effect::Mc(op) => match op {
                 McEffect::SetMask(m) => self.fus[i].mask = m,
                 McEffect::Enqueue(b) => {
-                    let block = self.mcs[i].program.blocks[b as usize].clone();
-                    self.fus[i].command_block(&block, new_now + self.cfg.fuc_command_cycles);
+                    let mc = &self.mcs[i];
+                    let first = mc.compiled.simd_start[b as usize];
+                    let block = &mc.program.blocks[b as usize];
+                    let earliest = new_now + self.cfg.fuc_command_cycles;
+                    self.fus[i].command_block(first, block, earliest);
                     return true;
                 }
                 McEffect::EnqueueWords(c) => {
@@ -1219,6 +1269,31 @@ impl Machine {
 /// cooperative interrupt checks in [`Machine::run`] stay responsive. Purely a
 /// latency bound: where the loop breaks never changes simulated state.
 const FAST_BATCH: u32 = 4096;
+
+/// What one chain of SIMD group steps — one
+/// [`Machine::check_release_lockstep`] — carries from release to release.
+struct Chain {
+    /// Scheduler turns left before the chain yields (see [`FAST_BATCH`]).
+    budget: u32,
+    /// Group bits of the PEs found in SIMD mode and fault-free.
+    simd_ok: u16,
+    /// Group bits of the PEs with charges in `charges`.
+    charged: u16,
+    /// Bucket charges per group bit, flushed into the PE accounts when the
+    /// chain ends: bucket sums commute, and nothing reads an account while
+    /// the machine runs.
+    charges: [Charges; 16],
+}
+
+/// A released broadcast instruction as every enabled PE runs it: its
+/// compiled metadata, the release cycle, and the queue SRAM and PE DRAM
+/// refresh clocks at that cycle.
+struct Broadcast {
+    meta: InstrMeta,
+    at: u64,
+    fetch: BurstClock,
+    data: BurstClock,
+}
 
 /// A head entry the lockstep release handed to its enabled PEs.
 #[derive(Clone, Copy)]
@@ -1372,7 +1447,7 @@ impl Charges {
         end
     }
 
-    fn flush(self, acc: &mut CycleAccount) {
+    fn flush(&self, acc: &mut CycleAccount) {
         acc.charge(Bucket::Compute, self.compute);
         acc.charge(Bucket::MultiplyVariance, self.variance);
         acc.charge(Bucket::Fetch, self.fetch);

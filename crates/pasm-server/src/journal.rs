@@ -146,6 +146,12 @@ impl JobJournal {
         self.log.sync()
     }
 
+    /// Fsync pending events if the interval policy says they are due
+    /// ([`SegmentLog::sync_due`]).
+    pub fn sync_due(&self) -> io::Result<()> {
+        self.log.sync_due()
+    }
+
     /// Events appended by this process.
     pub fn appends(&self) -> u64 {
         self.log.appends()

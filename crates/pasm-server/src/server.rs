@@ -236,13 +236,15 @@ impl Server {
 
         // Deadline watchdog: a *running* job past its deadline gets its
         // interrupt flag tripped and ends `failed` — no worker thread is
-        // ever killed, the simulation stops cooperatively.
+        // ever killed, the simulation stops cooperatively. The same tick
+        // fsyncs what an `interval` policy left unsynced.
         let wd_state = Arc::clone(&state);
         let watchdog = thread::Builder::new()
             .name("pasm-watchdog".into())
             .spawn(move || {
                 while !wd_state.watchdog_stop.load(Ordering::SeqCst) {
                     fire_watchdog(&wd_state);
+                    sync_due_logs(&wd_state);
                     thread::sleep(Duration::from_millis(5));
                 }
             })?;
@@ -786,6 +788,21 @@ fn finish_failed(state: &AppState, job_id: u64, failure: JobFailure, wall_ms: u6
         };
     }
     with_journal(state, |j| j.terminal(terminal, job_id));
+}
+
+/// Fsync the durable logs' appends that an `interval` fsync policy has
+/// left unsynced for longer than the interval: without this, the last
+/// records before a quiet period would wait for the next append. A no-op
+/// under `always` and `never`. A failed fsync leaves the log dirty, so the
+/// next append (which reports its error) or the drain tries again.
+fn sync_due_logs(state: &AppState) {
+    if let Some(d) = state.durability.get() {
+        let _ = d.store.sync_due();
+        let _ = d.journal.sync_due();
+    }
+    if let Some(spans) = state.spans.get() {
+        let _ = spans.sync_due();
+    }
 }
 
 /// One watchdog sweep: trip the interrupt of every running job whose

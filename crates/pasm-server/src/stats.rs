@@ -107,14 +107,6 @@ pub struct Stats {
     /// Simulated cycles summed over completed jobs (cache hits included —
     /// this measures *served* simulation volume).
     pub total_cycles: AtomicU64,
-    /// Host wall-clock milliseconds summed over completed simulations.
-    pub total_wall_ms: AtomicU64,
-    /// Wall-clock milliseconds summed over **cold** (uncached) runs only.
-    pub total_cold_wall_ms: AtomicU64,
-    /// Completions served from the cache.
-    pub completed_hit: AtomicU64,
-    /// Completions that actually simulated.
-    pub completed_cold: AtomicU64,
     /// Simulator invocations (one per worker attempt that reached the
     /// simulator). The query tier serves stored spans, so query traffic must
     /// never move this counter — the integration tests assert exactly that.
@@ -169,14 +161,9 @@ impl Stats {
     ) {
         self.total_cycles
             .fetch_add(result.cycles, Ordering::Relaxed);
-        self.total_wall_ms.fetch_add(wall_ms, Ordering::Relaxed);
         if cache_hit {
-            self.completed_hit.fetch_add(1, Ordering::Relaxed);
             self.hit_latency.observe(wall_ms);
         } else {
-            self.completed_cold.fetch_add(1, Ordering::Relaxed);
-            self.total_cold_wall_ms
-                .fetch_add(wall_ms, Ordering::Relaxed);
             self.cold_latency.observe(wall_ms);
             for (total, v) in self.sim_buckets.iter().zip(result.pe_buckets.iter()) {
                 total.fetch_add(*v, Ordering::Relaxed);

@@ -71,6 +71,12 @@ impl ResultStore {
         self.log.sync()
     }
 
+    /// Fsync pending appends if the interval policy says they are due
+    /// ([`SegmentLog::sync_due`]).
+    pub fn sync_due(&self) -> io::Result<()> {
+        self.log.sync_due()
+    }
+
     /// Records appended by this process.
     pub fn appends(&self) -> u64 {
         self.log.appends()

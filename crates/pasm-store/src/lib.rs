@@ -595,6 +595,15 @@ impl SpanStore {
         }
     }
 
+    /// Fsync pending appends if the interval policy says they are due
+    /// ([`SegmentLog::sync_due`]; no-op in memory).
+    pub fn sync_due(&self) -> io::Result<()> {
+        match &self.backing {
+            Backing::Disk { log, .. } => log.sync_due(),
+            Backing::Memory => Ok(()),
+        }
+    }
+
     /// Records appended by this process.
     pub fn appends(&self) -> u64 {
         match &self.backing {

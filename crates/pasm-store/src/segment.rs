@@ -47,8 +47,9 @@
 //!
 //! [`FsyncPolicy`] trades durability for append throughput: `always` fsyncs
 //! every append (a completed job survives any crash), `interval` bounds the
-//! loss window by wall-clock time, `never` leaves flushing to the OS. The
-//! `durabench` benchmark measures the cost of each policy.
+//! loss window by wall-clock time (with a periodic [`SegmentLog::sync_due`]
+//! for the appends a quiet period follows), `never` leaves flushing to the
+//! OS. The `durabench` benchmark measures the cost of each policy.
 //!
 //! ## Crash injection (test-only)
 //!
@@ -83,7 +84,11 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
 pub enum FsyncPolicy {
     /// Fsync after every append: a record acknowledged is a record durable.
     Always,
-    /// Fsync at most once per interval: bounds the loss window in wall time.
+    /// Fsync at most once per interval: an append fsyncs once the interval
+    /// has passed since the last fsync, and [`SegmentLog::sync_due`], called
+    /// periodically, catches appends followed by a quiet period. The loss
+    /// window is then bounded in wall time by the interval plus the caller's
+    /// period.
     Interval(Duration),
     /// Never fsync explicitly; the OS flushes when it pleases.
     Never,
@@ -429,14 +434,30 @@ impl SegmentLog {
         self.appends.fetch_add(1, Ordering::Relaxed);
         match self.policy {
             FsyncPolicy::Always => self.sync_locked(&mut w)?,
-            FsyncPolicy::Interval(every) => {
-                if w.last_sync.elapsed() >= every {
-                    self.sync_locked(&mut w)?;
-                }
-            }
+            FsyncPolicy::Interval(every) => self.sync_locked_if_due(&mut w, every)?,
             FsyncPolicy::Never => {}
         }
         Ok(loc)
+    }
+
+    /// Under [`FsyncPolicy::Interval`], fsync unsynced appends once the
+    /// interval has passed since the last fsync; a no-op under the other
+    /// policies (`always` leaves nothing unsynced). An append applies the
+    /// same rule, but only when it happens: call this periodically so the
+    /// last records before a quiet period reach the disk too.
+    pub fn sync_due(&self) -> io::Result<()> {
+        let FsyncPolicy::Interval(every) = self.policy else {
+            return Ok(());
+        };
+        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        self.sync_locked_if_due(&mut w, every)
+    }
+
+    fn sync_locked_if_due(&self, w: &mut LogWriter, every: Duration) -> io::Result<()> {
+        if w.last_sync.elapsed() >= every {
+            self.sync_locked(w)?;
+        }
+        Ok(())
     }
 
     fn sync_locked(&self, w: &mut LogWriter) -> io::Result<()> {
@@ -551,6 +572,38 @@ mod tests {
         )
         .unwrap();
         (log, seen, stats)
+    }
+
+    /// `interval` fsyncs the appends a quiet period follows once
+    /// `sync_due` runs after the interval, and a clean log never fsyncs.
+    #[test]
+    fn interval_sync_due_covers_idle_periods() {
+        let dir = tmpdir("interval");
+        let every = Duration::from_millis(100);
+        let (log, _) = SegmentLog::open(
+            &dir,
+            FsyncPolicy::Interval(every),
+            DEFAULT_SEGMENT_BYTES,
+            None,
+            |_, _| {},
+        )
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+        log.sync_due().unwrap();
+        assert_eq!(log.fsyncs(), 0, "a clean log does not fsync");
+        for i in 0..3u32 {
+            log.append(format!("record-{i}").as_bytes()).unwrap();
+        }
+        // The first append was due and fsynced; the other two ride in OS
+        // buffers until the interval passes again.
+        assert_eq!(log.fsyncs(), 1);
+        std::thread::sleep(Duration::from_millis(150));
+        log.sync_due().unwrap();
+        assert_eq!(log.fsyncs(), 2);
+        log.sync_due().unwrap();
+        assert_eq!(log.fsyncs(), 2, "nothing left to sync");
+        drop(log);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
