@@ -193,24 +193,6 @@ pub fn opcode_index(instr: &Instr) -> usize {
 /// `DIVS`, in [`OPCODE_NAMES`] order.
 const MUL_DIV: Range<usize> = 16..20;
 
-/// The floor of an instruction's data-dependent cycles (the `mulu_cycles`
-/// field of its step result): what a variable-time opcode costs at the
-/// least, so that only the cycles beyond it land in
-/// [`Bucket::MultiplyVariance`]. Zero for every other opcode, whose
-/// `mulu_cycles` is zero too.
-pub fn variance_floor(instr: &Instr) -> u32 {
-    match instr {
-        // MULU/MULS: 38 + 2·(bit measure); the measure can be zero.
-        Instr::Mulu { .. } | Instr::Muls { .. } => 38,
-        // DIVU: 76 + 4·(quotient zeros); the overflow early-out (10) is
-        // data-dependent too but below the floor, so it saturates to 0.
-        Instr::Divu { .. } => 76,
-        // DIVS adds a constant 8-cycle sign fix-up to the DIVU core.
-        Instr::Divs { .. } => 84,
-        _ => 0,
-    }
-}
-
 /// A closed instrumentation-phase interval on one component's local timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSpan {
@@ -428,22 +410,31 @@ mod tests {
         assert_eq!(OPCODE_NAMES.len(), N_OPCODES);
     }
 
+    /// The `multiply_variance` charge is the core time beyond the opcode's
+    /// floor: 38 for MULU/MULS, 76 for DIVU, 84 for DIVS.
     #[test]
     fn variance_is_cycles_beyond_minimum() {
-        let variance = |i: &Instr, dd: u32| dd.saturating_sub(variance_floor(i));
-        let mul = Instr::Mulu {
-            src: Ea::D(DataReg::D1),
-            dst: DataReg::D0,
-        };
-        assert_eq!(variance(&mul, 38), 0);
-        assert_eq!(variance(&mul, 70), 32);
-        assert_eq!(variance(&Instr::Nop, 0), 0);
-        let div = Instr::Divu {
-            src: Ea::D(DataReg::D1),
-            dst: DataReg::D0,
-        };
-        assert_eq!(variance(&div, 10), 0, "overflow early-out");
-        assert_eq!(variance(&div, 76 + 4 * 15), 60);
+        use pasm_isa::timing::{variance_cycles, DynTerm};
+        // `dynamic` is the core time minus the split's static part: 38 for
+        // the multiplies, 10 (DIVU) and 18 (DIVS) for the divides.
+        assert_eq!(variance_cycles(DynTerm::MuluOnes, 38 - 38), 0);
+        assert_eq!(variance_cycles(DynTerm::MuluOnes, 70 - 38), 32);
+        assert_eq!(variance_cycles(DynTerm::MulsTransitions, 40 - 38), 2);
+        assert_eq!(variance_cycles(DynTerm::None, 0), 0);
+        assert_eq!(variance_cycles(DynTerm::ShiftCount, 16), 0);
+        assert_eq!(
+            variance_cycles(DynTerm::DivuQuotient, 10 - 10),
+            0,
+            "overflow early-out"
+        );
+        assert_eq!(variance_cycles(DynTerm::DivuQuotient, 76 - 10), 0);
+        assert_eq!(variance_cycles(DynTerm::DivuQuotient, 76 + 4 * 15 - 10), 60);
+        assert_eq!(
+            variance_cycles(DynTerm::DivsQuotient, 20 - 18),
+            0,
+            "negative early-out"
+        );
+        assert_eq!(variance_cycles(DynTerm::DivsQuotient, 84 + 6 - 18), 6);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! exists only while the MC keeps it non-empty. Both the capacity stall (full)
 //! and the empty stall are modeled and counted.
 
-use pasm_isa::Instr;
+use crate::block::InstrMeta;
 use std::collections::VecDeque;
 
 /// What a queue entry carries.
@@ -114,15 +114,14 @@ impl FetchUnit {
         self.pending.is_empty()
     }
 
-    /// Queue an MC command: move `block` (a list of instructions, whose
-    /// first is compiled SIMD entry `first`) starting no earlier than
-    /// `earliest`.
-    pub fn command_block(&mut self, first: u32, block: &[Instr], earliest: u64) {
-        for (k, i) in (first..).zip(block) {
+    /// Queue an MC command: move `block` (compiled SIMD entries, the first
+    /// of which is entry `first`) starting no earlier than `earliest`.
+    pub fn command_block(&mut self, first: u32, block: &[InstrMeta], earliest: u64) {
+        for (k, m) in (first..).zip(block) {
             self.pending.push_back(FucItem {
                 kind: EntryKind::Instr(k),
                 mask: self.mask,
-                words: i.words().max(1),
+                words: m.split.fetch_words.max(1),
                 earliest,
             });
         }
@@ -190,12 +189,17 @@ impl FetchUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pasm_isa::Instr;
+
+    fn metas(instrs: &[Instr]) -> Vec<InstrMeta> {
+        instrs.iter().map(|&i| InstrMeta::of(i)).collect()
+    }
 
     #[test]
     fn commands_snapshot_mask() {
         let mut fu = FetchUnit::new(64);
         fu.mask = 0b0101;
-        fu.command_block(0, &[Instr::Nop], 0);
+        fu.command_block(0, &metas(&[Instr::Nop]), 0);
         fu.mask = 0b1111;
         fu.command_data_words(1, 0);
         assert_eq!(fu.pending[0].mask, 0b0101);
@@ -205,7 +209,7 @@ mod tests {
     #[test]
     fn controller_moves_in_fifo_order() {
         let mut fu = FetchUnit::new(64);
-        fu.command_block(0, &[Instr::Nop, Instr::Halt], 10);
+        fu.command_block(0, &metas(&[Instr::Nop, Instr::Halt]), 10);
         let c1 = fu.next_move_completion(2).unwrap();
         assert_eq!(c1, 10 + 2); // NOP = 1 word * 2 cycles, starting at 10
         fu.do_move(c1);
@@ -221,7 +225,7 @@ mod tests {
     #[test]
     fn capacity_blocks_and_pop_unblocks() {
         let mut fu = FetchUnit::new(2);
-        fu.command_block(0, &[Instr::Nop, Instr::Nop, Instr::Nop], 0);
+        fu.command_block(0, &metas(&[Instr::Nop; 3]), 0);
         let c = fu.next_move_completion(1).unwrap();
         fu.do_move(c);
         let c = fu.next_move_completion(1).unwrap();

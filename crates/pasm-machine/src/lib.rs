@@ -41,7 +41,7 @@ pub mod trace;
 pub use account::{
     Bucket, CycleAccount, MachineAccounts, PhaseSpan, BUCKET_NAMES, N_BUCKETS, N_PHASES,
 };
-pub use block::{CompiledBlock, CompiledProgram, InstrMeta};
+pub use block::{CompiledProgram, InstrMeta};
 pub use config::{MachineConfig, ReleaseMode};
 pub use cpu::{Cpu, Effect, StepOutcome};
 pub use fault::{FaultPlan, PeFault, PeFaultSpec};

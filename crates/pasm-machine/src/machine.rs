@@ -9,12 +9,10 @@
 //! actual polling instructions, and SIMD superlinearity from the MC executing
 //! control flow while its PEs compute.
 
-use crate::account::{variance_floor, Bucket, CycleAccount, MachineAccounts};
+use crate::account::{Bucket, CycleAccount, MachineAccounts};
 use crate::block::{self, CompiledProgram, InstrMeta};
 use crate::config::{MachineConfig, ReleaseMode};
-use crate::cpu::{
-    exec, exec_timed, Block, Bus, Cpu, Effect, McEffect, MemBus, StepOutcome, StepResult,
-};
+use crate::cpu::{exec_timed, Block, Bus, Cpu, Effect, McEffect, MemBus, StepOutcome, StepResult};
 use crate::fault::{FaultPlan, PeFault};
 use crate::fetch_unit::{EntryKind, FetchUnit, FuStats, QueueEntry};
 use crate::trace::{McTrace, PeTrace};
@@ -84,7 +82,6 @@ struct NetState {
 struct Pe {
     cpu: Cpu,
     mem: Memory,
-    program: Program,
     mode: PeMode,
     state: PeState,
     ready_at: u64,
@@ -92,19 +89,18 @@ struct Pe {
     pending: Option<QueueEntry>,
     /// Queue cursor for `ReleaseMode::Decoupled`.
     cursor: usize,
-    /// Block table of `program`, shared via the machine's fingerprint cache;
-    /// `None` forces the per-instruction path (fault-plan invalidation).
-    compiled: Option<Arc<CompiledProgram>>,
+    /// The loaded program's instruction table, shared via the machine's
+    /// fingerprint cache (empty until a program is loaded).
+    compiled: Arc<CompiledProgram>,
 }
 
 struct Mc {
     cpu: Cpu,
     mem: Memory,
-    program: Program,
     state: McState,
     ready_at: u64,
-    /// Block table of `program`, with its SIMD blocks compiled: the queue
-    /// entries of this MC's Fetch Unit index [`CompiledProgram::simd`].
+    /// The loaded program's instruction table, SIMD blocks included: the
+    /// queue entries of this MC's Fetch Unit index [`CompiledProgram::simd`].
     compiled: Arc<CompiledProgram>,
 }
 
@@ -210,10 +206,10 @@ pub struct Machine {
     live: Vec<u16>,
     /// Cooperative cancellation: checked periodically by [`Machine::run`].
     interrupt: Option<Arc<AtomicBool>>,
-    /// Block tables keyed by program fingerprint; components running the same
-    /// program (every PE of a data-parallel kernel) share one compilation.
+    /// Instruction tables keyed by program fingerprint; components running
+    /// the same program (every PE of a data-parallel kernel) share one.
     block_cache: HashMap<u64, Arc<CompiledProgram>>,
-    /// Block-compiled fast path enabled (default). Timing and accounting are
+    /// Fast path enabled (default). Timing and accounting are
     /// byte-identical either way — gated by the equivalence tests.
     fast_path: bool,
 }
@@ -232,20 +228,18 @@ impl Machine {
             .map(|_| Pe {
                 cpu: Cpu::default(),
                 mem: Memory::new(cfg.pe_mem_bytes),
-                program: Program::default(),
                 mode: PeMode::Mimd,
                 state: PeState::Idle,
                 ready_at: 0,
                 pending: None,
                 cursor: 0,
-                compiled: None,
+                compiled: Arc::default(),
             })
             .collect();
         let mcs = (0..cfg.n_mcs)
             .map(|_| Mc {
                 cpu: Cpu::default(),
                 mem: Memory::new(1 << 16),
-                program: Program::default(),
                 state: McState::Idle,
                 ready_at: 0,
                 compiled: Arc::default(),
@@ -282,7 +276,7 @@ impl Machine {
         }
     }
 
-    /// Enable or disable the block-compiled fast path (enabled by default).
+    /// Enable or disable the fast path (enabled by default).
     /// Disabling it forces the per-instruction interpreter everywhere; the
     /// simulated timing, traces and cycle accounts are identical either way.
     /// Like [`Machine::set_accounting`], this is deliberately not part of
@@ -292,13 +286,7 @@ impl Machine {
         self.fast_path = enabled;
     }
 
-    /// The block table a PE's loaded program compiled to (diagnostics), or
-    /// `None` if the PE was invalidated back to the per-instruction path.
-    pub fn pe_compiled(&self, pe: usize) -> Option<&CompiledProgram> {
-        self.pes[pe].compiled.as_deref()
-    }
-
-    /// Fetch or build the shared block table for a program.
+    /// Fetch or build the shared instruction table for a program.
     fn compile_program(&mut self, program: &Program) -> Arc<CompiledProgram> {
         let fp = block::program_fingerprint(program);
         if let Some(c) = self.block_cache.get(&fp) {
@@ -353,17 +341,13 @@ impl Machine {
     /// Load a PE's MIMD program.
     pub fn load_pe_program(&mut self, pe: usize, program: Program) {
         program.validate().expect("invalid PE program");
-        let compiled = self.compile_program(&program);
-        self.pes[pe].program = program;
-        self.pes[pe].compiled = (self.pe_faults[pe].is_none()).then_some(compiled);
+        self.pes[pe].compiled = self.compile_program(&program);
     }
 
     /// Load an MC's control program.
     pub fn load_mc_program(&mut self, mc: usize, program: Program) {
         program.validate().expect("invalid MC program");
-        let compiled = self.compile_program(&program);
-        self.mcs[mc].program = program;
-        self.mcs[mc].compiled = compiled;
+        self.mcs[mc].compiled = self.compile_program(&program);
         self.set_mc(mc, McState::Ready, self.mcs[mc].ready_at);
     }
 
@@ -405,10 +389,6 @@ impl Machine {
                 let mc = self.mc_of_pe(spec.pe);
                 self.live[mc] &= !(1 << self.group_bit(spec.pe));
             }
-            // A faulted PE's timing model no longer matches its block table
-            // (slow-PE wait states, stuck ports): drop it so the PE re-enters
-            // the per-instruction path. Unaffected PEs keep their tables.
-            self.pes[spec.pe].compiled = None;
         }
         Ok(())
     }
@@ -456,7 +436,10 @@ impl Machine {
     /// A dead PE silently refuses to start — exactly like real hardware that
     /// never answers.
     pub fn start_pe(&mut self, pe: usize, at: u64) {
-        assert!(!self.pes[pe].program.is_empty(), "PE {pe} has no program");
+        assert!(
+            !self.pes[pe].compiled.meta.is_empty(),
+            "PE {pe} has no program"
+        );
         if self.is_dead(pe) {
             return;
         }
@@ -596,7 +579,7 @@ impl Machine {
     // PE stepping
     // ------------------------------------------------------------------
 
-    /// Block-compiled fast path for a PE: execute straight-line MIMD work
+    /// Fast path for a PE: execute straight-line MIMD work
     /// without returning to the event scheduler between instructions.
     ///
     /// Sound because a Ready MIMD-mode PE touching only its own memory cannot
@@ -611,20 +594,18 @@ impl Machine {
     /// Returns `true` if at least one instruction was executed.
     fn try_fast_pe(&mut self, i: usize) -> bool {
         let pe = &mut self.pes[i];
-        if pe.mode != PeMode::Mimd || pe.pending.is_some() {
+        // A faulted PE's timing differs from the main-memory bus's (slow-PE
+        // wait states, stuck ports): it takes the per-instruction path.
+        if pe.mode != PeMode::Mimd || pe.pending.is_some() || self.pe_faults[i].is_some() {
             return false;
         }
-        // A faulted PE has no table (see `apply_fault_plan`).
-        let Some(compiled) = pe.compiled.as_deref() else {
-            return false;
-        };
-        if compiled.meta.get(pe.cpu.pc).is_none_or(|m| m.stop) {
+        if pe.compiled.meta.get(pe.cpu.pc).is_none_or(|m| m.stop) {
             return false;
         }
         let Some(end) = exec_batch(
             &mut pe.cpu,
             &mut MainOnlyBus(&mut pe.mem),
-            compiled,
+            &pe.compiled,
             &mut self.acct.pe[i],
             pe.ready_at,
             self.cfg.pe_dram,
@@ -642,24 +623,23 @@ impl Machine {
         }
         let now = self.pes[i].ready_at;
 
-        let (instr, simd_delivered) = match self.pes[i].pending {
+        let (meta, simd_delivered) = match self.pes[i].pending {
             Some(QueueEntry {
                 kind: EntryKind::Instr(k),
                 ..
             }) => {
                 let mc = &self.mcs[self.mc_of_pe(i)];
-                (mc.compiled.simd[k as usize].instr, true)
+                (mc.compiled.simd[k as usize], true)
             }
             _ => {
                 let pc = self.pes[i].cpu.pc;
-                let prog = &self.pes[i].program;
-                assert!(
-                    pc < prog.instrs.len(),
-                    "PE {i}: pc {pc} fell off the program"
-                );
-                (prog.instrs[pc], false)
+                let Some(&m) = self.pes[i].compiled.meta.get(pc) else {
+                    panic!("PE {i}: pc {pc} fell off the program");
+                };
+                (m, false)
             }
         };
+        let instr = meta.instr;
 
         // Execute against the PE bus.
         let outcome;
@@ -684,7 +664,7 @@ impl Machine {
                 wrote_net_to: None,
                 consumed_rx: false,
             };
-            outcome = exec(&mut pe.cpu, &mut bus, &instr);
+            outcome = exec_timed(&mut pe.cpu, &mut bus, &instr, &meta.split);
             extra_cycles = bus.extra_cycles;
             detour_cycles = bus.detour_cycles;
             wrote_net_to = bus.wrote_net_to;
@@ -731,7 +711,7 @@ impl Machine {
         };
         let acc = &mut self.acct.pe[i];
         let mut charges = Charges::default();
-        let new_now = charges.charge(acc, &instr, variance_floor(&instr), &r, now, waits);
+        let new_now = charges.charge(acc, &instr, &r, now, waits);
         charges.flush(acc);
         acc.net_bytes_sent += wrote_net_to.is_some() as u64;
 
@@ -1124,7 +1104,7 @@ impl Machine {
     // MC stepping
     // ------------------------------------------------------------------
 
-    /// Block-compiled fast path for an MC: the control-flow arithmetic between
+    /// Fast path for an MC: the control-flow arithmetic between
     /// Fetch-Unit commands runs without scheduler round-trips. Every
     /// Fetch-Unit command (and `HALT`) is a stop instruction, so interaction
     /// points — including the enqueue stall check — always go through
@@ -1164,11 +1144,10 @@ impl Machine {
         }
         let now = self.mcs[i].ready_at;
         let pc = self.mcs[i].cpu.pc;
-        assert!(
-            pc < self.mcs[i].program.instrs.len(),
-            "MC {i}: pc {pc} fell off the program"
-        );
-        let instr = self.mcs[i].program.instrs[pc];
+        let Some(&meta) = self.mcs[i].compiled.meta.get(pc) else {
+            panic!("MC {i}: pc {pc} fell off the program");
+        };
+        let instr = meta.instr;
 
         // An enqueue command stalls until the controller finished the previous
         // command (single command register).
@@ -1181,7 +1160,7 @@ impl Machine {
 
         let outcome = {
             let mc = &mut self.mcs[i];
-            exec(&mut mc.cpu, &mut MemBus(&mut mc.mem), &instr)
+            exec_timed(&mut mc.cpu, &mut MemBus(&mut mc.mem), &instr, &meta.split)
         };
         let r = match outcome {
             StepOutcome::Done(r) => r,
@@ -1200,7 +1179,7 @@ impl Machine {
         };
         let acc = &mut self.acct.mc[i];
         let mut charges = Charges::default();
-        let new_now = charges.charge(acc, &instr, variance_floor(&instr), &r, now, waits);
+        let new_now = charges.charge(acc, &instr, &r, now, waits);
         charges.flush(acc);
         self.set_mc(i, McState::Ready, new_now);
 
@@ -1213,9 +1192,7 @@ impl Machine {
             Effect::Mc(op) => match op {
                 McEffect::SetMask(m) => self.fus[i].mask = m,
                 McEffect::Enqueue(b) => {
-                    let mc = &self.mcs[i];
-                    let first = mc.compiled.simd_start[b as usize];
-                    let block = &mc.program.blocks[b as usize];
+                    let (first, block) = self.mcs[i].compiled.simd_block(b as usize);
                     let earliest = new_now + self.cfg.fuc_command_cycles;
                     self.fus[i].command_block(first, block, earliest);
                     return true;
@@ -1228,7 +1205,8 @@ impl Machine {
                         if self.is_dead(pe) {
                             continue;
                         }
-                        if self.pes[pe].state == PeState::Idle && !self.pes[pe].program.is_empty() {
+                        let loaded = !self.pes[pe].compiled.meta.is_empty();
+                        if self.pes[pe].state == PeState::Idle && loaded {
                             self.set_pe(pe, PeState::Ready, new_now);
                             self.acct.pe[pe].started_at = new_now;
                         }
@@ -1372,7 +1350,7 @@ fn exec_one<B: Bus>(
     data: &BurstClock,
     charges: &mut Charges,
 ) -> Option<u64> {
-    let StepOutcome::Done(r) = exec_timed(cpu, bus, &m.instr, Some(&m.split)) else {
+    let StepOutcome::Done(r) = exec_timed(cpu, bus, &m.instr, &m.split) else {
         return None;
     };
     // Only `Mark` has an effect here: every other effectful instruction is
@@ -1386,7 +1364,7 @@ fn exec_one<B: Bus>(
         data: data.burst_delay(fetch_wait, r.data_accesses),
         ..Waits::default()
     };
-    Some(charges.charge(acc, &m.instr, m.variance_min, &r, now, waits))
+    Some(charges.charge(acc, &m.instr, &r, now, waits))
 }
 
 /// Cycles one executed instruction spent beyond its core cycles, by cause.
@@ -1419,19 +1397,17 @@ struct Charges {
 
 impl Charges {
     /// Charge one instruction that started at `now` and return its end time.
-    /// `variance_min` is the opcode's [`variance_floor`]. The opcode
-    /// histogram and the phase marks go straight to `acc`.
+    /// The opcode histogram and the phase marks go straight to `acc`.
     #[inline(always)]
     fn charge(
         &mut self,
         acc: &mut CycleAccount,
         instr: &Instr,
-        variance_min: u32,
         r: &StepResult,
         now: u64,
         w: Waits,
     ) -> u64 {
-        let var = r.mulu_cycles.saturating_sub(variance_min) as u64;
+        let var = r.variance as u64;
         self.compute += r.cycles as u64 - var;
         self.variance += var;
         self.fetch += w.fetch;

@@ -13,15 +13,12 @@
 //! * [`workload`] — seeded matrices (identity A, uniform-random B, and
 //!   bit-density-controlled variants for ablations) plus a host reference
 //!   multiply for verification,
-//! * [`blocks`] — block-structure profiles of generated programs (how much
-//!   of each program the `pasm-machine` block compiler can fold statically),
 //! * [`layout`] — the columnar in-memory data layout shared by all variants,
 //! * [`codegen`] — the common register conventions and code idioms, kept
 //!   identical across variants so that mode effects are the only difference,
 //!   and the two programs every kernel shares: the SIMD PE bootstrap and the
 //!   MIMD/S-MIMD MC program.
 
-pub mod blocks;
 pub mod codegen;
 pub mod layout;
 pub mod matmul;
@@ -30,7 +27,6 @@ pub mod mode;
 pub mod reduction;
 pub mod workload;
 
-pub use blocks::BlockProfile;
 pub use layout::Layout;
 pub use matmul::{select_vm, CommSync, MatmulParams, VirtualMachine};
 pub use mode::Mode;
