@@ -16,10 +16,6 @@ pub enum BoxMode {
     Straight,
     /// Upper→lower, lower→upper.
     Exchange,
-    /// One input drives **both** outputs (the broadcast setting of the
-    /// generalized-cube interchange box). Monopolizes the box: no other
-    /// circuit may share it.
-    Broadcast,
 }
 
 /// One box traversal of a routed path.
@@ -45,8 +41,7 @@ pub struct Path {
     pub hops: Vec<Hop>,
     /// Line trajectory: `lines[b]` is the line entering stage position `b`
     /// (even across bypassed stages, whose inter-stage links are still
-    /// traversed); `lines[m + 1]` is the destination. Empty for broadcast
-    /// trees, whose link usage is checked at route time instead.
+    /// traversed); `lines[m + 1]` is the destination.
     pub lines: Vec<usize>,
 }
 
@@ -147,15 +142,6 @@ impl EscNetwork {
             "reconfigure only with no circuits up"
         );
         self.extra_enabled = on;
-    }
-
-    /// Enable/disable the output cube₀ stage.
-    pub fn set_output_enabled(&mut self, on: bool) {
-        assert!(
-            self.circuits.is_empty(),
-            "reconfigure only with no circuits up"
-        );
-        self.output_enabled = on;
     }
 
     /// Whether the extra stage is in the data path.
@@ -320,123 +306,8 @@ impl EscNetwork {
     pub fn path_available(&self, path: &Path) -> bool {
         path.hops.iter().all(|h| {
             let b = &self.boxes[h.stage as usize][h.box_idx];
-            !b.faulty
-                && !b.port_used[h.port]
-                && (b.mode.is_none() || (b.mode == Some(h.mode) && h.mode != BoxMode::Broadcast))
+            !b.faulty && !b.port_used[h.port] && b.mode.is_none_or(|m| m == h.mode)
         })
-    }
-
-    /// Compute the one-to-all broadcast tree from `src`: at every enabled
-    /// stage each reached line's box is set to [`BoxMode::Broadcast`], doubling
-    /// the reached set, until all N outputs are covered. In SIMD machines this
-    /// is how a single PE's value (e.g. a pivot row) reaches every PE in one
-    /// network pass; the paper's matmul deliberately *avoids* it (its §4
-    /// discusses the p set-up cycles a broadcast approach would recur).
-    ///
-    /// Requires the output cube₀ stage to be enabled (the bypassed extra stage
-    /// is simply skipped). Returns the hops in stage order.
-    pub fn broadcast_route(&self, src: usize) -> Option<Vec<Hop>> {
-        if src >= self.n || !self.output_enabled {
-            return None;
-        }
-        let mut lines = vec![src];
-        let mut hops = Vec::new();
-        for stage in Stage::all(self.m) {
-            // Inter-stage links are traversed whether or not the stage's boxes
-            // are in the data path, so a faulted link kills the whole tree.
-            if stage.position >= 1
-                && lines
-                    .iter()
-                    .any(|&l| self.link_faulty[stage.position as usize][l])
-            {
-                return None;
-            }
-            let enabled = match stage.position {
-                0 => self.extra_enabled,
-                p if p == self.m => self.output_enabled,
-                _ => true,
-            };
-            if !enabled {
-                continue;
-            }
-            if stage.position == 0 {
-                // The extra stage (when enabled) passes the single line
-                // straight; broadcasting there would duplicate the cube_0 work.
-                hops.push(Hop {
-                    stage: 0,
-                    box_idx: box_index(src, 0),
-                    port: box_port(src, 0),
-                    mode: BoxMode::Straight,
-                });
-                continue;
-            }
-            let mut next = Vec::with_capacity(lines.len() * 2);
-            for &l in &lines {
-                hops.push(Hop {
-                    stage: stage.position,
-                    box_idx: box_index(l, stage.bit),
-                    port: box_port(l, stage.bit),
-                    mode: BoxMode::Broadcast,
-                });
-                next.push(l);
-                next.push(l ^ (1 << stage.bit));
-            }
-            lines = next;
-        }
-        debug_assert_eq!(lines.len(), self.n);
-        Some(hops)
-    }
-
-    /// Establish a one-to-all broadcast circuit from `src`. Broadcast claims
-    /// whole boxes, so it conflicts with *any* live circuit touching them.
-    pub fn establish_broadcast(&mut self, src: usize) -> Result<CircuitId, NetError> {
-        if src >= self.n {
-            return Err(NetError::BadEndpoint(src));
-        }
-        let hops = self.broadcast_route(src).ok_or(NetError::Unroutable {
-            src,
-            dst: usize::MAX,
-        })?;
-        let path = Path {
-            src,
-            dst: usize::MAX,
-            via_extra: false,
-            hops,
-            lines: vec![],
-        };
-        if !self.path_fault_free(&path) {
-            return Err(NetError::Unroutable {
-                src,
-                dst: usize::MAX,
-            });
-        }
-        // A broadcast box must be completely free (it drives both outputs).
-        let free = path.hops.iter().all(|h| {
-            let b = &self.boxes[h.stage as usize][h.box_idx];
-            match h.mode {
-                BoxMode::Broadcast => b.mode.is_none(),
-                _ => !b.port_used[h.port] && (b.mode.is_none() || b.mode == Some(h.mode)),
-            }
-        });
-        if !free {
-            return Err(NetError::Blocked {
-                src,
-                dst: usize::MAX,
-            });
-        }
-        let id = CircuitId(self.next_id);
-        self.next_id += 1;
-        for h in &path.hops {
-            let b = &mut self.boxes[h.stage as usize][h.box_idx];
-            b.mode = Some(h.mode);
-            if h.mode == BoxMode::Broadcast {
-                b.port_used = [true, true];
-            } else {
-                b.port_used[h.port] = true;
-            }
-        }
-        self.circuits.insert(id, path);
-        Ok(id)
     }
 
     /// Establish a circuit `src → dst`, trying the direct route first and the
@@ -515,11 +386,7 @@ impl EscNetwork {
             .ok_or(NetError::NoSuchCircuit(id))?;
         for h in &path.hops {
             let b = &mut self.boxes[h.stage as usize][h.box_idx];
-            if h.mode == BoxMode::Broadcast {
-                b.port_used = [false, false];
-            } else {
-                b.port_used[h.port] = false;
-            }
+            b.port_used[h.port] = false;
             if !b.port_used[0] && !b.port_used[1] {
                 b.mode = None;
             }
@@ -771,37 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_all_outputs() {
-        let net = fresh(16);
-        for src in 0..16 {
-            let hops = net.broadcast_route(src).unwrap();
-            // 1 + 2 + 4 + 8 broadcast hops over the 4 enabled stages.
-            assert_eq!(hops.len(), 15, "src {src}");
-            assert!(hops.iter().all(|h| h.mode == BoxMode::Broadcast));
-        }
-    }
-
-    #[test]
-    fn broadcast_establish_and_release() {
-        let mut net = fresh(8);
-        let id = net.establish_broadcast(3).unwrap();
-        // The broadcast monopolizes boxes: any unicast through them blocks.
-        assert!(matches!(net.establish(0, 1), Err(NetError::Blocked { .. })));
-        net.release(id).unwrap();
-        // Fully restored.
-        let id2 = net.establish(0, 1).unwrap();
-        net.release(id2).unwrap();
-    }
-
-    #[test]
-    fn broadcast_needs_the_output_stage() {
-        let mut net = fresh(8);
-        net.set_output_enabled(false);
-        assert!(net.broadcast_route(0).is_none());
-        assert!(net.establish_broadcast(0).is_err());
-    }
-
-    #[test]
     fn link_fault_forces_both_stages_and_disjoint_lines_survive() {
         let mut net = fresh(8);
         net.apply_faults(&[NetFault::Link {
@@ -887,6 +723,8 @@ mod tests {
         net.release(id).unwrap();
     }
 
+    /// A link fault at an interior boundary would cut any tree reaching
+    /// every line; a unicast circuit routes around it.
     #[test]
     fn broadcast_killed_by_link_fault_but_unicast_survives() {
         let mut net = fresh(8);
@@ -894,20 +732,7 @@ mod tests {
             boundary: 3,
             line: 6,
         }]);
-        // The tree reaches every line, so any link fault at an interior
-        // boundary intersects it.
-        assert!(net.broadcast_route(0).is_none());
         let id = net.establish(0, 6).unwrap();
         net.release(id).unwrap();
-    }
-
-    #[test]
-    fn broadcast_with_extra_stage_enabled_passes_it_straight() {
-        let mut net = fresh(16);
-        net.set_extra_enabled(true);
-        let hops = net.broadcast_route(5).unwrap();
-        assert_eq!(hops[0].stage, 0);
-        assert_eq!(hops[0].mode, BoxMode::Straight);
-        assert_eq!(hops.len(), 16); // extra straight hop + 15 broadcast hops
     }
 }
