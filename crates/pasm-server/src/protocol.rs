@@ -17,6 +17,12 @@ pub const DEFAULT_SEED: u64 = pasm::figures::DEFAULT_SEED;
 /// `CycleLimit` failure instead of an unbounded simulation.
 pub const FAULT_MAX_CYCLES: u64 = 50_000_000;
 
+/// Largest `extra_muls` a submission may ask for. The program generators
+/// emit `3 + extra_muls` instructions per inner-loop body before any
+/// deadline can act, so an unbounded value would let one request exhaust
+/// the server's memory; the paper sweeps 0–30.
+pub const MAX_EXTRA_MULS: usize = 1024;
+
 /// A validated submission: what to simulate and how long the client will wait.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
@@ -94,6 +100,11 @@ impl JobSpec {
             _ => field_usize(body, "p")?.unwrap_or(4),
         };
         let extra_muls = field_usize(body, "extra_muls")?.unwrap_or(0);
+        if extra_muls > MAX_EXTRA_MULS {
+            return Err(BadRequest::new(format!(
+                "`extra_muls` must be at most {MAX_EXTRA_MULS}"
+            )));
+        }
         let kernel_name = match body.get("kernel") {
             None | Some(Json::Null) => pasm::MATMUL,
             Some(Json::Str(s)) => s.as_str(),
@@ -330,6 +341,14 @@ mod tests {
                 "bad preset",
             ),
             (r#"{"mode":"simd","n":16,"seed":-4}"#, "negative seed"),
+            (
+                r#"{"mode":"simd","n":16,"extra_muls":1099511627776}"#,
+                "extra_muls above MAX_EXTRA_MULS",
+            ),
+            (
+                r#"{"mode":"simd","n":16,"extra_muls":1025}"#,
+                "extra_muls one above MAX_EXTRA_MULS",
+            ),
             (r#"[1,2]"#, "not an object"),
         ] {
             assert!(

@@ -350,3 +350,35 @@ fn cancel_expire_and_error_paths() {
 
     server.shutdown();
 }
+
+/// A submission whose `extra_muls` would make the program generator
+/// allocate without bound is refused at the boundary with a 400 naming
+/// the bound, and the server goes on serving.
+#[test]
+fn oversized_extra_muls_is_refused_and_the_server_keeps_serving() {
+    let mut server = start(1, 4);
+    let addr = server.addr();
+
+    let (code, resp) = submit(
+        addr,
+        r#"{"mode":"simd","n":8,"p":4,"extra_muls":1099511627776}"#,
+    );
+    assert_eq!(code, 400, "{resp:?}");
+    assert_eq!(
+        resp.get("error").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    let bound = pasm_server::protocol::MAX_EXTRA_MULS.to_string();
+    let message = resp.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.contains(&bound),
+        "message names the bound: {resp:?}"
+    );
+
+    let (code, resp) = submit(addr, r#"{"mode":"simd","n":8,"p":4,"extra_muls":2}"#);
+    assert_eq!(code, 202, "{resp:?}");
+    let st = await_terminal(addr, job_id(&resp));
+    assert_eq!(status_str(&st), "done", "{st:?}");
+
+    server.shutdown();
+}
