@@ -13,6 +13,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --locked"
 cargo build --release --locked
 
+echo "==> paper artifacts regenerate byte-identically (bench-results/run_all.sh)"
+sh bench-results/run_all.sh > bench-results/run_all.log 2>&1
+git diff --exit-code -- bench-results/
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -17,11 +17,13 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Serialize rows to `bench-results/<name>.json`.
+/// Serialize rows to `bench-results/<name>.json`. The note names the file
+/// relative to the repository root, so the captured output of a run does
+/// not depend on where the checkout lives.
 pub fn save_json<T: ToJson>(name: &str, rows: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    fs::write(&path, rows.to_json().pretty()).expect("write results");
-    eprintln!("(raw rows written to {})", path.display());
+    let file = format!("{name}.json");
+    fs::write(results_dir().join(&file), rows.to_json().pretty()).expect("write results");
+    eprintln!("(raw rows written to bench-results/{file})");
 }
 
 /// Schema of the top-level `BENCH_*.json` trajectory files. Bump when the
