@@ -56,8 +56,8 @@ const REPEATS: usize = 3;
 /// not a tuning artifact: `exec_timed` alone costs ~14 ns/instr vs
 /// ~100 ns/instr for the full interpreter loop, and DRAM-refresh waits
 /// are time-dependent, so the fast path must still evaluate two burst
-/// delays per instruction instead of folding them per block — see the
-/// "What the block compiler cannot fold" section of `docs/TIMING.md`.
+/// delays per instruction instead of folding them per block — see
+/// "Memory waits: what can never be folded" in `docs/TIMING.md`.
 const MIN_SPEEDUP: f64 = 2.5;
 
 /// Sizes per kernel. `matmul` is cubic in simulated instructions (and its

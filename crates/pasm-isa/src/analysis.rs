@@ -159,10 +159,9 @@ pub fn block_bounds(block: &[Instr]) -> TimingBounds {
 /// instruction (a control transfer, or the instruction before the next
 /// leader).
 ///
-/// This is the unit the `pasm-machine` block compiler folds static cycle
-/// costs over: within a block, every instruction executes exactly once per
-/// entry, so the static parts of [`timing::cycle_split`] sum into one
-/// per-block constant.
+/// Within a block, every instruction executes exactly once per entry, so
+/// the static parts of [`timing::cycle_split`] sum into one per-block
+/// constant: the block's best-case core time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockSpan {
     /// Index of the block's first instruction (a leader).

@@ -64,7 +64,7 @@ pub struct RunOptions {
     /// Cooperative stop flag, polled by the scheduler; setting it makes the
     /// run end with [`RunError::Interrupted`].
     pub interrupt: Option<Arc<AtomicBool>>,
-    /// Use the block-compiled fast path (default on). Turning it off forces
+    /// Use the fast path (default on). Turning it off forces
     /// the per-instruction interpreter; results are byte-identical either
     /// way (gated by the fast-vs-interpreter equivalence tests) — the toggle
     /// exists for that gate and for the `blockbench` comparison.
