@@ -4,8 +4,8 @@
 //!
 //! * a **bounded admission queue** ([`queue::JobQueue`]) that rejects
 //!   submissions with `429 queue_full` once `queue_depth` jobs are waiting,
-//! * a **worker pool** ([`pasm::WorkerPool`]) executing [`pasm::run_keyed`]
-//!   simulations,
+//! * **worker threads** popping that queue and executing
+//!   [`pasm::run_keyed_traced`] simulations,
 //! * a **content-addressed result cache** ([`cache::ResultCache`]) keyed by
 //!   the full [`pasm::ExperimentKey`] — sound because the simulator is
 //!   deterministic — with hit/miss counters,

@@ -85,10 +85,8 @@ pub(crate) fn scalars(state: &AppState) -> Vec<Scalar> {
             "Jobs whose deadline passed before a worker picked them up."),
         counter("rejected_queue_full", "pasm_jobs_rejected_queue_full_total", n(&s.rejected_queue_full),
             "Submissions pushed back with 429 queue_full."),
-        counter("retries", "pasm_job_retries_total", n(&s.retries),
-            "Worker attempts that panicked and were retried with backoff."),
         counter("quarantined", "pasm_jobs_quarantined_total", n(&s.quarantined),
-            "Jobs failed after a caught worker panic exhausted the retry budget."),
+            "Jobs failed by a caught worker panic (never retried)."),
         counter("watchdog_timeouts", "pasm_watchdog_timeouts_total", n(&s.watchdog_timeouts),
             "Running jobs interrupted by the deadline watchdog."),
         counter("fault_jobs", "pasm_fault_jobs_total", n(&s.fault_jobs),

@@ -32,21 +32,18 @@ pub struct JobSpec {
     /// rather than simulated for nobody. A *running* job past its deadline
     /// is interrupted by the watchdog and fails.
     pub deadline_ms: Option<u64>,
-    /// Test-only chaos hook: makes the worker misbehave *around* the
-    /// simulation (panic, transient failure). Deliberately **not** part of
-    /// the key — chaos must never poison the result cache.
+    /// Test-only chaos hook: makes the worker panic *around* the
+    /// simulation. Deliberately **not** part of the key — chaos must never
+    /// poison the result cache.
     pub chaos: Option<ChaosSpec>,
 }
 
 /// What the chaos hook does to the worker processing this job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosSpec {
-    /// Panic on every attempt — a deterministic bug. The job must end
+    /// Panic before simulating — a deterministic bug. The job must end
     /// `failed` with the panic recorded, and the worker slot must survive.
     Panic,
-    /// Panic on the first `times` attempts, then succeed — a transient
-    /// failure the retry loop should absorb.
-    Transient { times: u32 },
 }
 
 /// A client-facing rejection: HTTP status plus a stable error code.
@@ -182,8 +179,7 @@ impl JobSpec {
     }
 }
 
-/// Parse the optional test-only `chaos` member:
-/// `{"kind": "panic"|"transient", "times": k}`.
+/// Parse the optional test-only `chaos` member: `{"kind": "panic"}`.
 fn chaos_spec(spec: Option<&Json>) -> Result<Option<ChaosSpec>, BadRequest> {
     let spec = match spec {
         None | Some(Json::Null) => return Ok(None),
@@ -194,18 +190,7 @@ fn chaos_spec(spec: Option<&Json>) -> Result<Option<ChaosSpec>, BadRequest> {
     }
     match spec.get("kind").and_then(Json::as_str) {
         Some("panic") => Ok(Some(ChaosSpec::Panic)),
-        Some("transient") => {
-            let times = field_u64(spec, "times", 1)?;
-            if times == 0 || times > 16 {
-                return Err(BadRequest::new("`chaos.times` must be in 1..=16"));
-            }
-            Ok(Some(ChaosSpec::Transient {
-                times: times as u32,
-            }))
-        }
-        _ => Err(BadRequest::new(
-            "`chaos.kind` must be \"panic\" or \"transient\"",
-        )),
+        _ => Err(BadRequest::new("`chaos.kind` must be \"panic\"")),
     }
 }
 
@@ -349,6 +334,10 @@ mod tests {
                 r#"{"mode":"simd","n":16,"extra_muls":1025}"#,
                 "extra_muls one above MAX_EXTRA_MULS",
             ),
+            (
+                r#"{"mode":"simd","n":16,"chaos":{"kind":"transient","times":2}}"#,
+                "chaos kind other than panic",
+            ),
             (r#"[1,2]"#, "not an object"),
         ] {
             assert!(
@@ -388,17 +377,13 @@ mod tests {
     #[test]
     fn chaos_parses_but_stays_out_of_the_key() {
         let a = JobSpec::from_json(
-            &parse(r#"{"mode":"simd","n":16,"chaos":{"kind":"transient","times":2}}"#).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(a.chaos, Some(ChaosSpec::Transient { times: 2 }));
-        let b = JobSpec::from_json(&parse(r#"{"mode":"simd","n":16}"#).unwrap()).unwrap();
-        assert_eq!(a.key, b.key, "chaos must not affect the cache key");
-        let c = JobSpec::from_json(
             &parse(r#"{"mode":"simd","n":16,"chaos":{"kind":"panic"}}"#).unwrap(),
         )
         .unwrap();
-        assert_eq!(c.chaos, Some(ChaosSpec::Panic));
+        assert_eq!(a.chaos, Some(ChaosSpec::Panic));
+        let b = JobSpec::from_json(&parse(r#"{"mode":"simd","n":16}"#).unwrap()).unwrap();
+        assert_eq!(b.chaos, None);
+        assert_eq!(a.key, b.key, "chaos must not affect the cache key");
         assert!(JobSpec::from_json(
             &parse(r#"{"mode":"simd","n":16,"chaos":{"kind":"??"}}"#).unwrap()
         )

@@ -2,11 +2,11 @@
 //!
 //! Data flow: `submit` validates a [`JobSpec`], consults the result cache,
 //! and — on a miss — admits the job to the bounded [`JobQueue`] (or rejects
-//! it with `queue_full`). Workers from a [`pasm::WorkerPool`] pop admitted
-//! jobs in FIFO order, re-check the cache (duplicate coalescing), run the
-//! simulation, publish the result into the cache and the job table, and emit
-//! one JSONL accounting line. Shutdown closes the queue and joins the pool,
-//! so every admitted job reaches a terminal state before the server returns.
+//! it with `queue_full`). Plain worker threads pop admitted jobs in FIFO
+//! order, re-check the cache (duplicate coalescing), run the simulation once,
+//! publish the result into the cache and the job table, and emit one JSONL
+//! accounting line. Shutdown closes the queue and joins the workers, so
+//! every admitted job reaches a terminal state before the server returns.
 
 use crate::cache::ResultCache;
 use crate::http::{read_request, write_json, write_text, Request};
@@ -16,7 +16,7 @@ use crate::protocol::{error_body, BadRequest, ChaosSpec, JobSpec, JobStatus};
 use crate::queue::JobQueue;
 use crate::stats::Stats;
 use crate::store::{CrashFuse, FsyncPolicy, ResultStore};
-use pasm::{run_keyed_traced, ExperimentResult, ExperimentTrace, Mode, WorkerPool};
+use pasm::{run_keyed_traced, ExperimentResult, ExperimentTrace, Mode};
 use pasm_machine::RunError;
 use pasm_store::{ResultsQuery, RunSummary, SpanRecord, SpanStore};
 use pasm_util::{Json, ToJson};
@@ -85,13 +85,38 @@ pub(crate) struct Job {
     submitted_at: Instant,
     result: Option<Arc<ExperimentResult>>,
     wall_ms: u64,
-    /// Worker attempts consumed so far (1 = no retries).
-    attempts: u32,
-    /// A client asked to cancel while the job was running; the worker's
-    /// interrupt flag is tripped and the job ends `canceled` when it stops.
+    /// Made at admission; the worker hands it to the simulation. Tripping
+    /// it (cancel, watchdog) makes the run return `Interrupted` at its next
+    /// scheduler check.
+    interrupt: Arc<AtomicBool>,
+    /// A client asked to cancel while the job was running; the interrupt
+    /// flag is tripped and the job ends `canceled` when it stops.
     cancel_requested: bool,
     /// The deadline watchdog tripped this job's interrupt flag.
     watchdog_fired: bool,
+}
+
+impl Job {
+    /// A job admitted now: `done` when the cache answered (`hit`), else
+    /// `queued`.
+    fn new(spec: JobSpec, hit: Option<Arc<ExperimentResult>>) -> Job {
+        Job {
+            spec,
+            status: if hit.is_some() {
+                JobStatus::Done
+            } else {
+                JobStatus::Queued
+            },
+            cached: hit.is_some(),
+            error: None,
+            submitted_at: Instant::now(),
+            result: hit,
+            wall_ms: 0,
+            interrupt: Arc::new(AtomicBool::new(false)),
+            cancel_requested: false,
+            watchdog_fired: false,
+        }
+    }
 }
 
 /// The durable half of the service: result store + job journal, both over
@@ -132,13 +157,9 @@ pub(crate) struct AppState {
     pub(crate) cache: ResultCache,
     pub(crate) stats: Stats,
     pub(crate) jobs: Mutex<HashMap<u64, Job>>,
-    /// Interrupt flags of currently-running jobs, keyed by job id. Tripping
-    /// a flag (cancel, watchdog) makes the simulation return `Interrupted`
-    /// at its next scheduler check. Lock order: `jobs` before `interrupts`.
-    interrupts: Mutex<HashMap<u64, Arc<AtomicBool>>>,
     next_id: AtomicU64,
     pub(crate) draining: AtomicBool,
-    /// Tells the watchdog thread to exit (set after the worker pool joins,
+    /// Tells the watchdog thread to exit (set after the workers join,
     /// so deadlines keep firing while the drain finishes running jobs).
     watchdog_stop: AtomicBool,
     pub(crate) workers: usize,
@@ -170,14 +191,14 @@ pub struct Server {
     state: Arc<AppState>,
     addr: SocketAddr,
     data_dir: Option<PathBuf>,
-    pool: Option<WorkerPool>,
+    workers: Vec<thread::JoinHandle<()>>,
     accept: Option<thread::JoinHandle<()>>,
     watchdog: Option<thread::JoinHandle<()>>,
     recovery: Option<thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spawn the worker pool and the accept loop, and return.
+    /// Bind, spawn the workers and the accept loop, and return.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -189,7 +210,6 @@ impl Server {
             cache: ResultCache::new(config.cache_capacity),
             stats: Stats::new(config.log_path.as_deref())?,
             jobs: Mutex::new(HashMap::new()),
-            interrupts: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             watchdog_stop: AtomicBool::new(false),
@@ -224,14 +244,30 @@ impl Server {
             None => None,
         };
 
-        let pool = WorkerPool::new(state.workers);
-        for _ in 0..state.workers {
+        // From here on a failed spawn drops `server`, whose drain closes the
+        // queue and joins whatever threads did start.
+        let mut server = Server {
+            state: Arc::clone(&state),
+            addr,
+            data_dir: config.data_dir,
+            workers: Vec::with_capacity(state.workers),
+            accept: None,
+            watchdog: None,
+            recovery,
+        };
+        // Plain worker threads on the admission queue; `pop_blocking`
+        // returns `None` once shutdown closed the queue and it ran dry.
+        for i in 0..state.workers {
             let state = Arc::clone(&state);
-            pool.execute(move || {
-                while let Some(job_id) = state.queue.pop_blocking() {
-                    run_job(&state, job_id);
-                }
-            });
+            server.workers.push(
+                thread::Builder::new()
+                    .name(format!("pasm-worker-{i}"))
+                    .spawn(move || {
+                        while let Some(job_id) = state.queue.pop_blocking() {
+                            run_job(&state, job_id);
+                        }
+                    })?,
+            );
         }
 
         // Deadline watchdog: a *running* job past its deadline gets its
@@ -248,6 +284,7 @@ impl Server {
                     thread::sleep(Duration::from_millis(5));
                 }
             })?;
+        server.watchdog = Some(watchdog);
 
         let accept_state = Arc::clone(&state);
         let accept = thread::Builder::new()
@@ -271,16 +308,8 @@ impl Server {
                     Err(_) => thread::sleep(Duration::from_millis(5)),
                 }
             })?;
-
-        Ok(Server {
-            state,
-            addr,
-            data_dir: config.data_dir,
-            pool: Some(pool),
-            accept: Some(accept),
-            watchdog: Some(watchdog),
-            recovery,
-        })
+        server.accept = Some(accept);
+        Ok(server)
     }
 
     /// The bound address (with the real port when 0 was requested).
@@ -320,8 +349,8 @@ impl Server {
             let _ = recovery.join();
         }
         self.state.queue.close();
-        if let Some(mut pool) = self.pool.take() {
-            pool.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
         // Every admitted job is terminal now: flush + fsync the durable
         // logs and the JSONL job log, and snapshot the final counters, so
@@ -469,21 +498,7 @@ fn recover(
     // Re-enqueue every pending job under its original id.
     let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
     for (id, spec) in &recovered {
-        jobs.insert(
-            *id,
-            Job {
-                spec: spec.clone(),
-                status: JobStatus::Queued,
-                cached: false,
-                error: None,
-                submitted_at: Instant::now(),
-                result: None,
-                wall_ms: 0,
-                attempts: 0,
-                cancel_requested: false,
-                watchdog_fired: false,
-            },
-        );
+        jobs.insert(*id, Job::new(spec.clone(), None));
     }
     drop(jobs);
     // push_front prepends, so feed it in reverse to preserve FIFO order —
@@ -498,16 +513,11 @@ fn recover(
 // Worker path
 // ----------------------------------------------------------------------
 
-/// Attempts per job: one initial try plus two panic retries.
-const MAX_ATTEMPTS: u32 = 3;
-/// Backoff before retry k is `RETRY_BACKOFF_MS << (k - 1)`.
-const RETRY_BACKOFF_MS: u64 = 25;
-
 /// Why a job did not produce a result.
 enum JobFailure {
-    /// The simulation returned an error (deterministic — never retried).
+    /// The simulation returned an error.
     Error(RunError),
-    /// Every attempt panicked; the panic payload of the last one.
+    /// The worker panicked; the panic payload.
     Panic(String),
 }
 
@@ -519,22 +529,16 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "unknown panic".to_string())
 }
 
-/// One worker attempt: fire the test-only chaos hook, then simulate with a
-/// cooperative interrupt attached. Every path that reaches the simulator
-/// bumps `sim_runs` first — the counter the query-tier tests use to prove a
-/// query never re-simulates.
-fn attempt_job(
+/// Fire the test-only chaos hook, then simulate with a cooperative interrupt
+/// attached. Every path that reaches the simulator bumps `sim_runs` first —
+/// the counter the query-tier tests use to prove a query never re-simulates.
+fn simulate(
     state: &AppState,
     spec: &JobSpec,
-    attempt: u32,
     interrupt: &Arc<AtomicBool>,
 ) -> Result<ExperimentTrace, RunError> {
-    match spec.chaos {
-        Some(ChaosSpec::Panic) => panic!("chaos: injected panic (attempt {attempt})"),
-        Some(ChaosSpec::Transient { times }) if attempt < times => {
-            panic!("chaos: injected transient failure (attempt {attempt} of {times})")
-        }
-        _ => {}
+    if spec.chaos == Some(ChaosSpec::Panic) {
+        panic!("chaos: injected panic");
     }
     state.stats.sim_runs.fetch_add(1, Ordering::Relaxed);
     run_keyed_traced(&spec.key, Some(Arc::clone(interrupt)))
@@ -574,34 +578,16 @@ fn span_record(fingerprint: u64, trace: &ExperimentTrace) -> SpanRecord {
 }
 
 fn run_job(state: &AppState, job_id: u64) {
-    // Publish the interrupt flag first, so cancel/watchdog can reach this
-    // run from the instant the job is marked running.
-    let interrupt = Arc::new(AtomicBool::new(false));
-    state
-        .interrupts
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(job_id, Arc::clone(&interrupt));
-    let unregister = |state: &AppState| {
-        state
-            .interrupts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&job_id);
-    };
-
     // Claim the job: skip if canceled, expire if its deadline passed in the
-    // queue, otherwise mark running.
-    let spec = {
+    // queue, otherwise mark running. The interrupt flag exists from
+    // admission, so a cancel that landed after the queue pop has already
+    // tripped it and the run stops at its first check.
+    let (spec, interrupt) = {
         let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
         let Some(job) = jobs.get_mut(&job_id) else {
-            drop(jobs);
-            unregister(state);
             return;
         };
         if job.status != JobStatus::Queued {
-            drop(jobs);
-            unregister(state);
             return;
         }
         if let Some(deadline_ms) = job.spec.deadline_ms {
@@ -610,17 +596,11 @@ fn run_job(state: &AppState, job_id: u64) {
                 state.stats.count(JobStatus::Expired);
                 drop(jobs);
                 with_journal(state, |j| j.terminal("expired", job_id));
-                unregister(state);
                 return;
             }
         }
         job.status = JobStatus::Running;
-        // A cancel may have landed between the queue pop and the flag
-        // registration above; honor it before burning simulation time.
-        if job.cancel_requested {
-            interrupt.store(true, Ordering::SeqCst);
-        }
-        job.spec.clone()
+        (job.spec.clone(), Arc::clone(&job.interrupt))
     };
     with_journal(state, |j| j.started(job_id));
 
@@ -629,54 +609,28 @@ fn run_job(state: &AppState, job_id: u64) {
     // result was persisted before the crash (restart dedupe: the cache
     // answers, the simulator never re-runs).
     if let Some(hit) = state.cache.peek(&spec.key) {
-        unregister(state);
-        finish_done(state, job_id, hit, true, 0, 1);
+        finish_done(state, job_id, hit, true, 0);
         return;
     }
 
-    // Quarantined retry loop: every attempt runs under `catch_unwind`, so a
-    // worker panic becomes a recorded failure instead of a dead slot. Panics
-    // are treated as transient up to the retry budget (with exponential
-    // backoff); simulation *errors* are deterministic and never retried.
+    // One attempt under `catch_unwind`, so a worker panic becomes a recorded
+    // failure instead of a dead slot. The simulator is a pure function of
+    // the key, so a panic, like a `RunError`, would repeat on a retry:
+    // neither is retried.
     let t0 = Instant::now();
-    let mut attempt: u32 = 0;
-    let outcome = loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            attempt_job(state, &spec, attempt, &interrupt)
-        }));
-        match run {
-            Ok(Ok(trace)) => break Ok(trace),
-            Ok(Err(e)) => break Err(JobFailure::Error(e)),
-            Err(panic) => {
-                let msg = panic_message(panic);
-                // An interrupt that raced with a panicking attempt wins: the
-                // client canceled (or the watchdog fired), so the job ends as
-                // interrupted — not quarantined as a panic failure.
-                if interrupt.load(Ordering::SeqCst) {
-                    break Err(JobFailure::Error(RunError::Interrupted));
-                }
-                if attempt + 1 < MAX_ATTEMPTS {
-                    state.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    // Backoff sleeps in slices, watching the interrupt flag:
-                    // a cancel or watchdog deadline landing *between*
-                    // attempts must end the job as interrupted, not burn
-                    // another attempt and quarantine as a panic failure.
-                    if backoff_interrupted(
-                        &interrupt,
-                        Duration::from_millis(RETRY_BACKOFF_MS << attempt),
-                    ) {
-                        break Err(JobFailure::Error(RunError::Interrupted));
-                    }
-                    attempt += 1;
-                    continue;
-                }
-                state.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                break Err(JobFailure::Panic(msg));
-            }
+    let outcome = match catch_unwind(AssertUnwindSafe(|| simulate(state, &spec, &interrupt))) {
+        Ok(Ok(trace)) => Ok(trace),
+        Ok(Err(e)) => Err(JobFailure::Error(e)),
+        // An interrupt that raced with the panic wins: the client canceled
+        // (or the watchdog fired), so the job ends as interrupted — not
+        // quarantined as a panic failure.
+        Err(_) if interrupt.load(Ordering::SeqCst) => Err(JobFailure::Error(RunError::Interrupted)),
+        Err(panic) => {
+            state.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+            Err(JobFailure::Panic(panic_message(panic)))
         }
     };
     let wall_ms = t0.elapsed().as_millis() as u64;
-    unregister(state);
 
     match outcome {
         Ok(trace) => {
@@ -699,26 +653,9 @@ fn run_job(state: &AppState, job_id: u64) {
                 }
             }
             state.cache.insert(spec.key, Arc::clone(&result));
-            finish_done(state, job_id, result, false, wall_ms, attempt + 1);
+            finish_done(state, job_id, result, false, wall_ms);
         }
-        Err(failure) => finish_failed(state, job_id, failure, wall_ms, attempt + 1),
-    }
-}
-
-/// Sleep out a retry backoff in slices, returning early — and `true` — the
-/// moment the job's interrupt flag trips.
-fn backoff_interrupted(interrupt: &AtomicBool, total: Duration) -> bool {
-    let slice = Duration::from_millis(5);
-    let deadline = Instant::now() + total;
-    loop {
-        if interrupt.load(Ordering::SeqCst) {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        thread::sleep(slice.min(deadline - now));
+        Err(failure) => finish_failed(state, job_id, failure, wall_ms),
     }
 }
 
@@ -728,7 +665,6 @@ fn finish_done(
     result: Arc<ExperimentResult>,
     cache_hit: bool,
     wall_ms: u64,
-    attempts: u32,
 ) {
     {
         let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
@@ -738,7 +674,6 @@ fn finish_done(
         job.status = JobStatus::Done;
         job.cached = cache_hit;
         job.wall_ms = wall_ms;
-        job.attempts = attempts;
         job.result = Some(Arc::clone(&result));
     }
     state.stats.count(JobStatus::Done);
@@ -748,7 +683,7 @@ fn finish_done(
     with_journal(state, |j| j.terminal("completed", job_id));
 }
 
-fn finish_failed(state: &AppState, job_id: u64, failure: JobFailure, wall_ms: u64, attempts: u32) {
+fn finish_failed(state: &AppState, job_id: u64, failure: JobFailure, wall_ms: u64) {
     let terminal;
     {
         let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
@@ -756,7 +691,6 @@ fn finish_failed(state: &AppState, job_id: u64, failure: JobFailure, wall_ms: u6
             return;
         };
         job.wall_ms = wall_ms;
-        job.attempts = attempts;
         match failure {
             // An interrupted run is whatever the interrupter meant it to be:
             // a client cancellation or a watchdog deadline.
@@ -808,28 +742,19 @@ fn sync_due_logs(state: &AppState) {
 /// One watchdog sweep: trip the interrupt of every running job whose
 /// wall-clock deadline has passed.
 fn fire_watchdog(state: &AppState) {
-    let mut fired = Vec::new();
-    {
-        let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        for (&id, job) in jobs.iter_mut() {
-            if job.status == JobStatus::Running && !job.watchdog_fired {
-                if let Some(deadline_ms) = job.spec.deadline_ms {
-                    if job.submitted_at.elapsed() >= Duration::from_millis(deadline_ms) {
-                        job.watchdog_fired = true;
-                        fired.push(id);
-                    }
+    let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
+    for job in jobs.values_mut() {
+        if job.status == JobStatus::Running && !job.watchdog_fired {
+            if let Some(deadline_ms) = job.spec.deadline_ms {
+                if job.submitted_at.elapsed() >= Duration::from_millis(deadline_ms) {
+                    job.watchdog_fired = true;
+                    job.interrupt.store(true, Ordering::SeqCst);
+                    state
+                        .stats
+                        .watchdog_timeouts
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-    }
-    let interrupts = state.interrupts.lock().unwrap_or_else(|e| e.into_inner());
-    for id in fired {
-        state
-            .stats
-            .watchdog_timeouts
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(flag) = interrupts.get(&id) {
-            flag.store(true, Ordering::SeqCst);
         }
     }
 }
@@ -941,23 +866,11 @@ fn submit(state: &AppState, body: &str) -> (u16, Json) {
     // Cache hit: the job completes at submission time, no queue involved.
     if let Some(hit) = state.cache.get(&spec.key) {
         let job_id = state.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.insert(
-            job_id,
-            Job {
-                spec,
-                status: JobStatus::Done,
-                cached: true,
-                error: None,
-                submitted_at: Instant::now(),
-                result: Some(Arc::clone(&hit)),
-                wall_ms: 0,
-                attempts: 0,
-                cancel_requested: false,
-                watchdog_fired: false,
-            },
-        );
-        drop(jobs);
+        state
+            .jobs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(job_id, Job::new(spec, Some(Arc::clone(&hit))));
         state.stats.count(JobStatus::Done);
         state.stats.record_completion(job_id, &hit, 0, true);
         return (
@@ -974,24 +887,11 @@ fn submit(state: &AppState, body: &str) -> (u16, Json) {
 
     // Miss: admit into the bounded queue, or push back.
     let job_id = state.next_id.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.insert(
-            job_id,
-            Job {
-                spec,
-                status: JobStatus::Queued,
-                cached: false,
-                error: None,
-                submitted_at: Instant::now(),
-                result: None,
-                wall_ms: 0,
-                attempts: 0,
-                cancel_requested: false,
-                watchdog_fired: false,
-            },
-        );
-    }
+    state
+        .jobs
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(job_id, Job::new(spec, None));
     // Journal the submission (with the raw body, for replay) *before* the
     // queue admits it: once a client could learn of this job, the journal
     // already knows. If admission then fails, the entry is closed below.
@@ -1041,9 +941,6 @@ fn job_summary(job_id: u64, job: &Job) -> Json {
     ];
     if !job.spec.key.fault.is_empty() {
         fields.push(("fault", Json::Str(job.spec.key.fault.to_string())));
-    }
-    if job.attempts > 1 {
-        fields.push(("attempts", Json::Int(job.attempts as i64)));
     }
     if job.cancel_requested && !job.status.is_terminal() {
         fields.push(("cancel_requested", Json::Bool(true)));
@@ -1302,10 +1199,10 @@ fn cancel(state: &AppState, job_id: u64) -> (u16, Json) {
                 with_journal(state, |j| j.terminal("canceled", job_id));
                 (200, job_summary(job_id, job))
             } else {
-                request_running_cancel(state, job_id, job)
+                request_running_cancel(job_id, job)
             }
         }
-        JobStatus::Running => request_running_cancel(state, job_id, job),
+        JobStatus::Running => request_running_cancel(job_id, job),
         // Terminal states: cancellation is a no-op, report the state.
         _ => (200, job_summary(job_id, job)),
     }
@@ -1314,12 +1211,9 @@ fn cancel(state: &AppState, job_id: u64) -> (u16, Json) {
 /// Cancel a job a worker is executing: trip its interrupt flag and let the
 /// simulation stop at its next scheduler check. The response is 202 — the
 /// job transitions to `canceled` asynchronously, when the worker notices.
-fn request_running_cancel(state: &AppState, job_id: u64, job: &mut Job) -> (u16, Json) {
+fn request_running_cancel(job_id: u64, job: &mut Job) -> (u16, Json) {
     job.cancel_requested = true;
-    let interrupts = state.interrupts.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(flag) = interrupts.get(&job_id) {
-        flag.store(true, Ordering::SeqCst);
-    }
+    job.interrupt.store(true, Ordering::SeqCst);
     (202, job_summary(job_id, job))
 }
 

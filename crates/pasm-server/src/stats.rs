@@ -95,10 +95,8 @@ pub struct Stats {
     pub expired: AtomicU64,
     /// Submissions rejected with `queue_full`.
     pub rejected_queue_full: AtomicU64,
-    /// Worker attempts that panicked and were retried with backoff.
-    pub retries: AtomicU64,
-    /// Jobs whose worker panicked past the retry budget — the panic was
-    /// caught, the job failed, and the worker slot survived.
+    /// Jobs whose worker panicked — the panic was caught, the job failed at
+    /// once, and the worker slot survived.
     pub quarantined: AtomicU64,
     /// Running jobs interrupted by the deadline watchdog.
     pub watchdog_timeouts: AtomicU64,
@@ -107,9 +105,9 @@ pub struct Stats {
     /// Simulated cycles summed over completed jobs (cache hits included —
     /// this measures *served* simulation volume).
     pub total_cycles: AtomicU64,
-    /// Simulator invocations (one per worker attempt that reached the
-    /// simulator). The query tier serves stored spans, so query traffic must
-    /// never move this counter — the integration tests assert exactly that.
+    /// Simulator invocations (one per simulated job). The query tier serves
+    /// stored spans, so query traffic must never move this counter — the
+    /// integration tests assert exactly that.
     pub sim_runs: AtomicU64,
     /// `GET /results` queries served.
     pub results_queries: AtomicU64,

@@ -25,8 +25,8 @@
 //! * [`figures`] — regenerate the data behind every table and figure of the
 //!   paper's evaluation (Table 1, Figures 6–12),
 //! * [`report`] — plain-text rendering of those tables,
-//! * [`sweep`] — a small thread-pool for running independent simulations in
-//!   parallel on the host.
+//! * [`sweep`] — an ordered parallel map for running independent
+//!   simulations side by side on the host.
 
 pub mod experiment;
 pub mod figures;
@@ -45,4 +45,4 @@ pub use pasm_machine::{
     RunResult,
 };
 pub use pasm_prog::{CommSync, Matrix};
-pub use sweep::{par_map, WorkerPool};
+pub use sweep::par_map;

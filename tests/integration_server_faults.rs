@@ -1,10 +1,12 @@
-//! Fault-tolerance tests of the `pasm-server` service (ISSUE 4): panic
-//! quarantine, retry-with-backoff, the deadline watchdog, cooperative
-//! cancellation of running jobs, and fault-plan jobs over HTTP.
+//! Fault-tolerance tests of the `pasm-server` service: panic quarantine
+//! (one attempt per job), the deadline watchdog, cooperative cancellation
+//! of running jobs, and fault-plan jobs over HTTP. The durable tests also
+//! check that each job's journal holds one `started` and exactly one
+//! terminal record.
 //!
-//! The panic paths are driven by the test-only `chaos` member of the submit
-//! body, which makes a worker attempt panic deliberately without touching
-//! the simulation itself (and is excluded from the cache key).
+//! The panic path is driven by the test-only `chaos` member of the submit
+//! body, which makes the worker panic deliberately without touching the
+//! simulation itself (and is excluded from the cache key).
 
 mod common;
 
@@ -88,11 +90,13 @@ fn await_running(addr: SocketAddr, id: u64) {
     }
 }
 
-/// A deliberately panicking job is retried, then quarantined as `failed`
-/// with the panic recorded — and the worker pool keeps its full capacity.
+/// A deliberately panicking job is quarantined as `failed` after its one
+/// attempt, with the panic recorded and journaled once — and the worker
+/// that caught the panic goes on serving.
 #[test]
 fn panicking_job_is_quarantined_and_the_pool_survives() {
-    let mut server = start(2);
+    let dir = tmpdir("faults", "panic");
+    let mut server = start_durable(1, &dir);
     let addr = server.addr();
 
     let (code, resp) = submit(
@@ -104,13 +108,14 @@ fn panicking_job_is_quarantined_and_the_pool_survives() {
     let done = await_terminal(addr, id);
     assert_eq!(status_str(&done), "failed", "{done:?}");
     assert!(
-        message(&done).contains("panicked"),
+        message(&done).contains("simulation panicked: chaos: injected panic"),
         "panic recorded in the error detail: {done:?}"
     );
-    // 3 attempts: 2 retries with backoff, then quarantine.
-    assert_eq!(done.get("attempts").and_then(Json::as_u64), Some(3));
+    // One attempt, no retry bookkeeping: the summary has no `attempts`
+    // member and `/stats` no `retries` counter.
+    assert!(done.get("attempts").is_none(), "{done:?}");
     assert_eq!(stat(addr, "quarantined"), 1);
-    assert_eq!(stat(addr, "retries"), 2);
+    assert!(get(addr, "/stats").1.get("retries").is_none());
     let (code, gone) = get(addr, &format!("/result/{id}"));
     assert_eq!(code, 500, "no result for a quarantined job: {gone:?}");
     assert_eq!(gone.get("error").and_then(Json::as_str), Some("job_failed"));
@@ -119,10 +124,10 @@ fn panicking_job_is_quarantined_and_the_pool_survives() {
     let (code, _, text) = request_raw(addr, "GET", "/metrics", None);
     assert_eq!(code, 200);
     assert!(text.contains("pasm_jobs_quarantined_total 1"), "{text}");
-    assert!(text.contains("pasm_job_retries_total 2"), "{text}");
+    assert!(!text.contains("pasm_job_retries_total"), "{text}");
 
-    // Both workers still serve: more simultaneous jobs than one worker
-    // could handle in order all complete.
+    // The single worker caught the panic and still serves: every later job
+    // completes on it.
     let ids: Vec<u64> = (0..6)
         .map(|i| {
             let body = format!(r#"{{"mode":"simd","n":4,"p":4,"seed":{}}}"#, 1000 + i);
@@ -135,61 +140,61 @@ fn panicking_job_is_quarantined_and_the_pool_survives() {
         assert_eq!(status_str(&await_terminal(addr, id)), "done");
     }
     server.shutdown();
-}
 
-/// A transiently panicking job (chaos `times: 2`) succeeds on the third
-/// attempt, with the retries visible in the summary and the counters.
-#[test]
-fn transient_panics_are_retried_to_success() {
-    let mut server = start(1);
-    let addr = server.addr();
-
-    let (code, resp) = submit(
-        addr,
-        r#"{"mode":"simd","n":4,"p":4,"seed":902,"chaos":{"kind":"transient","times":2}}"#,
-    );
-    assert_eq!(code, 202, "{resp:?}");
-    let done = await_terminal(addr, job_id(&resp));
-    assert_eq!(status_str(&done), "done", "{done:?}");
-    assert_eq!(done.get("attempts").and_then(Json::as_u64), Some(3));
-    assert_eq!(stat(addr, "retries"), 2);
-    assert_eq!(stat(addr, "quarantined"), 0);
-    assert_eq!(stat(addr, "completed"), 1);
-    server.shutdown();
+    let (submitted, started, terminals) = journal_events(&dir, id);
+    assert_eq!(submitted, 1);
+    assert_eq!(started, 1, "one attempt journals `started` once");
+    assert_eq!(terminals, vec!["failed".to_string()], "exactly one close");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The watchdog interrupts a running job past its wall-clock deadline and
-/// records a deadline failure (not a crash, not a hung worker).
+/// records a deadline failure (not a crash, not a hung worker), closing the
+/// job once in the journal.
 #[test]
 fn watchdog_fails_a_running_job_past_its_deadline() {
-    let mut server = start(1);
+    let dir = tmpdir("faults", "watchdog");
+    let mut server = start_durable(1, &dir);
     let addr = server.addr();
 
-    // Big enough that the simulation runs for seconds if never interrupted.
+    // The simulation runs for seconds if never interrupted, while the
+    // deadline is wide enough that the job cannot expire unclaimed behind
+    // the fsync of its `submitted` record on a loaded CI machine.
     let (code, resp) = submit(
         addr,
-        r#"{"mode":"mimd","n":128,"p":4,"seed":903,"deadline_ms":50}"#,
+        r#"{"mode":"mimd","n":256,"p":4,"seed":903,"deadline_ms":250}"#,
     );
     assert_eq!(code, 202, "{resp:?}");
-    let done = await_terminal(addr, job_id(&resp));
+    let id = job_id(&resp);
+    let done = await_terminal(addr, id);
     assert_eq!(status_str(&done), "failed", "{done:?}");
     assert!(
         message(&done).contains("deadline exceeded"),
         "watchdog recorded the deadline: {done:?}"
     );
     assert_eq!(stat(addr, "watchdog_timeouts"), 1);
+    assert_eq!(stat(addr, "quarantined"), 0);
 
     // The worker is free again.
     let (_, resp) = submit(addr, r#"{"mode":"simd","n":4,"p":4,"seed":904}"#);
     assert_eq!(status_str(&await_terminal(addr, job_id(&resp))), "done");
+    assert_eq!(stat(addr, "completed"), 1);
     server.shutdown();
+
+    let (submitted, started, terminals) = journal_events(&dir, id);
+    assert_eq!(submitted, 1);
+    assert_eq!(started, 1);
+    assert_eq!(terminals, vec!["failed".to_string()], "exactly one close");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Canceling a *running* job interrupts the simulation cooperatively,
-/// releases the worker slot, and leaves the counters consistent.
+/// releases the worker slot, leaves the counters consistent, and closes
+/// the job once in the journal.
 #[test]
 fn cancel_while_running_releases_the_worker_slot() {
-    let mut server = start(1);
+    let dir = tmpdir("faults", "cancel-running");
+    let mut server = start_durable(1, &dir);
     let addr = server.addr();
 
     let (code, resp) = submit(addr, r#"{"mode":"mimd","n":256,"p":4,"seed":905}"#);
@@ -197,15 +202,7 @@ fn cancel_while_running_releases_the_worker_slot() {
     let id = job_id(&resp);
 
     // Wait until the single worker has actually claimed it.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (_, body) = get(addr, &format!("/status/{id}"));
-        if status_str(&body) == "running" {
-            break;
-        }
-        assert!(Instant::now() < deadline, "job never started running");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    await_running(addr, id);
 
     // Cooperative cancel: accepted (202), terminal state follows shortly.
     let (code, resp) = request(addr, "POST", &format!("/cancel/{id}"), None);
@@ -229,8 +226,15 @@ fn cancel_while_running_releases_the_worker_slot() {
     assert_eq!(stat(addr, "canceled"), 1);
     assert_eq!(stat(addr, "completed"), 1);
     assert_eq!(stat(addr, "failed"), 0);
+    assert_eq!(stat(addr, "quarantined"), 0);
     assert_eq!(stat(addr, "submitted"), 2);
     server.shutdown();
+
+    let (submitted, started, terminals) = journal_events(&dir, id);
+    assert_eq!(submitted, 1);
+    assert_eq!(started, 1);
+    assert_eq!(terminals, vec!["canceled".to_string()], "exactly one close");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fault-plan jobs run end to end over HTTP: the result reports the fault,
@@ -280,78 +284,4 @@ fn fault_plan_jobs_report_their_slowdown() {
         assert_eq!(code, 400, "{resp:?}");
     }
     server.shutdown();
-}
-
-/// Canceling a job whose first attempt panicked (so it is inside the retry
-/// backoff, or the retry attempt itself) ends it `canceled` — never
-/// quarantined as a panic failure — and the journal holds exactly one
-/// `started` and one terminal record for the id.
-#[test]
-fn cancel_while_retrying_is_canceled_with_one_terminal_journal_record() {
-    let dir = tmpdir("faults", "cancel-retry");
-    let mut server = start_durable(1, &dir);
-    let addr = server.addr();
-
-    // Attempt 0 panics instantly (transient chaos), then the retry would
-    // simulate for seconds: the cancel lands in the backoff or early in the
-    // retry — both must resolve to `canceled`.
-    let (code, resp) = submit(
-        addr,
-        r#"{"mode":"mimd","n":256,"p":4,"seed":910,"chaos":{"kind":"transient","times":1}}"#,
-    );
-    assert_eq!(code, 202, "{resp:?}");
-    let id = job_id(&resp);
-    await_running(addr, id);
-    let (code, resp) = request(addr, "POST", &format!("/cancel/{id}"), None);
-    assert_eq!(code, 202, "{resp:?}");
-
-    let done = await_terminal(addr, id);
-    assert_eq!(status_str(&done), "canceled", "{done:?}");
-    assert_eq!(stat(addr, "canceled"), 1);
-    assert_eq!(stat(addr, "quarantined"), 0);
-    assert_eq!(stat(addr, "completed"), 0);
-    server.shutdown();
-
-    let (submitted, started, terminals) = journal_events(&dir, id);
-    assert_eq!(submitted, 1);
-    assert_eq!(started, 1, "retries must not journal `started` again");
-    assert_eq!(terminals, vec!["canceled".to_string()], "exactly one close");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A deadline firing during the retry backoff (or the retry itself) fails
-/// the job with the deadline recorded — no double completion, no leaked
-/// journal record.
-#[test]
-fn deadline_during_backoff_fails_once_with_one_terminal_journal_record() {
-    let dir = tmpdir("faults", "deadline-backoff");
-    let mut server = start_durable(1, &dir);
-    let addr = server.addr();
-
-    // Attempt 0 panics instantly; the backoff and the retry (which would
-    // simulate for many seconds) together span the 250 ms deadline, so the
-    // watchdog always interrupts mid-recovery — while the deadline is wide
-    // enough that the job cannot expire unclaimed on a loaded CI machine.
-    let (code, resp) = submit(
-        addr,
-        r#"{"mode":"mimd","n":256,"p":4,"seed":911,"deadline_ms":250,"chaos":{"kind":"transient","times":1}}"#,
-    );
-    assert_eq!(code, 202, "{resp:?}");
-    let id = job_id(&resp);
-    let done = await_terminal(addr, id);
-    assert_eq!(status_str(&done), "failed", "{done:?}");
-    assert!(
-        message(&done).contains("deadline exceeded"),
-        "watchdog recorded the deadline: {done:?}"
-    );
-    assert_eq!(stat(addr, "watchdog_timeouts"), 1);
-    assert_eq!(stat(addr, "quarantined"), 0);
-    assert_eq!(stat(addr, "completed"), 0);
-    server.shutdown();
-
-    let (submitted, started, terminals) = journal_events(&dir, id);
-    assert_eq!(submitted, 1);
-    assert_eq!(started, 1);
-    assert_eq!(terminals, vec!["failed".to_string()], "exactly one close");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -28,7 +28,6 @@ pasm_cache_hits_total
 pasm_cache_misses_total
 pasm_draining
 pasm_fault_jobs_total
-pasm_job_retries_total
 pasm_job_wall_ms_bucket{kind="cold",le="+Inf"}
 pasm_job_wall_ms_bucket{kind="cold",le="1"}
 pasm_job_wall_ms_bucket{kind="cold",le="10"}
@@ -124,7 +123,6 @@ queries.spans
 queries.sweeps
 recent
 rejected_queue_full
-retries
 sim_cycle_buckets.barrier_wait
 sim_cycle_buckets.compute
 sim_cycle_buckets.fault_detour
@@ -207,7 +205,6 @@ queue_capacity 64
 queue_depth 0
 recovering 0
 rejected_queue_full 0
-retries 0
 sim_cycle_buckets.barrier_wait 17068
 sim_cycle_buckets.compute 392728
 sim_cycle_buckets.fault_detour 0
@@ -258,7 +255,6 @@ const SHARED: &[(&str, &str)] = &[
     ("canceled", "pasm_jobs_canceled_total"),
     ("expired", "pasm_jobs_expired_total"),
     ("rejected_queue_full", "pasm_jobs_rejected_queue_full_total"),
-    ("retries", "pasm_job_retries_total"),
     ("quarantined", "pasm_jobs_quarantined_total"),
     ("watchdog_timeouts", "pasm_watchdog_timeouts_total"),
     ("fault_jobs", "pasm_fault_jobs_total"),
