@@ -52,23 +52,8 @@ cargo run --release -q -p pasm --bin pasm-run -- examples/programs/mulu_timing.s
 cargo run --release -q -p pasm --bin pasm-run -- --mode smimd --n 16 --p 4 | grep "output correct" >/dev/null
 cargo run --release -q -p pasm-server --bin pasm-serve -- --help >/dev/null
 
-echo "==> fast-path equivalence tests (kernels x modes x fault plans)"
-cargo test -q -p pasm --test integration_fastpath
-
-echo "==> kernel registry integration tests (all kernels x modes x p)"
-cargo test -q -p pasm --test integration_kernels --test integration_determinism
-
-echo "==> worker panic quarantine + cancel-while-running integration test"
-cargo test -q -p pasm-server --test integration_server_faults
-
-echo "==> crash-injection recovery tests (seeded kill points, bit flips, readiness)"
-cargo test -q -p pasm-server --test integration_recovery
-
 echo "==> durabench smoke-run (fsync policies + restart-serves-cached gate)"
 cargo run --release -q -p bench --bin durabench -- --quick >/dev/null
-
-echo "==> query-tier tests (byte-identical spans, zero re-simulation, crash recovery)"
-cargo test -q -p pasm-server --test integration_query
 
 echo "==> querybench smoke-run (cold/warm query latency + span-store recovery gate)"
 cargo run --release -q -p bench --bin querybench -- --quick >/dev/null
