@@ -26,6 +26,9 @@ cargo test -q --release -p pasm --test paper_golden -- --ignored
 echo "==> SIMD group step vs interpreter, 20 000 seeded random programs (release)"
 cargo test -q --release -p pasm-machine random_simd_programs_match_the_interpreter_20k_seeds -- --ignored
 
+echo "==> MIMD fast path vs interpreter, 20 000 generated MIMD and S/MIMD programs (release)"
+cargo test -q --release -p pasm-machine random_mimd_programs_match_the_interpreter_20k_seeds -- --ignored
+
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 

@@ -1,7 +1,8 @@
-//! `blockbench` — wall-clock payoff of the block-compiled fast path.
+//! `blockbench` — wall-clock payoff of the fast path.
 //!
 //! Runs every registered kernel in all three parallel modes on every grid
-//! cell, [`REPEATS`] times per path — the block-compiled fast path and the
+//! cell, [`REPEATS`] times per path — the fast path (the MIMD batch loop
+//! over the instruction table and the SIMD group step) and the
 //! per-instruction interpreter (`RunOptions::fast_path = false`),
 //! alternating — and reports the median, minimum and maximum host wall
 //! time of each path and the ratio of the medians. Before timing is
@@ -53,11 +54,12 @@ const REPEATS: usize = 3;
 /// Measured on the reference container: bitonic S/MIMD ~5.2×, bitonic
 /// MIMD ~3.2×. The floor sits below the best cell with margin because
 /// host wall time drifts 2× and worse run to run under neighbor load. The ceiling is structural,
-/// not a tuning artifact: `exec_timed` alone costs ~14 ns/instr vs
-/// ~100 ns/instr for the full interpreter loop, and DRAM-refresh waits
-/// are time-dependent, so the fast path must still evaluate two burst
-/// delays per instruction instead of folding them per block — see
-/// "Memory waits: what can never be folded" in `docs/TIMING.md`.
+/// not a tuning artifact: both paths execute every instruction through
+/// the same shape handlers (`cpu::step`), and DRAM-refresh waits are
+/// time-dependent, so the fast path must still price two bursts per
+/// instruction instead of folding them per block — see "Memory waits:
+/// what can never be folded" in `docs/TIMING.md`. The fast path removes
+/// the scheduler round per instruction, nothing else.
 const MIN_SPEEDUP: f64 = 2.5;
 
 /// Sizes per kernel. `matmul` is cubic in simulated instructions (and its
@@ -136,7 +138,7 @@ fn main() -> ExitCode {
     let mut rows: Vec<Row> = Vec::new();
     let mut failures = Vec::new();
 
-    println!("== block-compiled fast path vs per-instruction interpreter ==");
+    println!("== fast path vs per-instruction interpreter ==");
     println!(
         "{:>8} {:>6} {:>6} {:>4} {:>12} {:>10} {:>10} {:>8} {:>6}",
         "kernel", "mode", "n", "p", "cycles", "interp ms", "fast ms", "speedup", "equal"

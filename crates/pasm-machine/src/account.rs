@@ -189,6 +189,10 @@ pub fn opcode_index(instr: &Instr) -> usize {
     }
 }
 
+/// Histogram slot of [`Instr::Mark`]: instrumentation, not a machine
+/// instruction, so [`CycleAccount::record_instr`] records nothing there.
+pub const MARK_ROW: usize = 44;
+
 /// Histogram slots of the variable-time opcodes `MULU`, `MULS`, `DIVU` and
 /// `DIVS`, in [`OPCODE_NAMES`] order.
 const MUL_DIV: Range<usize> = 16..20;
@@ -258,15 +262,17 @@ impl CycleAccount {
         self.buckets.iter().sum()
     }
 
-    /// Record one executed instruction in the opcode histogram. `duration`
-    /// is its full cost including memory waits.
-    pub fn record_instr(&mut self, instr: &Instr, duration: u64) {
-        if matches!(instr, Instr::Mark { .. }) {
-            return; // instrumentation, not a machine instruction
+    /// Record one executed instruction in the opcode histogram, by its row
+    /// ([`opcode_index`], precomputed in the instruction table). `duration`
+    /// is its full cost including memory waits. The [`MARK_ROW`] records
+    /// nothing.
+    #[inline]
+    pub fn record_instr(&mut self, row: usize, duration: u64) {
+        if row == MARK_ROW {
+            return;
         }
-        let i = opcode_index(instr);
-        self.op_count[i] += 1;
-        self.op_cycles[i] += duration;
+        self.op_count[row] += 1;
+        self.op_cycles[row] += duration;
     }
 
     /// Handle a phase marker at local time `now`, recording closed intervals.
@@ -407,6 +413,12 @@ mod tests {
         };
         assert_eq!(OPCODE_NAMES[opcode_index(&mul)], "MULU");
         assert_eq!(OPCODE_NAMES[opcode_index(&Instr::Halt)], "HALT");
+        let mark = Instr::Mark {
+            begin: true,
+            phase: 0,
+        };
+        assert_eq!(opcode_index(&mark), MARK_ROW);
+        assert_eq!(OPCODE_NAMES[MARK_ROW], "MARK");
         assert_eq!(OPCODE_NAMES.len(), N_OPCODES);
     }
 
@@ -485,16 +497,11 @@ mod tests {
     #[test]
     fn histogram_reports_only_executed_opcodes() {
         let mut a = CycleAccount::default();
-        a.record_instr(&Instr::Nop, 4);
-        a.record_instr(&Instr::Nop, 4);
-        a.record_instr(&Instr::Halt, 4);
-        a.record_instr(
-            &Instr::Mark {
-                begin: true,
-                phase: 1,
-            },
-            0,
-        );
+        let nop = opcode_index(&Instr::Nop);
+        a.record_instr(nop, 4);
+        a.record_instr(nop, 4);
+        a.record_instr(opcode_index(&Instr::Halt), 4);
+        a.record_instr(MARK_ROW, 0);
         let h = a.opcode_histogram();
         assert_eq!(h, vec![("NOP", 2, 8), ("HALT", 1, 4)]);
     }

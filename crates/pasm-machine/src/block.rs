@@ -1,16 +1,19 @@
 //! The instruction table: one-time static analysis that turns a loaded
 //! program into the table every executor reads.
 //!
-//! [`compile_program`] precomputes, per instruction of the main stream and
-//! of every SIMD block, the static/dynamic cycle decomposition
-//! ([`pasm_isa::timing::cycle_split`]) plus a *stop* flag for instructions
-//! that interact with the rest of the machine (mode switches, Fetch-Unit
-//! commands, barriers, `HALT`). The resulting [`CompiledProgram`] is the
-//! machine's only copy of a loaded program: the interpreter, the fast paths
-//! and the Fetch Unit all read their instructions and timing from it, so
-//! every step charges `split.static_cycles + dynamic_cycles(split.dynamic,
-//! ctx)` and takes its `multiply_variance` share from the same term
-//! ([`pasm_isa::timing::variance_cycles`]).
+//! [`compile_program`] decodes, once per instruction of the main stream and
+//! of every SIMD block, everything a step needs: the static/dynamic cycle
+//! decomposition ([`pasm_isa::timing::cycle_split`]), the instruction
+//! lowered to the handler of its (opcode, EA shape) ([`Op`]; the generic
+//! interpreter for shapes without one), its opcode-histogram row, and a
+//! *stop* flag for instructions that interact with the rest of the machine
+//! (mode switches, Fetch-Unit commands, barriers, `HALT`). The resulting
+//! [`CompiledProgram`] is the machine's only copy of a loaded program: the
+//! interpreter, the fast paths and the Fetch Unit all read their
+//! instructions and timing from it, and all execute an entry through
+//! [`crate::cpu::step`], so every step charges `split.static_cycles +
+//! dynamic_cycles(split.dynamic, ctx)` and takes its `multiply_variance`
+//! share from the same term ([`pasm_isa::timing::variance_cycles`]).
 //!
 //! The fast path (see `machine.rs`) leaps a fault-free MIMD PE (or an MC
 //! between Fetch-Unit commands) through the table without returning to the
@@ -21,20 +24,28 @@
 //!
 //! Nothing is folded across instructions: DRAM refresh makes memory wait
 //! states a function of the *absolute* cycle an access starts on, so every
-//! path still evaluates the burst delay per instruction (`docs/TIMING.md`).
+//! path still prices the memory bursts per instruction (`docs/TIMING.md`).
 
+use crate::account::opcode_index;
+use crate::cpu::Op;
 use pasm_isa::timing::{cycle_split, CycleSplit};
 use pasm_isa::{Instr, Program};
 use pasm_util::Fnv1a;
 use std::hash::{Hash, Hasher};
 
-/// One instruction of a loaded program with its precomputed timing facts.
+/// One instruction of a loaded program, decoded once: its timing facts, the
+/// handler that executes it and its opcode-histogram row.
 #[derive(Debug, Clone, Copy)]
 pub struct InstrMeta {
     /// The instruction.
     pub instr: Instr,
     /// Precomputed static/dynamic cycle decomposition.
     pub split: CycleSplit,
+    /// The instruction lowered to the handler of its (opcode, EA shape);
+    /// [`Op::Generic`] runs the generic interpreter.
+    pub op: Op,
+    /// Its opcode-histogram row ([`opcode_index`]).
+    pub row: u8,
     /// The fast path must return to the event scheduler *before* executing
     /// this instruction: it halts, switches mode, or talks to the Fetch Unit.
     pub stop: bool,
@@ -46,6 +57,8 @@ impl InstrMeta {
         InstrMeta {
             instr,
             split: cycle_split(&instr),
+            op: Op::of(&instr),
+            row: opcode_index(&instr) as u8,
             stop: is_stop(&instr),
         }
     }

@@ -1,18 +1,27 @@
-//! The CPU core interpreter shared by PEs and MCs.
+//! The CPU core shared by PEs and MCs.
 //!
-//! [`exec`] executes exactly one instruction against a [`Bus`], returning the
-//! core cycle cost (from `pasm_isa::timing`) plus fetch/data access counts so
-//! the machine can layer memory wait states on top, or a [`Block`] reason when
-//! the instruction touches a resource that is not ready (network transmit
-//! buffer occupied, no received byte). A blocked instruction leaves *all*
-//! architectural state unchanged — the machine re-issues it when the resource
-//! frees, which models the hardware holding the bus cycle.
+//! [`step`] executes exactly one instruction-table entry against a [`Bus`],
+//! returning the core cycle cost (from `pasm_isa::timing`) plus fetch/data
+//! access counts so the machine can layer memory wait states on top, or a
+//! [`Block`] reason when the instruction touches a resource that is not ready
+//! (network transmit buffer occupied, no received byte). A blocked
+//! instruction leaves *all* architectural state unchanged — the machine
+//! re-issues it when the resource frees, which models the hardware holding
+//! the bus cycle.
+//!
+//! Every entry is lowered once, at load, to an [`Op`]: a handler for its
+//! (opcode, EA shape) with register indices, immediates and displacements
+//! already extracted. The handlers cover the shapes that dominate executed
+//! instructions; every other shape is [`Op::Generic`], which runs the
+//! generic interpreter `exec_timed` — also the reference the handlers are
+//! differentially tested against.
 
-use pasm_isa::timing::{self, CycleSplit, ExecCtx};
-use pasm_isa::{Ccr, Ea, Instr, ShiftCount, ShiftKind, Size};
+use crate::block::InstrMeta;
+use pasm_isa::timing::{self, CycleSplit, DynTerm, ExecCtx};
+use pasm_isa::{Ccr, Cond, Ea, Instr, ShiftCount, ShiftKind, Size};
 
 /// Architectural state of one MC68000-style processor.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cpu {
     /// Data registers D0–D7.
     pub d: [u32; 8],
@@ -67,7 +76,7 @@ pub enum McEffect {
 }
 
 /// Result of a completed instruction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepResult {
     /// Core cycles assuming zero-wait memory.
     pub cycles: u32,
@@ -82,8 +91,8 @@ pub struct StepResult {
     pub effect: Effect,
 }
 
-/// Outcome of [`exec`].
-#[derive(Debug, Clone, Copy)]
+/// Outcome of [`step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     Done(StepResult),
     Blocked(Block),
@@ -220,28 +229,418 @@ fn sub_flags(ccr: &mut Ccr, size: Size, d: u32, s: u32, r: u32, set_x: bool) {
     }
 }
 
-/// Execute one instruction. On success the PC has been advanced (sequentially
-/// or to a branch target) and all effects applied; on [`StepOutcome::Blocked`]
-/// no state has changed.
-pub fn exec<B: Bus + ?Sized>(cpu: &mut Cpu, bus: &mut B, instr: &Instr) -> StepOutcome {
-    exec_timed(cpu, bus, instr, &timing::cycle_split(instr))
+/// Unwrap a bus access, or return the instruction's [`StepOutcome::Blocked`]
+/// before any further state changes.
+macro_rules! try_bus {
+    ($e:expr) => {
+        match $e {
+            Ok(v) => v,
+            Err(b) => return StepOutcome::Blocked(b),
+        }
+    };
 }
 
-/// [`exec`] with the instruction's static/dynamic cycle decomposition,
-/// precomputed once per loaded instruction (the machine's instruction
-/// table, `block.rs`).
+/// An instruction lowered to the handler of its (opcode, EA shape), with its
+/// operands extracted: register numbers, immediates, displacements, branch
+/// targets. Built once per loaded instruction ([`Op::of`]) and carried in
+/// the instruction table; [`step`] dispatches on it. Sizes are word unless
+/// the name says byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// Any other shape: the generic interpreter.
+    Generic,
+    /// `DBRA Dd,target`.
+    Dbra { d: u8, target: u32 },
+    /// `Bcc target`, `BRA` included.
+    Bcc { cond: Cond, target: u32 },
+    /// `ADD.W (Aa)+,Dd`.
+    AddFromPostInc { a: u8, d: u8 },
+    /// `ADD.W Ds,Dd`.
+    AddReg { s: u8, d: u8 },
+    /// `SUB.W Ds,Dd`.
+    SubReg { s: u8, d: u8 },
+    /// `CMP.W Ds,Dd`.
+    CmpReg { s: u8, d: u8 },
+    /// `OR.W Ds,Dd`.
+    OrReg { s: u8, d: u8 },
+    /// `ADD.W Ds,(Aa)+`.
+    AddToPostInc { s: u8, a: u8 },
+    /// `ADDQ.W #k,Dd`.
+    Addq { k: u8, d: u8 },
+    /// `MOVE.W (Aa)+,Dd`.
+    MoveFromPostInc { a: u8, d: u8 },
+    /// `MOVE.W disp(Aa),Dd`; `(Aa)` is `disp` 0.
+    MoveFromDisp { disp: i16, a: u8, d: u8 },
+    /// `MOVE.W Ds,(Aa)+`.
+    MoveToPostInc { s: u8, a: u8 },
+    /// `LSL`/`ASL`, `LSR` or `ASR` `.W #k,Dd`, `k` in 1..=8.
+    ShiftImm { kind: ShiftKind, k: u8, d: u8 },
+    /// `MULU Ds,Dd`.
+    MuluReg { s: u8, d: u8 },
+    /// `AND.W #imm,Dd`.
+    AndImm { imm: u16, d: u8 },
+    /// `CLR.W Dd`.
+    ClrReg { d: u8 },
+    /// `MOVE.B addr.L,Dd`: on a PE, the network-register reads.
+    MoveByteFromAbs { addr: u32, d: u8 },
+    /// `MOVE.B Ds,addr.L`: on a PE, the network-register writes.
+    MoveByteToAbs { s: u8, addr: u32 },
+}
+
+impl Op {
+    /// The handler of an instruction's shape: [`Op::Generic`] unless one of
+    /// the lowered shapes matches.
+    pub fn of(instr: &Instr) -> Op {
+        Op::lower(instr).unwrap_or(Op::Generic)
+    }
+
+    fn lower(instr: &Instr) -> Option<Op> {
+        use Ea::{AbsL, Disp, Imm, Ind, PostInc, D};
+        use Size::{Byte, Word};
+        let r = |i: usize| i as u8;
+        let target = |t: usize| u32::try_from(t).ok();
+        Some(match *instr {
+            Instr::Dbra { dst, target: t } => Op::Dbra {
+                d: r(dst.index()),
+                target: target(t)?,
+            },
+            Instr::Bcc { cond, target: t } => Op::Bcc {
+                cond,
+                target: target(t)?,
+            },
+            Instr::Add {
+                size: Word,
+                src,
+                dst,
+            } => match src {
+                PostInc(a) => Op::AddFromPostInc {
+                    a: r(a.index()),
+                    d: r(dst.index()),
+                },
+                D(s) => Op::AddReg {
+                    s: r(s.index()),
+                    d: r(dst.index()),
+                },
+                _ => return None,
+            },
+            Instr::Sub {
+                size: Word,
+                src: D(s),
+                dst,
+            } => Op::SubReg {
+                s: r(s.index()),
+                d: r(dst.index()),
+            },
+            Instr::Cmp {
+                size: Word,
+                src: D(s),
+                dst,
+            } => Op::CmpReg {
+                s: r(s.index()),
+                d: r(dst.index()),
+            },
+            Instr::Or {
+                size: Word,
+                src: D(s),
+                dst,
+            } => Op::OrReg {
+                s: r(s.index()),
+                d: r(dst.index()),
+            },
+            Instr::AddTo {
+                size: Word,
+                src,
+                dst: PostInc(a),
+            } => Op::AddToPostInc {
+                s: r(src.index()),
+                a: r(a.index()),
+            },
+            Instr::Addq {
+                size: Word,
+                value,
+                dst: D(d),
+            } => Op::Addq {
+                k: value,
+                d: r(d.index()),
+            },
+            Instr::Move {
+                size: Word,
+                src,
+                dst: D(d),
+            } => match src {
+                PostInc(a) => Op::MoveFromPostInc {
+                    a: r(a.index()),
+                    d: r(d.index()),
+                },
+                Ind(a) => Op::MoveFromDisp {
+                    disp: 0,
+                    a: r(a.index()),
+                    d: r(d.index()),
+                },
+                Disp(disp, a) => Op::MoveFromDisp {
+                    disp,
+                    a: r(a.index()),
+                    d: r(d.index()),
+                },
+                _ => return None,
+            },
+            Instr::Move {
+                size: Word,
+                src: D(s),
+                dst: PostInc(a),
+            } => Op::MoveToPostInc {
+                s: r(s.index()),
+                a: r(a.index()),
+            },
+            Instr::Shift {
+                kind: kind @ (ShiftKind::Lsl | ShiftKind::Asl | ShiftKind::Lsr | ShiftKind::Asr),
+                size: Word,
+                count: ShiftCount::Imm(k @ 1..=8),
+                dst,
+            } => Op::ShiftImm {
+                kind,
+                k,
+                d: r(dst.index()),
+            },
+            Instr::Mulu { src: D(s), dst } => Op::MuluReg {
+                s: r(s.index()),
+                d: r(dst.index()),
+            },
+            Instr::And {
+                size: Word,
+                src: Imm(v),
+                dst,
+            } => Op::AndImm {
+                imm: v as u16,
+                d: r(dst.index()),
+            },
+            Instr::Clr {
+                size: Word,
+                dst: D(d),
+            } => Op::ClrReg { d: r(d.index()) },
+            Instr::Move {
+                size: Byte,
+                src: AbsL(addr),
+                dst: D(d),
+            } => Op::MoveByteFromAbs {
+                addr,
+                d: r(d.index()),
+            },
+            Instr::Move {
+                size: Byte,
+                src: D(s),
+                dst: AbsL(addr),
+            } => Op::MoveByteToAbs {
+                s: r(s.index()),
+                addr,
+            },
+            _ => return None,
+        })
+    }
+}
+
+/// Execute one instruction-table entry through the handler of its shape
+/// ([`InstrMeta::op`]). On success the PC has been advanced (sequentially or
+/// to a branch target) and all effects applied; on [`StepOutcome::Blocked`]
+/// no state has changed: every handler makes its bus accesses before it
+/// writes a register. The core cycles are the entry's
+/// `split.static_cycles` plus the shape's dynamic term, exactly as the
+/// generic interpreter charges them.
+///
+/// The one entry point of every executor: the fast path's batch loop, the
+/// SIMD group step and the per-instruction PE and MC steps.
+#[inline(always)]
+pub fn step<B: Bus + ?Sized>(cpu: &mut Cpu, bus: &mut B, m: &InstrMeta) -> StepOutcome {
+    const W: Size = Size::Word;
+    let mut next_pc = cpu.pc + 1;
+    // The shape's dynamic cycles, and their multiply-variance share.
+    let mut dynamic = 0;
+    let mut variance = 0;
+    match m.op {
+        Op::Generic => return exec_timed(cpu, bus, &m.instr, &m.split),
+        Op::Dbra { d, target } => {
+            let reg = &mut cpu.d[d as usize];
+            let count = (*reg as u16).wrapping_sub(1);
+            *reg = W.merge(*reg, count as u32);
+            if count != 0xFFFF {
+                next_pc = target as usize;
+            } else {
+                let ctx = ExecCtx {
+                    loop_expired: true,
+                    ..ExecCtx::default()
+                };
+                dynamic = timing::dynamic_cycles(DynTerm::DbraExpired, ctx);
+            }
+        }
+        Op::Bcc { cond, target } => {
+            if cond.eval(cpu.ccr) {
+                next_pc = target as usize;
+            } else {
+                // Never reached by `BRA`, the one form without the term.
+                dynamic = timing::dynamic_cycles(DynTerm::BccFallThrough, ExecCtx::default());
+            }
+        }
+        Op::AddFromPostInc { a, d } => {
+            let addr = cpu.a[a as usize];
+            let s = try_bus!(bus.read(addr, W));
+            cpu.a[a as usize] = addr.wrapping_add(2);
+            add_word(cpu, s, d);
+        }
+        Op::AddReg { s, d } => add_word(cpu, W.truncate(cpu.d[s as usize]), d),
+        Op::SubReg { s, d } => sub_word(cpu, s, d, true),
+        Op::CmpReg { s, d } => sub_word(cpu, s, d, false),
+        Op::OrReg { s, d } => {
+            let i = d as usize;
+            let r = W.truncate(cpu.d[i] | cpu.d[s as usize]);
+            cpu.d[i] = W.merge(cpu.d[i], r);
+            cpu.ccr.set_logic(r, W);
+        }
+        Op::AddToPostInc { s, a } => {
+            let addr = cpu.a[a as usize];
+            let dv = try_bus!(bus.read(addr, W));
+            let sv = W.truncate(cpu.d[s as usize]);
+            let r = W.truncate(sv.wrapping_add(dv));
+            try_bus!(bus.write(addr, r, W));
+            add_flags(&mut cpu.ccr, W, dv, sv, r);
+            cpu.a[a as usize] = addr.wrapping_add(2);
+        }
+        Op::Addq { k, d } => {
+            let i = d as usize;
+            let dv = W.truncate(cpu.d[i]);
+            let r = W.truncate(dv.wrapping_add(k as u32));
+            add_flags(&mut cpu.ccr, W, dv, k as u32, r);
+            cpu.d[i] = W.merge(cpu.d[i], r);
+        }
+        Op::MoveFromPostInc { a, d } => {
+            let addr = cpu.a[a as usize];
+            let v = try_bus!(bus.read(addr, W));
+            cpu.a[a as usize] = addr.wrapping_add(2);
+            move_to_reg(cpu, W, v, d);
+        }
+        Op::MoveFromDisp { disp, a, d } => {
+            let addr = cpu.a[a as usize].wrapping_add(disp as i32 as u32);
+            let v = try_bus!(bus.read(addr, W));
+            move_to_reg(cpu, W, v, d);
+        }
+        Op::MoveToPostInc { s, a } => {
+            let v = W.truncate(cpu.d[s as usize]);
+            let addr = cpu.a[a as usize];
+            try_bus!(bus.write(addr, v, W));
+            cpu.a[a as usize] = addr.wrapping_add(2);
+            cpu.ccr.set_logic(v, W);
+        }
+        Op::ShiftImm { kind, k, d } => {
+            let i = d as usize;
+            let n = k as u32;
+            let v = W.truncate(cpu.d[i]);
+            let (r, carry) = match kind {
+                ShiftKind::Lsr => (v >> n, (v >> (n - 1)) & 1 != 0),
+                ShiftKind::Asr => {
+                    let sv = W.sign_extend(v) as i32;
+                    (W.truncate((sv >> n) as u32), (sv >> (n - 1)) & 1 != 0)
+                }
+                // LSL and ASL: `Op::of` lowers no rotate.
+                _ => (W.truncate(v << n), (v >> (16 - n)) & 1 != 0),
+            };
+            cpu.d[i] = W.merge(cpu.d[i], r);
+            cpu.ccr.set_logic(r, W);
+            cpu.ccr.c = carry;
+            cpu.ccr.x = carry;
+        }
+        Op::MuluReg { s, d } => {
+            let s = W.truncate(cpu.d[s as usize]);
+            let i = d as usize;
+            let r = s * (cpu.d[i] & 0xFFFF);
+            cpu.d[i] = r;
+            cpu.ccr.set_logic(r, Size::Long);
+            let ctx = ExecCtx {
+                src_value: s,
+                ..ExecCtx::default()
+            };
+            dynamic = timing::dynamic_cycles(DynTerm::MuluOnes, ctx);
+            variance = timing::variance_cycles(DynTerm::MuluOnes, dynamic);
+        }
+        Op::AndImm { imm, d } => {
+            let i = d as usize;
+            let r = cpu.d[i] & imm as u32;
+            cpu.d[i] = W.merge(cpu.d[i], r);
+            cpu.ccr.set_logic(r, W);
+        }
+        Op::ClrReg { d } => {
+            let i = d as usize;
+            cpu.d[i] = W.merge(cpu.d[i], 0);
+            cpu.ccr.set_logic(0, W);
+        }
+        Op::MoveByteFromAbs { addr, d } => {
+            let v = try_bus!(bus.read(addr, Size::Byte));
+            move_to_reg(cpu, Size::Byte, v, d);
+        }
+        Op::MoveByteToAbs { s, addr } => {
+            let v = Size::Byte.truncate(cpu.d[s as usize]);
+            try_bus!(bus.write(addr, v, Size::Byte));
+            cpu.ccr.set_logic(v, Size::Byte);
+        }
+    }
+    cpu.pc = next_pc;
+    StepOutcome::Done(StepResult {
+        cycles: m.split.static_cycles + dynamic,
+        fetch_words: m.split.fetch_words,
+        data_accesses: m.split.data_accesses,
+        variance,
+        effect: Effect::None,
+    })
+}
+
+/// `ADD.W` of the word `s` into data register `d`.
+#[inline(always)]
+fn add_word(cpu: &mut Cpu, s: u32, d: u8) {
+    let i = d as usize;
+    let dv = Size::Word.truncate(cpu.d[i]);
+    let r = Size::Word.truncate(s.wrapping_add(dv));
+    add_flags(&mut cpu.ccr, Size::Word, dv, s, r);
+    cpu.d[i] = Size::Word.merge(cpu.d[i], r);
+}
+
+/// `SUB.W Ds,Dd` (`store`), or `CMP.W Ds,Dd`: the flags without the
+/// result.
+#[inline(always)]
+fn sub_word(cpu: &mut Cpu, s: u8, d: u8, store: bool) {
+    let i = d as usize;
+    let sv = Size::Word.truncate(cpu.d[s as usize]);
+    let dv = Size::Word.truncate(cpu.d[i]);
+    let r = Size::Word.truncate(dv.wrapping_sub(sv));
+    sub_flags(&mut cpu.ccr, Size::Word, dv, sv, r, store);
+    if store {
+        cpu.d[i] = Size::Word.merge(cpu.d[i], r);
+    }
+}
+
+/// `MOVE` of the value `v` read from memory into data register `d`.
+#[inline(always)]
+fn move_to_reg(cpu: &mut Cpu, size: Size, v: u32, d: u8) {
+    let i = d as usize;
+    cpu.d[i] = size.merge(cpu.d[i], v);
+    cpu.ccr.set_logic(v, size);
+}
+
+/// Execute one instruction, lowered on the spot: [`step`] on its
+/// instruction-table entry. For tests and one-off use; the machine steps
+/// its loaded table.
+pub fn exec<B: Bus + ?Sized>(cpu: &mut Cpu, bus: &mut B, instr: &Instr) -> StepOutcome {
+    step(cpu, bus, &InstrMeta::of(*instr))
+}
+
+/// The generic interpreter: any instruction, with its static/dynamic cycle
+/// decomposition precomputed once per loaded instruction (the machine's
+/// instruction table, `block.rs`). [`step`] runs it for every shape without
+/// a handler ([`Op::Generic`]); the handlers are tested against it.
 ///
 /// The core cycle charge is `split.static_cycles + dynamic_cycles(
 /// split.dynamic, ctx)`, which equals [`timing::base_cycles`] for every
 /// instruction × context — the invariant is pinned by the `pasm-isa`
 /// decomposition tests — and the multiply variance is taken from the same
 /// dynamic term ([`timing::variance_cycles`]).
-///
-/// Always inlined: the fast paths call it once per simulated instruction,
-/// and with two call sites for one bus type the optimizer would otherwise
-/// move it out of line, under the MIMD fast path's loop.
-#[inline(always)]
-pub fn exec_timed<B: Bus + ?Sized>(
+fn exec_timed<B: Bus + ?Sized>(
     cpu: &mut Cpu,
     bus: &mut B,
     instr: &Instr,
@@ -251,15 +650,6 @@ pub fn exec_timed<B: Bus + ?Sized>(
     let mut ctx = ExecCtx::default();
     let mut effect = Effect::None;
     let mut next_pc = cpu.pc + 1;
-
-    macro_rules! try_bus {
-        ($e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(b) => return StepOutcome::Blocked(b),
-            }
-        };
-    }
 
     match *instr {
         Instr::Move { size, src, dst } => {
@@ -647,6 +1037,7 @@ pub fn exec_timed<B: Bus + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MainOnlyBus;
     use pasm_isa::asm::assemble;
     use pasm_isa::{Cond, DataReg, Program};
     use pasm_mem::Memory;
@@ -672,6 +1063,257 @@ mod tests {
             }
         }
         panic!("program did not halt");
+    }
+
+    /// Every lowered shape, by a dense index: the match is exhaustive, so a
+    /// new [`Op`] variant fails to compile here until the differential test
+    /// below draws it.
+    fn shape_index(op: Op) -> usize {
+        match op {
+            Op::Generic => 0,
+            Op::Dbra { .. } => 1,
+            Op::Bcc { .. } => 2,
+            Op::AddFromPostInc { .. } => 3,
+            Op::AddReg { .. } => 4,
+            Op::SubReg { .. } => 5,
+            Op::CmpReg { .. } => 6,
+            Op::OrReg { .. } => 7,
+            Op::AddToPostInc { .. } => 8,
+            Op::Addq { .. } => 9,
+            Op::MoveFromPostInc { .. } => 10,
+            Op::MoveFromDisp { .. } => 11,
+            Op::MoveToPostInc { .. } => 12,
+            Op::ShiftImm { .. } => 13,
+            Op::MuluReg { .. } => 14,
+            Op::AndImm { .. } => 15,
+            Op::ClrReg { .. } => 16,
+            Op::MoveByteFromAbs { .. } => 17,
+            Op::MoveByteToAbs { .. } => 18,
+        }
+    }
+    const SHAPES: usize = 19;
+
+    /// Base of the memory the differential test's address registers point
+    /// into, and the bytes it compares.
+    const ARENA: u32 = 0x400;
+    const ARENA_WORDS: usize = 0x200;
+
+    /// A register value: mostly the carry, overflow and multiplier edges
+    /// (0, 1, 0x7FFF, 0x8000, 0xFFFF, with and without high-word bits; a
+    /// low word of 0 expires a DBRA counter), otherwise random.
+    fn data_value(rng: &mut pasm_util::Rng) -> u32 {
+        const EDGES: [u32; 7] = [0, 1, 0x7FFF, 0x8000, 0xFFFF, 0xFFFF_0000, 0x1234_8000];
+        match rng.gen_range(3) {
+            0 => rng.gen_u32(),
+            _ => EDGES[rng.gen_range(EDGES.len())] ^ (rng.gen_range(2) as u32 * 0xABCD_0000),
+        }
+    }
+
+    /// One random instruction of lowered shape `shape`. Address registers
+    /// are set by the caller to point into the arena; absolute byte
+    /// addresses are in the arena or memory-mapped.
+    fn instr_of_shape(shape: usize, rng: &mut pasm_util::Rng) -> Instr {
+        use pasm_isa::AddrReg;
+        let dr = |rng: &mut pasm_util::Rng| DataReg::from_index(rng.gen_range(8)).unwrap();
+        // A0–A6: A7 is left alone so a stray stack use would show.
+        let ar = |rng: &mut pasm_util::Rng| AddrReg::from_index(rng.gen_range(7)).unwrap();
+        let target = rng.gen_range(100);
+        let abs = |rng: &mut pasm_util::Rng| match rng.gen_range(4) {
+            0 => pasm_mem::map::NET_DRR + rng.gen_range(2) as u32,
+            1 => pasm_mem::map::TIMER,
+            _ => ARENA + rng.gen_range(2 * ARENA_WORDS) as u32,
+        };
+        let w = Size::Word;
+        match shape {
+            1 => Instr::Dbra {
+                dst: dr(rng),
+                target,
+            },
+            2 => {
+                const CONDS: [Cond; 15] = [
+                    Cond::True,
+                    Cond::Ne,
+                    Cond::Eq,
+                    Cond::Cc,
+                    Cond::Cs,
+                    Cond::Pl,
+                    Cond::Mi,
+                    Cond::Ge,
+                    Cond::Gt,
+                    Cond::Le,
+                    Cond::Lt,
+                    Cond::Hi,
+                    Cond::Ls,
+                    Cond::Vc,
+                    Cond::Vs,
+                ];
+                Instr::Bcc {
+                    cond: CONDS[rng.gen_range(CONDS.len())],
+                    target,
+                }
+            }
+            3 => Instr::Add {
+                size: w,
+                src: Ea::PostInc(ar(rng)),
+                dst: dr(rng),
+            },
+            4 => Instr::Add {
+                size: w,
+                src: Ea::D(dr(rng)),
+                dst: dr(rng),
+            },
+            5 => Instr::Sub {
+                size: w,
+                src: Ea::D(dr(rng)),
+                dst: dr(rng),
+            },
+            6 => Instr::Cmp {
+                size: w,
+                src: Ea::D(dr(rng)),
+                dst: dr(rng),
+            },
+            7 => Instr::Or {
+                size: w,
+                src: Ea::D(dr(rng)),
+                dst: dr(rng),
+            },
+            8 => Instr::AddTo {
+                size: w,
+                src: dr(rng),
+                dst: Ea::PostInc(ar(rng)),
+            },
+            9 => Instr::Addq {
+                size: w,
+                value: 1 + rng.gen_range(8) as u8,
+                dst: Ea::D(dr(rng)),
+            },
+            10 => Instr::Move {
+                size: w,
+                src: Ea::PostInc(ar(rng)),
+                dst: Ea::D(dr(rng)),
+            },
+            11 => Instr::Move {
+                size: w,
+                src: match rng.gen_range(3) {
+                    0 => Ea::Ind(ar(rng)),
+                    // Negative and positive even displacements.
+                    _ => Ea::Disp(2 * (rng.gen_range(64) as i16 - 32), ar(rng)),
+                },
+                dst: Ea::D(dr(rng)),
+            },
+            12 => Instr::Move {
+                size: w,
+                src: Ea::D(dr(rng)),
+                dst: Ea::PostInc(ar(rng)),
+            },
+            13 => {
+                use ShiftKind::*;
+                Instr::Shift {
+                    kind: [Lsl, Asl, Lsr, Asr][rng.gen_range(4)],
+                    size: w,
+                    count: ShiftCount::Imm(1 + rng.gen_range(8) as u8),
+                    dst: dr(rng),
+                }
+            }
+            14 => Instr::Mulu {
+                src: Ea::D(dr(rng)),
+                dst: dr(rng),
+            },
+            15 => Instr::And {
+                size: w,
+                src: Ea::Imm(data_value(rng)),
+                dst: dr(rng),
+            },
+            16 => Instr::Clr {
+                size: w,
+                dst: Ea::D(dr(rng)),
+            },
+            17 => Instr::Move {
+                size: Size::Byte,
+                src: Ea::AbsL(abs(rng)),
+                dst: Ea::D(dr(rng)),
+            },
+            18 => Instr::Move {
+                size: Size::Byte,
+                src: Ea::D(dr(rng)),
+                dst: Ea::AbsL(abs(rng)),
+            },
+            _ => unreachable!("shape {shape}"),
+        }
+    }
+
+    /// Differential test of the shape handlers: every lowered shape, on
+    /// seeded random CPU states (all five flags, X included) and memory,
+    /// through [`step`] and through the generic interpreter. Registers,
+    /// flags, pc, arena bytes and the outcome must match; an access the bus
+    /// refuses must block with the state bit-identical.
+    #[test]
+    fn shape_handlers_match_the_generic_interpreter() {
+        let mut blocked = 0;
+        for seed in 0..4000u64 {
+            let mut rng = pasm_util::Rng::seed_from_u64(seed);
+            let shape = 1 + (seed as usize % (SHAPES - 1));
+            let instr = instr_of_shape(shape, &mut rng);
+            let meta = InstrMeta::of(instr);
+            assert_eq!(
+                shape_index(meta.op),
+                shape,
+                "{instr} lowered to {:?}",
+                meta.op
+            );
+
+            let mut cpu = Cpu::default();
+            for d in &mut cpu.d {
+                *d = data_value(&mut rng);
+            }
+            for a in &mut cpu.a {
+                *a = ARENA + 64 + 2 * rng.gen_range(ARENA_WORDS - 64) as u32;
+            }
+            if rng.gen_range(8) == 0 {
+                // An address register into SIMD space, memory-mapped at
+                // every displacement drawn: the access must block.
+                cpu.a[rng.gen_range(7)] = pasm_mem::map::SIMD_SPACE_BASE + 0x100;
+            }
+            let bits = rng.gen_range(32);
+            cpu.ccr = Ccr {
+                x: bits & 1 != 0,
+                n: bits & 2 != 0,
+                z: bits & 4 != 0,
+                v: bits & 8 != 0,
+                c: bits & 16 != 0,
+            };
+            cpu.pc = rng.gen_range(100);
+            let mut mem = Memory::new(1 << 16);
+            let words: Vec<u16> = (0..ARENA_WORDS)
+                .map(|_| data_value(&mut rng) as u16)
+                .collect();
+            mem.load_words(ARENA, &words);
+
+            // The fast path's bus: memory-mapped accesses are refused.
+            let (mut want_cpu, mut want_mem) = (cpu.clone(), mem.clone());
+            let want_bus = &mut MainOnlyBus(&mut want_mem);
+            let want = exec_timed(&mut want_cpu, want_bus, &instr, &meta.split);
+            let (mut got_cpu, mut got_mem) = (cpu.clone(), mem.clone());
+            let got = step(&mut got_cpu, &mut MainOnlyBus(&mut got_mem), &meta);
+            assert_eq!(got, want, "seed {seed}: {instr}");
+            assert_eq!(got_cpu, want_cpu, "seed {seed}: {instr}");
+            let dump = |m: &Memory| m.dump_words(ARENA, ARENA_WORDS);
+            assert_eq!(dump(&got_mem), dump(&want_mem), "seed {seed}: {instr}");
+            if let StepOutcome::Blocked(b) = got {
+                assert_eq!(b, Block::Mmio);
+                assert_eq!(
+                    got_cpu, cpu,
+                    "seed {seed}: {instr} blocked but changed state"
+                );
+                assert_eq!(
+                    dump(&got_mem),
+                    words,
+                    "seed {seed}: {instr} blocked but wrote"
+                );
+                blocked += 1;
+            }
+        }
+        assert!(blocked > 0, "no access was refused");
     }
 
     #[test]

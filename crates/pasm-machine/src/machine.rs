@@ -12,7 +12,7 @@
 use crate::account::{Bucket, CycleAccount, MachineAccounts};
 use crate::block::{self, CompiledProgram, InstrMeta};
 use crate::config::{MachineConfig, ReleaseMode};
-use crate::cpu::{exec_timed, Block, Bus, Cpu, Effect, McEffect, MemBus, StepOutcome, StepResult};
+use crate::cpu::{self, Block, Bus, Cpu, Effect, McEffect, MemBus, StepOutcome, StepResult};
 use crate::fault::{FaultPlan, PeFault};
 use crate::fetch_unit::{EntryKind, FetchUnit, FuStats, QueueEntry};
 use crate::trace::{McTrace, PeTrace};
@@ -664,7 +664,7 @@ impl Machine {
                 wrote_net_to: None,
                 consumed_rx: false,
             };
-            outcome = exec_timed(&mut pe.cpu, &mut bus, &instr, &meta.split);
+            outcome = cpu::step(&mut pe.cpu, &mut bus, &meta);
             extra_cycles = bus.extra_cycles;
             detour_cycles = bus.detour_cycles;
             wrote_net_to = bus.wrote_net_to;
@@ -688,16 +688,14 @@ impl Machine {
 
         // Charge memory waits: instruction words come from the queue (SRAM) in
         // SIMD mode, from PE DRAM in MIMD mode; operand traffic is always DRAM.
-        let fetch_timing = if simd_delivered {
-            self.cfg.fu_sram
+        let data = BurstClock::new(self.cfg.pe_dram, now);
+        let fetch = if simd_delivered {
+            BurstClock::new(self.cfg.fu_sram, now)
         } else {
-            self.cfg.pe_dram
+            data
         };
-        let fetch_wait = fetch_timing.burst_delay(now, r.fetch_words);
-        let data_wait = self
-            .cfg
-            .pe_dram
-            .burst_delay(now + fetch_wait, r.data_accesses);
+        let fetch_wait = fetch.burst_delay(0, r.fetch_words);
+        let data_wait = data.burst_delay(fetch_wait, r.data_accesses);
         // Slow-PE fault model: every operand access pays extra wait states.
         let slow_wait = match self.pe_faults[i] {
             Some(PeFault::Slow { extra_wait }) => extra_wait * r.data_accesses as u64,
@@ -711,7 +709,7 @@ impl Machine {
         };
         let acc = &mut self.acct.pe[i];
         let mut charges = Charges::default();
-        let new_now = charges.charge(acc, &instr, &r, now, waits);
+        let new_now = charges.charge(acc, meta.row, &r, now, waits);
         charges.flush(acc);
         acc.net_bytes_sent += wrote_net_to.is_some() as u64;
 
@@ -1160,18 +1158,16 @@ impl Machine {
 
         let outcome = {
             let mc = &mut self.mcs[i];
-            exec_timed(&mut mc.cpu, &mut MemBus(&mut mc.mem), &instr, &meta.split)
+            cpu::step(&mut mc.cpu, &mut MemBus(&mut mc.mem), &meta)
         };
         let r = match outcome {
             StepOutcome::Done(r) => r,
             StepOutcome::Blocked(b) => panic!("MC {i} blocked on {b:?} — MCs have no network"),
         };
 
-        let fetch_wait = self.cfg.mc_dram.burst_delay(now, r.fetch_words);
-        let data_wait = self
-            .cfg
-            .mc_dram
-            .burst_delay(now + fetch_wait, r.data_accesses);
+        let clock = BurstClock::new(self.cfg.mc_dram, now);
+        let fetch_wait = clock.burst_delay(0, r.fetch_words);
+        let data_wait = clock.burst_delay(fetch_wait, r.data_accesses);
         let waits = Waits {
             fetch: fetch_wait,
             data: data_wait,
@@ -1179,7 +1175,7 @@ impl Machine {
         };
         let acc = &mut self.acct.mc[i];
         let mut charges = Charges::default();
-        let new_now = charges.charge(acc, &instr, &r, now, waits);
+        let new_now = charges.charge(acc, meta.row, &r, now, waits);
         charges.flush(acc);
         self.set_mc(i, McState::Ready, new_now);
 
@@ -1333,11 +1329,11 @@ fn exec_batch<B: Bus>(
 }
 
 /// Execute one compiled instruction at `now` on `bus` and charge it: the
-/// executor of both batch loops and of the SIMD group step (the interpreter
-/// it calls is always inlined, see `exec_timed`). Instruction words are
-/// priced on `fetch`, operands on `data` (both tracking `now`). Returns the
-/// end time, or `None` if the bus refused an access before any state
-/// changed.
+/// executor of both batch loops and of the SIMD group step, through the
+/// handler of the instruction's shape ([`cpu::step`], always inlined).
+/// Instruction words are priced on `fetch`, operands on `data` (both
+/// tracking `now`). Returns the end time, or `None` if the bus refused an
+/// access before any state changed.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn exec_one<B: Bus>(
@@ -1350,7 +1346,7 @@ fn exec_one<B: Bus>(
     data: &BurstClock,
     charges: &mut Charges,
 ) -> Option<u64> {
-    let StepOutcome::Done(r) = exec_timed(cpu, bus, &m.instr, &m.split) else {
+    let StepOutcome::Done(r) = cpu::step(cpu, bus, m) else {
         return None;
     };
     // Only `Mark` has an effect here: every other effectful instruction is
@@ -1364,7 +1360,7 @@ fn exec_one<B: Bus>(
         data: data.burst_delay(fetch_wait, r.data_accesses),
         ..Waits::default()
     };
-    Some(charges.charge(acc, &m.instr, &r, now, waits))
+    Some(charges.charge(acc, m.row, &r, now, waits))
 }
 
 /// Cycles one executed instruction spent beyond its core cycles, by cause.
@@ -1397,12 +1393,13 @@ struct Charges {
 
 impl Charges {
     /// Charge one instruction that started at `now` and return its end time.
-    /// The opcode histogram and the phase marks go straight to `acc`.
+    /// The opcode histogram (at the instruction's table `row`) and the phase
+    /// marks go straight to `acc`.
     #[inline(always)]
     fn charge(
         &mut self,
         acc: &mut CycleAccount,
-        instr: &Instr,
+        row: u8,
         r: &StepResult,
         now: u64,
         w: Waits,
@@ -1416,7 +1413,7 @@ impl Charges {
         self.fault += w.fault;
         let duration = r.cycles as u64 + w.fetch + w.data + w.network + w.fault;
         let end = now + duration;
-        acc.record_instr(instr, duration);
+        acc.record_instr(row as usize, duration);
         if let Effect::Mark { begin, phase } = r.effect {
             acc.mark(begin, phase, end);
         }
@@ -1439,7 +1436,7 @@ impl Charges {
 /// the per-instruction path. Reads of main memory are side-effect free and
 /// the interpreter never writes main memory before a later bus access in the
 /// same instruction, so an escape leaves the machine exactly as it was.
-struct MainOnlyBus<'m>(&'m mut Memory);
+pub(crate) struct MainOnlyBus<'m>(pub(crate) &'m mut Memory);
 
 impl Bus for MainOnlyBus<'_> {
     fn read(&mut self, addr: u32, size: Size) -> Result<u32, Block> {

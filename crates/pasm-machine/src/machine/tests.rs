@@ -1002,6 +1002,333 @@ fn check_random_simd_programs(seeds: std::ops::RangeInclusive<u64>) {
     }
 }
 
+/// One random instruction (or short sequence) of a generated MIMD program
+/// body: variable-time multiplies and divides with register and memory
+/// sources, timer reads (memory-mapped, so the fast path escapes), a
+/// data-dependent forward branch, an inner `DBRA` loop, phase marks and
+/// shapes with and without a handler. D5 is the inner loop counter, D6
+/// the polling scratch and D7 the outer counter; A0 walks the input and A1
+/// the output.
+fn random_mimd_op(rng: &mut TestRng, b: &mut ProgramBuilder, labels: &mut usize) {
+    use pasm_isa::AddrReg::{A0, A1};
+    use pasm_isa::{Cond, ShiftCount, ShiftKind};
+    use DataReg::*;
+    let d = |rng: &mut TestRng| [D0, D1, D2, D3, D4][rng.below(5) as usize];
+    let src = |rng: &mut TestRng| match rng.below(4) {
+        0 => Ea::Ind(A0),
+        1 => Ea::Disp(2 * (rng.below(9) as i16 - 4), A0),
+        _ => Ea::D(d(rng)),
+    };
+    let mut label = |b: &mut ProgramBuilder| {
+        *labels += 1;
+        b.new_label(format!("l{labels}"))
+    };
+    match rng.below(15) {
+        0 | 1 => b.emit(Instr::Mulu {
+            src: src(rng),
+            dst: d(rng),
+        }),
+        2 => b.emit(Instr::Muls {
+            src: src(rng),
+            dst: d(rng),
+        }),
+        3 => b.emit(Instr::Divu {
+            src: src(rng),
+            dst: d(rng),
+        }),
+        4 => b.emit(Instr::Divs {
+            src: src(rng),
+            dst: d(rng),
+        }),
+        5 => b.emit(Instr::Add {
+            size: Size::Word,
+            src: Ea::PostInc(A0),
+            dst: d(rng),
+        }),
+        6 => b.emit(Instr::Move {
+            size: Size::Word,
+            src: Ea::D(d(rng)),
+            dst: Ea::PostInc(A1),
+        }),
+        7 => b.emit(Instr::Move {
+            size: [Size::Word, Size::Long][rng.below(2) as usize],
+            src: Ea::AbsL(map::TIMER),
+            dst: Ea::D(d(rng)),
+        }),
+        8 => {
+            let skip = label(b);
+            b.emit(Instr::Cmp {
+                size: Size::Word,
+                src: Ea::D(d(rng)),
+                dst: d(rng),
+            });
+            let cond = [Cond::Hi, Cond::Lt, Cond::Eq, Cond::Cs][rng.below(4) as usize];
+            b.branch(Instr::Bcc { cond, target: 0 }, skip);
+            b.emit(Instr::Addq {
+                size: Size::Word,
+                value: 3,
+                dst: Ea::D(d(rng)),
+            });
+            b.bind(skip);
+        }
+        9 => {
+            // Now and then long enough to cross the fast path's batch cap.
+            let count = match rng.below(16) {
+                0 => 1000 + rng.below(2000) as u32,
+                _ => rng.below(40) as u32,
+            };
+            b.emit(Instr::Move {
+                size: Size::Word,
+                src: Ea::Imm(count),
+                dst: Ea::D(D5),
+            });
+            let top = label(b);
+            b.bind(top);
+            b.emit(Instr::Mulu {
+                src: Ea::D(d(rng)),
+                dst: d(rng),
+            });
+            b.emit(Instr::Add {
+                size: Size::Word,
+                src: Ea::D(d(rng)),
+                dst: d(rng),
+            });
+            b.branch(Instr::Dbra { dst: D5, target: 0 }, top);
+        }
+        10 => {
+            use ShiftKind::*;
+            b.emit(Instr::Shift {
+                kind: [Lsl, Lsr, Asr, Ror][rng.below(4) as usize],
+                size: Size::Word,
+                count: ShiftCount::Imm(1 + rng.below(8) as u8),
+                dst: d(rng),
+            });
+        }
+        11 => b.emit(match rng.below(3) {
+            0 => Instr::And {
+                size: Size::Word,
+                src: Ea::Imm(rng.below(1 << 16) as u32),
+                dst: d(rng),
+            },
+            1 => Instr::Or {
+                size: Size::Word,
+                src: Ea::D(d(rng)),
+                dst: d(rng),
+            },
+            _ => Instr::Sub {
+                size: Size::Word,
+                src: Ea::D(d(rng)),
+                dst: d(rng),
+            },
+        }),
+        12 => b.emit(Instr::Move {
+            size: Size::Long,
+            src: Ea::Disp(-4, A0),
+            dst: Ea::D(d(rng)),
+        }),
+        13 => {
+            let phase = 1 + rng.below(3) as u8;
+            b.emit(Instr::Mark { begin: true, phase });
+            b.emit(Instr::Mulu {
+                src: Ea::D(d(rng)),
+                dst: d(rng),
+            });
+            b.emit(Instr::Mark {
+                begin: false,
+                phase,
+            });
+        }
+        _ => b.emit(Instr::Clr {
+            size: Size::Word,
+            dst: Ea::D(d(rng)),
+        }),
+    }
+}
+
+/// One byte around the ring: send D0's low byte to the next PE and receive
+/// the previous PE's into D1, status-polled (the paper's MIMD protocol) or
+/// blocking on the transfer registers.
+fn ring_transfer(rng: &mut TestRng, b: &mut ProgramBuilder, labels: &mut usize) {
+    use DataReg::*;
+    let byte = |src, dst| Instr::Move {
+        size: Size::Byte,
+        src,
+        dst,
+    };
+    let polled = rng.below(3) != 0;
+    for (bit, io) in [
+        (1, byte(Ea::D(D0), dtr_ea())),
+        (2, byte(drr_ea(), Ea::D(D1))),
+    ] {
+        if polled {
+            *labels += 1;
+            let poll = b.new_label(format!("l{labels}"));
+            b.bind(poll);
+            b.emit(byte(status_ea(), Ea::D(D6)));
+            b.emit(Instr::And {
+                size: Size::Word,
+                src: Ea::Imm(bit),
+                dst: D6,
+            });
+            b.branch(
+                Instr::Bcc {
+                    cond: pasm_isa::Cond::Eq,
+                    target: 0,
+                },
+                poll,
+            );
+        }
+        b.emit(io);
+    }
+}
+
+/// A random MIMD (`smimd == false`) or S/MIMD job on the small machine's
+/// four PEs: one generated program on every PE — an outer loop over a
+/// random body with ring transfers and, in S/MIMD, barriers — and per-PE
+/// registers and input. In S/MIMD the MC starts the PEs and feeds the
+/// barrier words in chunks, spinning between its commands; in MIMD the PEs
+/// start at random times.
+fn random_mimd_job(m: &mut Machine, rng: &mut TestRng, smimd: bool) {
+    use pasm_isa::AddrReg::{A0, A1};
+    use DataReg::*;
+    let mut b = ProgramBuilder::new();
+    let mut labels = 0;
+    let iters = rng.below(4) as u32;
+    b.emit(Instr::Move {
+        size: Size::Word,
+        src: Ea::Imm(iters),
+        dst: Ea::D(D7),
+    });
+    b.emit(Instr::Lea {
+        src: Ea::AbsW(0x140),
+        dst: A0,
+    });
+    b.emit(Instr::Lea {
+        src: Ea::AbsW(0x1000),
+        dst: A1,
+    });
+    let top = b.new_label("top");
+    b.bind(top);
+    let mut barriers = 0;
+    for _ in 0..1 + rng.below(12) {
+        match rng.below(8) {
+            0 => ring_transfer(rng, &mut b, &mut labels),
+            1 if smimd => {
+                b.emit(Instr::Barrier);
+                barriers += 1;
+            }
+            _ => random_mimd_op(rng, &mut b, &mut labels),
+        }
+    }
+    b.branch(Instr::Dbra { dst: D7, target: 0 }, top);
+    b.emit(Instr::Halt);
+    let pe = b.build().unwrap();
+    m.connect_ring(&[0, 1, 2, 3]).unwrap();
+    for p in 0..4 {
+        m.load_pe_program(p, pe.clone());
+        let input: Vec<u16> = (0..256).map(|_| rng.below(1 << 16) as u16).collect();
+        m.pe_mem_mut(p).load_words(0x100, &input);
+        let cpu = m.pe_cpu_mut(p);
+        for r in 0..5 {
+            cpu.d[r] = rng.below(1 << 32) as u32;
+        }
+        if !smimd {
+            m.start_pe(p, rng.below(200));
+        }
+    }
+    if !smimd {
+        return;
+    }
+    let mut mc = ProgramBuilder::new();
+    let spin = |mc: &mut ProgramBuilder, rng: &mut TestRng, k: usize| {
+        mc.emit(Instr::Moveq {
+            value: rng.below(30) as i8,
+            dst: D1,
+        });
+        let l = mc.here(format!("spin{k}"));
+        mc.emit(Instr::Nop);
+        mc.branch(Instr::Dbra { dst: D1, target: 0 }, l);
+    };
+    mc.emit(Instr::SetMask { mask: 0xF });
+    spin(&mut mc, rng, 0);
+    mc.emit(Instr::StartPes);
+    let mut words = barriers * (iters + 1);
+    let mut k = 1;
+    while words > 0 {
+        let chunk = words.min(1 + rng.below(4) as u32);
+        mc.emit(Instr::EnqueueWords {
+            count: chunk as u16,
+        });
+        spin(&mut mc, rng, k);
+        words -= chunk;
+        k += 1;
+    }
+    mc.emit(Instr::Halt);
+    m.load_mc_program(0, mc.build().unwrap());
+}
+
+/// Seeded differential test of the MIMD fast path against the
+/// per-instruction interpreter, on generated MIMD and S/MIMD programs:
+/// loops, data-dependent multiplies and divides, timer reads, status-polled
+/// and blocking ring transfers, barriers, an MC computing between its
+/// commands, and now and then a cycle budget the run exceeds. The complete
+/// run state must match: the run's result, every PE's registers and its
+/// output memory.
+#[test]
+fn random_mimd_programs_match_the_interpreter() {
+    check_random_mimd_programs(1..=2000);
+}
+
+/// [`random_mimd_programs_match_the_interpreter`] over 20 000 seeds, for a
+/// release build (`ci.sh` runs it).
+#[test]
+#[ignore]
+fn random_mimd_programs_match_the_interpreter_20k_seeds() {
+    check_random_mimd_programs(1..=20_000);
+}
+
+fn check_random_mimd_programs(seeds: std::ops::RangeInclusive<u64>) {
+    for seed in seeds {
+        let run = |fast: bool| {
+            let mut rng = TestRng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let cfg = MachineConfig {
+                queue_capacity_words: [4, 16, 512][rng.below(3) as usize],
+                fuc_cycles_per_word: rng.below(4),
+                fuc_command_cycles: rng.below(6),
+                max_cycles: match rng.below(8) {
+                    0 => 100 + rng.below(4000),
+                    _ => 50_000_000,
+                },
+                ..MachineConfig::small()
+            };
+            let mut m = Machine::new(cfg);
+            m.set_fast_path(fast);
+            random_mimd_job(&mut m, &mut rng, seed % 2 == 0);
+            let result = m.run();
+            let state: Vec<String> = (0..4)
+                .map(|p| {
+                    format!(
+                        "{:?} {:?}",
+                        m.pe_cpu(p),
+                        m.pe_mem(p).dump_words(0x1000, 256)
+                    )
+                })
+                .collect();
+            (result, state)
+        };
+        let (fast, interp) = (run(true), run(false));
+        assert!(
+            fast == interp,
+            "seed {seed}: MIMD fast path diverged from the interpreter\nfast:   {fast:?}\ninterp: {interp:?}"
+        );
+        assert!(
+            !matches!(fast.0, Err(RunError::Deadlock(_))),
+            "seed {seed}: generated program deadlocked: {:?}",
+            fast.0
+        );
+    }
+}
+
 /// The body of [`multiply_variance_golden_on_both_paths`]: every
 /// variable-time opcode and outcome the timing model distinguishes.
 const MUL_DIV_BODY: &str = "

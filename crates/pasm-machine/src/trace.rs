@@ -106,15 +106,16 @@ mod tests {
         let src = Ea::D(DataReg::D1);
         let dst = DataReg::D0;
         let mut a = CycleAccount::default();
-        a.record_instr(&Instr::Mulu { src, dst }, 70);
-        a.record_instr(&Instr::Mulu { src, dst }, 40);
-        a.record_instr(&Instr::Divs { src, dst }, 150);
-        a.record_instr(&Instr::Enqueue { block: 3 }, 12);
+        let row = |i: Instr| opcode_index(&i);
+        a.record_instr(row(Instr::Mulu { src, dst }), 70);
+        a.record_instr(row(Instr::Mulu { src, dst }), 40);
+        a.record_instr(row(Instr::Divs { src, dst }), 150);
+        a.record_instr(row(Instr::Enqueue { block: 3 }), 12);
         a.record_instr(
-            &Instr::Mark {
+            row(Instr::Mark {
                 begin: true,
                 phase: 4,
-            },
+            }),
             0,
         );
         a.mark(true, 4, 10);

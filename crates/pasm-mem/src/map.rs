@@ -29,6 +29,10 @@ pub const NET_STATUS: u32 = 0x00E0_0004;
 /// Timer register: reads return the low 32 bits of the global cycle counter.
 pub const TIMER: u32 = 0x00D0_0000;
 
+// [`MemMap::region`] decodes every address below the timer as main memory.
+const _: () = assert!(TIMER < NET_DTR && TIMER < NET_DRR && TIMER < NET_STATUS);
+const _: () = assert!(TIMER < SIMD_SPACE_BASE);
+
 /// Which network register an address refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetReg {
@@ -58,10 +62,14 @@ pub enum Region {
 pub struct MemMap;
 
 impl MemMap {
-    /// Classify an address.
+    /// Classify an address. Everything below [`TIMER`], the lowest
+    /// memory-mapped base, is main memory: the common case costs one
+    /// compare.
     #[inline]
     pub fn region(self, addr: u32) -> Region {
-        if (SIMD_SPACE_BASE..SIMD_SPACE_END).contains(&addr) {
+        if addr < TIMER {
+            Region::Main
+        } else if (SIMD_SPACE_BASE..SIMD_SPACE_END).contains(&addr) {
             Region::SimdSpace
         } else if addr == NET_DTR || addr == NET_DTR + 1 {
             Region::Net(NetReg::Dtr)
@@ -101,6 +109,8 @@ mod tests {
         assert_eq!(m.region(TIMER), Region::Timer);
         assert_eq!(m.region(TIMER + 3), Region::Timer);
         assert_eq!(m.region(TIMER + 4), Region::Main);
+        assert_eq!(m.region(TIMER - 1), Region::Main);
+        assert_eq!(m.region(u32::MAX), Region::Main);
     }
 
     #[test]

@@ -95,16 +95,23 @@ impl MemTiming {
         now - start - 4 * accesses as u64
     }
 
-    /// Long-run average extra cycles per access (wait states + expected
-    /// refresh collision cost), useful for analytical cross-checks.
+    /// Long-run average extra cycles per access: the wait states plus the
+    /// exact mean of [`MemTiming::refresh_delay`] over one refresh interval,
+    /// i.e. for an access starting on a uniformly random cycle. The delay is
+    /// discrete (`duration − phase` cycles at phases `0..duration`), so the
+    /// mean is `duration·(duration+1) / (2·interval)` when the window fits in
+    /// the interval — 55/125 = 0.44 cycles for [`MemTiming::PE_DRAM`]. Used
+    /// for analytical cross-checks.
     pub fn mean_overhead_per_access(&self) -> f64 {
-        let refresh = if self.refresh_interval == 0 {
+        let (interval, dur) = (self.refresh_interval, self.refresh_duration);
+        let refresh = if interval == 0 {
             0.0
         } else {
-            // An access arriving uniformly at random collides with probability
-            // duration/interval and waits duration/2 on average.
-            let p = self.refresh_duration as f64 / self.refresh_interval as f64;
-            p * self.refresh_duration as f64 / 2.0
+            // Σ over phases 0..interval of dur.saturating_sub(phase): the
+            // k = min(dur, interval) terms dur, dur − 1, …, dur − k + 1.
+            let k = dur.min(interval);
+            let sum = k * (2 * dur + 1 - k) / 2;
+            sum as f64 / interval as f64
         };
         self.wait_states as f64 + refresh
     }
@@ -172,16 +179,27 @@ impl BurstClock {
     /// The `skew` covers the machine's charging order, which prices an
     /// instruction's operand burst at `now + fetch_wait` without advancing
     /// the clock in between. Does not advance the tracked clock.
+    ///
+    /// A burst that starts past the refresh window and whose last access
+    /// starts before the next one — access `k` starts `k·(wait_states + 4)`
+    /// cycles in — meets no window and costs exactly its wait states; that
+    /// is the common case and takes one compare. Any other burst is walked
+    /// access by access.
     #[inline]
     pub fn burst_delay(&self, skew: u64, accesses: u32) -> u64 {
         let t = &self.timing;
+        let ws = t.wait_states as u64;
         if t.refresh_interval == 0 {
-            return t.wait_states as u64 * accesses as u64;
+            return ws * accesses as u64;
         }
         let mut phase = self.wrap(self.phase + skew);
+        let last = (accesses as u64).saturating_sub(1) * (ws + 4);
+        if phase >= t.refresh_duration && phase + last < t.refresh_interval {
+            return ws * accesses as u64;
+        }
         let mut extra = 0u64;
         for _ in 0..accesses {
-            let d = t.wait_states as u64 + t.refresh_duration.saturating_sub(phase);
+            let d = ws + t.refresh_duration.saturating_sub(phase);
             extra += d;
             phase = self.wrap(phase + d + 4);
         }
@@ -193,22 +211,30 @@ impl BurstClock {
 mod tests {
     use super::*;
 
+    /// The shipped timings, a pathological one whose refresh window is
+    /// longer than its interval, and a refresh with an empty window.
+    const TIMINGS: [MemTiming; 5] = [
+        MemTiming::PE_DRAM,
+        MemTiming::FU_SRAM,
+        MemTiming::IDEAL,
+        MemTiming {
+            wait_states: 3,
+            refresh_interval: 7,
+            refresh_duration: 11,
+        },
+        MemTiming {
+            wait_states: 1,
+            refresh_interval: 9,
+            refresh_duration: 0,
+        },
+    ];
+
     #[test]
     fn burst_clock_matches_burst_delay_everywhere() {
         // The fast path's incremental phase tracker must be indistinguishable
         // from the modulo-per-access reference, including pathological
         // timings where one step crosses several refresh intervals.
-        let timings = [
-            MemTiming::PE_DRAM,
-            MemTiming::FU_SRAM,
-            MemTiming::IDEAL,
-            MemTiming {
-                wait_states: 3,
-                refresh_interval: 7,
-                refresh_duration: 11, // window longer than the interval
-            },
-        ];
-        for t in timings {
+        for t in TIMINGS {
             let mut now = 0u64;
             let mut clock = BurstClock::new(t, now);
             let mut rng = 0x2545_F491_4F6C_DD1Du64;
@@ -282,15 +308,39 @@ mod tests {
         assert!(t.burst_delay(0, 1) >= 2);
     }
 
+    /// Every burst length at every phase of one interval, against the
+    /// reference: covers both sides of the one-compare no-window case.
     #[test]
-    fn mean_overhead_formula() {
-        let t = MemTiming {
-            wait_states: 1,
-            refresh_interval: 125,
-            refresh_duration: 4,
-        };
-        let expected = 1.0 + (4.0 / 125.0) * 2.0;
-        assert!((t.mean_overhead_per_access() - expected).abs() < 1e-12);
+    fn burst_clock_matches_burst_delay_at_every_phase() {
+        for t in TIMINGS {
+            for now in 0..t.refresh_interval.max(1) {
+                let clock = BurstClock::new(t, now);
+                for accesses in 0..8 {
+                    assert_eq!(
+                        clock.burst_delay(0, accesses),
+                        t.burst_delay(now, accesses),
+                        "{t:?} now={now} accesses={accesses}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The mean overhead is the average of [`MemTiming::access_delay`] over
+    /// one full refresh interval.
+    #[test]
+    fn mean_overhead_is_the_average_access_delay() {
+        for t in TIMINGS {
+            let interval = t.refresh_interval.max(1);
+            let total: u64 = (0..interval).map(|now| t.access_delay(now)).sum();
+            let mean = total as f64 / interval as f64;
+            assert!(
+                (t.mean_overhead_per_access() - mean).abs() < 1e-12,
+                "{t:?}: {} vs {mean}",
+                t.mean_overhead_per_access()
+            );
+        }
+        assert!((MemTiming::PE_DRAM.mean_overhead_per_access() - 2.44).abs() < 1e-12);
     }
 
     #[test]

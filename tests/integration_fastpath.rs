@@ -1,5 +1,5 @@
-//! Fast-vs-interpreter equivalence (ISSUE 8): the block-compiled fast path
-//! must be an optimization of the *scheduler*, never of the timing model.
+//! Fast-vs-interpreter equivalence: the fast path (the MIMD batch loop over
+//! the instruction table and the SIMD group step) must be an optimization of the *scheduler*, never of the timing model.
 //! Every test here runs the same experiment twice — once on the fast path,
 //! once forced onto the per-instruction interpreter — and demands the full
 //! [`pasm::ExperimentResult`]s be equal: simulated makespan, per-bucket
