@@ -14,6 +14,9 @@ echo "==> cargo build --release --locked"
 cargo build --release --locked
 
 echo "==> paper artifacts regenerate byte-identically (bench-results/run_all.sh)"
+# Remove every tracked capture first, so one that nothing rewrites shows up
+# as deleted in the diff below.
+git ls-files bench-results | grep -v run_all.sh | xargs rm -f
 sh bench-results/run_all.sh > bench-results/run_all.log 2>&1
 git diff --exit-code -- bench-results/
 

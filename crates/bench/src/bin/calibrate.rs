@@ -2,9 +2,17 @@
 //!
 //! The prototype's exact wait-state and refresh figures are not published;
 //! this utility sweeps the plausible space and reports, per configuration:
-//! the Fig-7 crossover (paper: ≈14 added multiplies at n=64, p=4), the
-//! Fig-11-style efficiencies, and the Table-1 MIPS ratio, so a configuration
-//! matching the paper's shapes can be chosen and recorded in EXPERIMENTS.md.
+//! the Fig-7 crossover for one seed (1988) at p=4 and the n given as the
+//! first argument (default 32; the paper's Fig. 7 is at n=64), the
+//! Fig-11-style efficiencies, and the Table-1 MIPS ratio.
+//!
+//! The fit it supports is historical. The prototype constants were chosen
+//! when seed 1988 drew a B matrix whose crossover landed on the paper's ≈14
+//! added multiplies; the in-repo generator draws a different B for the same
+//! seed, and the model's n=64 crossover for it is 16 today (EXPERIMENTS.md,
+//! Calibration). The crossover also varies across seeds, so one seed's
+//! position is not a target: do not re-tune the memory constants from this
+//! sweep to recover 14.
 
 use pasm::figures::{fig11, fig7, fig7_crossover, table1};
 use pasm::MachineConfig;
@@ -15,7 +23,7 @@ fn main() {
     let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(32);
     let extras: Vec<usize> = (0..=30).collect();
 
-    println!("calibration at n={n}, p=4 (paper crossover target: ~14)");
+    println!("calibration at n={n}, p=4, seed 1988 (historical single-seed fit, not a target)");
     println!("pe_ws fu_ws refresh | crossover | eff SIMD/MIMD/SMIMD | MIPS add simd/mimd");
 
     for (pe_ws, fu_ws) in [(1u32, 0u32), (2, 1), (3, 2)] {

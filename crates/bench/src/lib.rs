@@ -8,7 +8,6 @@ use std::fs;
 use std::path::PathBuf;
 
 pub mod http;
-pub mod micro;
 
 /// Directory the binaries write raw JSON results into.
 pub fn results_dir() -> PathBuf {

@@ -14,7 +14,7 @@
 //!   lockstep costs over asynchronous execution, as a function of p,
 //! * [`ProgramStats`] — static instruction-mix summary of a program.
 
-use crate::instr::{Cond, Instr, ShiftCount};
+use crate::instr::{Instr, ShiftCount};
 use crate::program::Program;
 use crate::timing::{self, ExecCtx};
 
@@ -33,21 +33,11 @@ impl TimingBounds {
 }
 
 /// True if the instruction's core time depends on operand *values*
-/// (exactly when its [`instr_bounds`] spread is nonzero). `BRA` is always
-/// taken, so only the conditional branches qualify.
+/// (exactly when its [`instr_bounds`] spread is nonzero): the instructions
+/// whose [`timing::cycle_split`] carries a data-dependent term. `BRA` is
+/// always taken, so only the conditional branches qualify.
 pub fn is_data_dependent(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::Mulu { .. }
-            | Instr::Muls { .. }
-            | Instr::Divu { .. }
-            | Instr::Divs { .. }
-            | Instr::Shift {
-                count: ShiftCount::Reg(_),
-                ..
-            }
-            | Instr::Dbra { .. }
-    ) || matches!(i, Instr::Bcc { cond, .. } if *cond != Cond::True)
+    !timing::cycle_split(i).is_static()
 }
 
 /// Core-cycle bounds of a single instruction over all possible data.
@@ -319,6 +309,7 @@ pub fn program_stats(p: &Program) -> ProgramStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::Cond;
     use crate::operand::{Ea, Size};
     use crate::reg::DataReg::*;
 

@@ -69,11 +69,6 @@ impl Program {
         self.instrs.is_empty()
     }
 
-    /// Total static instruction count including all SIMD blocks.
-    pub fn total_instrs(&self) -> usize {
-        self.instrs.len() + self.blocks.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Total static size in 16-bit instruction words (main stream only).
     pub fn words(&self) -> u32 {
         self.instrs.iter().map(Instr::words).sum()
@@ -395,7 +390,6 @@ mod tests {
         assert!(txt.contains("entry:"));
         assert!(txt.contains("block 0:"));
         assert!(txt.contains("ENQUEUE"));
-        assert_eq!(p.total_instrs(), 4);
         assert!(p.words() > 0);
     }
 

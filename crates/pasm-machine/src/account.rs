@@ -377,17 +377,6 @@ impl MachineAccounts {
     pub fn mc_bucket_matrix(&self) -> Vec<[u64; N_BUCKETS]> {
         self.mc.iter().map(|a| a.buckets).collect()
     }
-
-    /// Bucket totals over every component, PEs and MCs alike.
-    pub fn bucket_totals(&self) -> [u64; N_BUCKETS] {
-        let mut out = self.pe_bucket_totals();
-        for a in &self.mc {
-            for (o, b) in out.iter_mut().zip(a.buckets.iter()) {
-                *o += b;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -515,7 +504,6 @@ mod tests {
         m.mc[0].charge(Bucket::Compute, 100);
         assert_eq!(m.pe_bucket_totals()[Bucket::Compute as usize], 15);
         assert_eq!(m.pe_bucket_totals()[Bucket::BarrierWait as usize], 3);
-        assert_eq!(m.bucket_totals()[Bucket::Compute as usize], 115);
         // The unsummed matrices expose the same numbers row by row.
         let pe = m.pe_bucket_matrix();
         assert_eq!(pe.len(), 2);

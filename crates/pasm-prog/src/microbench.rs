@@ -47,11 +47,6 @@ impl MipsKind {
 /// Scratch address the memory variant reads from.
 const SCRATCH: u32 = 0x1000;
 
-/// Number of measured (straight-line) instructions the programs execute.
-pub fn measured_instrs(unroll: usize, reps: usize) -> u64 {
-    (unroll * reps) as u64
-}
-
 /// MIMD version: the PE runs the unrolled loop from its own memory.
 pub fn mimd_program(kind: MipsKind, unroll: usize, reps: usize) -> Program {
     let mut b = ProgramBuilder::new();
@@ -122,7 +117,6 @@ mod tests {
             .filter(|i| matches!(i, Instr::Add { .. }))
             .count();
         assert_eq!(adds, 16);
-        assert_eq!(measured_instrs(16, 10), 160);
     }
 
     #[test]

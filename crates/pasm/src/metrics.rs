@@ -45,16 +45,6 @@ impl Breakdown {
             total,
         }
     }
-
-    /// Fractions of total time (multiply, communication, other).
-    pub fn fractions(&self) -> (f64, f64, f64) {
-        let t = self.total.max(1) as f64;
-        (
-            self.multiply as f64 / t,
-            self.communication as f64 / t,
-            self.other as f64 / t,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -67,17 +57,5 @@ mod tests {
         assert!((efficiency(1000, 250, 4) - 1.0).abs() < 1e-12);
         assert!(efficiency(1000, 300, 4) < 1.0);
         assert!(efficiency(1000, 200, 4) > 1.0, "superlinear case");
-    }
-
-    #[test]
-    fn breakdown_fractions_sum_to_one() {
-        let b = Breakdown {
-            multiply: 60,
-            communication: 25,
-            other: 15,
-            total: 100,
-        };
-        let (m, c, o) = b.fractions();
-        assert!((m + c + o - 1.0).abs() < 1e-12);
     }
 }
