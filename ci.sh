@@ -56,6 +56,15 @@ echo "==> CLI smoke-runs (pasm-run programs and S/MIMD matmul, pasm-serve --help
 cargo run --release -q -p pasm --bin pasm-run -- examples/programs/sum.s --stats >/dev/null
 cargo run --release -q -p pasm --bin pasm-run -- examples/programs/mulu_timing.s --stats >/dev/null
 cargo run --release -q -p pasm --bin pasm-run -- --mode smimd --n 16 --p 4 | grep "output correct" >/dev/null
+# Runs whose matmul layout does not fit a PE's memory: one error line, exit 1.
+for args in "--mode serial --n 418" "--mode simd --n 512 --p 2"; do
+    code=0
+    msg=$(target/release/pasm-run $args 2>&1) || code=$?
+    if [ "$code" -ne 1 ] || [ "$(printf '%s\n' "$msg" | wc -l)" -ne 1 ] || [ "${msg#pasm-run: }" = "$msg" ]; then
+        echo "pasm-run $args: want exit 1 and one 'pasm-run:' line, got exit $code: $msg" >&2
+        exit 1
+    fi
+done
 cargo run --release -q -p pasm-server --bin pasm-serve -- --help >/dev/null
 
 echo "==> durabench smoke-run (fsync policies + restart-serves-cached gate)"

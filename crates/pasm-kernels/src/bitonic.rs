@@ -656,6 +656,15 @@ impl Kernel for Bitonic {
         Ok(())
     }
 
+    /// The comparator table at [`CTAB`] ends the map: a K = 2^m key network
+    /// has m(m+1)/2 stages of K/2 comparators, two word addresses each.
+    fn footprint(&self, mode: Mode, params: MatmulParams) -> Result<usize, String> {
+        crate::parallel_only(self, mode)?;
+        let k = params.n / params.p;
+        let m = k.trailing_zeros() as usize;
+        Ok(CTAB as usize + 4 * (k / 2) * (m * (m + 1) / 2))
+    }
+
     /// `n` distinct 15-bit keys (rejection-sampled), so ranks are a
     /// permutation of `0..n` and compares need no tie-breaking.
     fn generate(&self, n: usize, seed: u64) -> Vec<u16> {
@@ -811,6 +820,21 @@ mod tests {
                 simd_mc_program(params, 0xFFFF).validate().unwrap();
             }
         }
+    }
+
+    #[test]
+    fn footprint_ends_at_the_comparator_table() {
+        for k in [2usize, 4, 8, 16, 32, 64, 128] {
+            let params = MatmulParams::new(4 * k, 4);
+            assert_eq!(
+                Bitonic.footprint(Mode::Mimd, params),
+                Ok(CTAB as usize + 4 * comparators(k).len()),
+                "K = {k}"
+            );
+        }
+        assert!(Bitonic
+            .footprint(Mode::Serial, MatmulParams::new(8, 1))
+            .is_err());
     }
 
     #[test]

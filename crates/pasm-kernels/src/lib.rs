@@ -57,18 +57,20 @@ pub trait Kernel: Sync {
     /// `pasm_prog::codegen::phase_name`), used for result summaries.
     fn phases(&self) -> (u8, u8);
 
-    /// Whether `Mode::Serial` is meaningful for this kernel.
-    fn supports_serial(&self) -> bool {
-        false
-    }
-
     /// Check the structural constraints on `(n, p)` of a parallel-mode run
     /// (divisibility, block-size bounds, power-of-two requirements, p ≥ 2)
-    /// and return a client-displayable error. Every `(n, p)` it accepts
-    /// must load and run in SIMD, MIMD and S/MIMD. `p` range vs. the
-    /// machine is checked by the caller; serial runs are not validated
+    /// and return a client-displayable error. `p` range vs. the machine and
+    /// the memory footprint are checked by the caller
+    /// (`pasm::ExperimentKey::validate`); serial runs are not validated
     /// here.
     fn validate(&self, n: usize, p: usize) -> Result<(), String>;
+
+    /// Bytes of each PE's memory (from address 0) a run in `mode` with
+    /// `params` occupies, or a client-displayable error when the kernel has
+    /// no variant for `mode` or its variant cannot take the size (serial
+    /// matmul with `n = 0`). Parallel modes are asked only about `(n, p)`
+    /// that [`Kernel::validate`] accepts.
+    fn footprint(&self, mode: Mode, params: MatmulParams) -> Result<usize, String>;
 
     /// Deterministically generate the input words for problem size `n`.
     fn generate(&self, n: usize, seed: u64) -> Vec<u16>;
@@ -105,12 +107,10 @@ pub trait Kernel: Sync {
         vm: &VirtualMachine,
         input: &[u16],
     ) -> Result<(), RunError> {
+        if let Err(e) = self.footprint(mode, params) {
+            panic!("{e}");
+        }
         if mode == Mode::Serial {
-            assert!(
-                self.supports_serial(),
-                "{} has no serial variant",
-                self.name()
-            );
             assert_eq!(
                 (vm.pes.len(), vm.mcs.len()),
                 (1, 1),
@@ -169,6 +169,18 @@ pub fn find(name: &str) -> Option<&'static dyn Kernel> {
 /// The registered names, for error messages and listings.
 pub fn names() -> Vec<&'static str> {
     kernels().iter().map(|k| k.name()).collect()
+}
+
+/// The [`Kernel::footprint`] error of a kernel that runs in parallel modes
+/// only.
+pub(crate) fn parallel_only(kernel: &dyn Kernel, mode: Mode) -> Result<(), String> {
+    if mode == Mode::Serial {
+        return Err(format!(
+            "{}: no serial variant (parallel modes only)",
+            kernel.name()
+        ));
+    }
+    Ok(())
 }
 
 /// Split `input` into `pes.len()` equal blocks and write block `l` at `base`

@@ -47,14 +47,8 @@ impl Kernel for Matmul {
         (PHASE_MUL, PHASE_COMM)
     }
 
-    fn supports_serial(&self) -> bool {
-        true
-    }
-
     fn validate(&self, n: usize, p: usize) -> Result<(), String> {
-        if n == 0 || n > 512 {
-            return Err(format!("matmul: n must be in 1..=512, got {n}"));
-        }
+        check_n(n)?;
         if p < 2 || !p.is_power_of_two() {
             return Err(format!(
                 "matmul: p must be a power of two >= 2 (serial is its own mode), got {p}"
@@ -64,6 +58,15 @@ impl Kernel for Matmul {
             return Err(format!("matmul: p must divide n (n={n}, p={p})"));
         }
         Ok(())
+    }
+
+    /// The columnar layout's end ([`Layout::end`]); serial takes the same
+    /// `n` range as the parallel variants.
+    fn footprint(&self, mode: Mode, params: MatmulParams) -> Result<usize, String> {
+        if mode == Mode::Serial {
+            check_n(params.n)?;
+        }
+        Ok(layout(mode, params).end() as usize)
     }
 
     fn generate(&self, n: usize, seed: u64) -> Vec<u16> {
@@ -112,6 +115,14 @@ impl Kernel for Matmul {
     }
 }
 
+/// The matrix sizes the program generators support.
+fn check_n(n: usize) -> Result<(), String> {
+    if n == 0 || n > 512 {
+        return Err(format!("matmul: n must be in 1..=512, got {n}"));
+    }
+    Ok(())
+}
+
 /// The columnar layout of a run: one PE for serial, `p` otherwise.
 fn layout(mode: Mode, params: MatmulParams) -> Layout {
     if mode == Mode::Serial {
@@ -148,5 +159,17 @@ mod tests {
         // The SIMD and MIMD programs need a ring of at least two PEs.
         assert!(k.validate(8, 1).is_err());
         assert!(k.validate(2, 2).is_ok());
+    }
+
+    #[test]
+    fn footprint_is_the_layout_end() {
+        let serial = |n| Matmul.footprint(Mode::Serial, MatmulParams::new(n, 1));
+        assert_eq!(serial(64), Ok(Layout::serial(64).end() as usize));
+        assert!(serial(0).is_err());
+        assert!(serial(513).is_err());
+        assert_eq!(
+            Matmul.footprint(Mode::Simd, MatmulParams::new(512, 2)),
+            Ok(0x10_0800)
+        );
     }
 }

@@ -57,6 +57,12 @@ impl Kernel for Reduce {
         Ok(())
     }
 
+    /// The partial vector at [`VEC_BASE`] is the highest region.
+    fn footprint(&self, mode: Mode, params: MatmulParams) -> Result<usize, String> {
+        crate::parallel_only(self, mode)?;
+        Ok(VEC_BASE as usize + 2 * (params.n / params.p))
+    }
+
     fn generate(&self, n: usize, seed: u64) -> Vec<u16> {
         let mut rng = pasm_util::Rng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_u16()).collect()

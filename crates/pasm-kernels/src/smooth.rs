@@ -324,6 +324,13 @@ impl Kernel for Smooth {
         Ok(())
     }
 
+    /// The pong buffer at [`BUF1`], `K` samples and the 2-word halo, ends
+    /// the map.
+    fn footprint(&self, mode: Mode, params: MatmulParams) -> Result<usize, String> {
+        crate::parallel_only(self, mode)?;
+        Ok(BUF1 as usize + 2 * (params.n / params.p + 2))
+    }
+
     fn generate(&self, n: usize, seed: u64) -> Vec<u16> {
         let mut rng = pasm_util::Rng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_u16()).collect()

@@ -44,7 +44,10 @@ const GOLDEN: &[(&str, Mode, u64, u64)] = &[
 fn every_kernel_program_is_pinned() {
     let mut got = Vec::new();
     for kernel in pasm_kernels::kernels() {
-        let modes: &[Mode] = if kernel.supports_serial() {
+        let modes: &[Mode] = if kernel
+            .footprint(Mode::Serial, MatmulParams::new(16, 1))
+            .is_ok()
+        {
             &[Mode::Simd, Mode::Mimd, Mode::Smimd, Mode::Serial]
         } else {
             &[Mode::Simd, Mode::Mimd, Mode::Smimd]

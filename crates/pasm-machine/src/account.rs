@@ -300,17 +300,6 @@ impl CycleAccount {
         self.op_count.iter().sum()
     }
 
-    /// Cycles spent executing instructions, memory and network waits
-    /// included: the histogram's cycle column summed.
-    pub(crate) fn busy_cycles(&self) -> u64 {
-        self.op_cycles.iter().sum()
-    }
-
-    /// Executions of one opcode family (indexed as by [`opcode_index`]).
-    pub(crate) fn count(&self, opcode: usize) -> u64 {
-        self.op_count[opcode]
-    }
-
     /// Executed `MULU`/`MULS`/`DIVU`/`DIVS` instructions and the cycles they
     /// took, memory waits included.
     pub fn mul_div(&self) -> (u64, u64) {

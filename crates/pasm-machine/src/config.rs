@@ -43,7 +43,11 @@ pub struct MachineConfig {
     pub fuc_command_cycles: u64,
     /// Extra cycles from the last enabled PE's request to instruction delivery.
     pub simd_release_cycles: u64,
-    /// Network circuit set-up cost in cycles (charged once per circuit).
+    /// Network circuit set-up cost in cycles. Not charged: circuits are
+    /// established before the run starts, and nothing reads this field. It
+    /// stays because `#[derive(Hash)]` puts it into every `ExperimentKey`
+    /// fingerprint, so removing or changing it would rename every cached
+    /// result.
     pub net_setup_cycles: u64,
     /// Latency of one 8-bit word through an established circuit.
     pub net_word_cycles: u64,

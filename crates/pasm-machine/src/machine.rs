@@ -109,8 +109,6 @@ struct Mc {
 pub struct RunResult {
     /// Global completion time: the latest halt over all components.
     pub makespan: u64,
-    /// Latest PE halt time (excludes MC wind-down).
-    pub pe_makespan: u64,
     /// Per-PE summaries, derived from the cycle accounts.
     pub pe: Vec<PeTrace>,
     /// Per-MC summaries, derived from the cycle accounts.
@@ -563,11 +561,13 @@ impl Machine {
     fn result(&self) -> RunResult {
         let pe: Vec<PeTrace> = self.acct.pe.iter().map(PeTrace::from).collect();
         let mc: Vec<McTrace> = self.acct.mc.iter().map(McTrace::from).collect();
-        let pe_makespan = pe.iter().map(|t| t.finished_at).max().unwrap_or(0);
-        let mc_makespan = mc.iter().map(|t| t.finished_at).max().unwrap_or(0);
         RunResult {
-            makespan: pe_makespan.max(mc_makespan),
-            pe_makespan,
+            makespan: pe
+                .iter()
+                .map(|t| t.finished_at)
+                .chain(mc.iter().map(|t| t.finished_at))
+                .max()
+                .unwrap_or(0),
             pe,
             mc,
             fu: self.fus.iter().map(|f| f.stats).collect(),

@@ -2,16 +2,13 @@
 //! breakdown used to regenerate the paper's Figures 8–10. Both are views of
 //! a component's [`CycleAccount`], built once when the run ends.
 
-use crate::account::{opcode_index, Bucket, CycleAccount, N_PHASES};
-use pasm_isa::Instr;
+use crate::account::{Bucket, CycleAccount, N_PHASES};
 
 /// Execution statistics of one PE.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeTrace {
     /// Instructions executed (MIMD and SIMD-delivered, marks excluded).
     pub instrs: u64,
-    /// Cycles spent executing instructions (incl. memory waits, excl. stalls).
-    pub busy_cycles: u64,
     /// Multiply and divide instructions executed.
     pub mul_count: u64,
     /// Cycles from issuing a SIMD-space request to the release (lockstep wait
@@ -33,7 +30,6 @@ impl From<&CycleAccount> for PeTrace {
     fn from(a: &CycleAccount) -> PeTrace {
         PeTrace {
             instrs: a.instrs(),
-            busy_cycles: a.busy_cycles(),
             mul_count: a.mul_div().0,
             simd_wait_cycles: a.bucket(Bucket::BarrierWait),
             fetch_wait_cycles: a.bucket(Bucket::Fetch),
@@ -50,12 +46,6 @@ impl From<&CycleAccount> for PeTrace {
 pub struct McTrace {
     /// Instructions executed.
     pub instrs: u64,
-    /// Cycles spent executing instructions.
-    pub busy_cycles: u64,
-    /// Cycles stalled waiting for the Fetch Unit controller to accept a command.
-    pub fuc_wait_cycles: u64,
-    /// Blocks enqueued.
-    pub blocks_enqueued: u64,
     /// Local time when this MC halted (0 if it never ran).
     pub finished_at: u64,
 }
@@ -64,9 +54,6 @@ impl From<&CycleAccount> for McTrace {
     fn from(a: &CycleAccount) -> McTrace {
         McTrace {
             instrs: a.instrs(),
-            busy_cycles: a.busy_cycles(),
-            fuc_wait_cycles: a.bucket(Bucket::BarrierWait),
-            blocks_enqueued: a.count(opcode_index(&Instr::Enqueue { block: 0 })),
             finished_at: a.finished_at,
         }
     }
@@ -75,7 +62,8 @@ impl From<&CycleAccount> for McTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pasm_isa::{DataReg, Ea};
+    use crate::account::opcode_index;
+    use pasm_isa::{DataReg, Ea, Instr};
 
     #[test]
     fn phase_accounting_accumulates() {
@@ -135,7 +123,6 @@ mod tests {
             pe,
             PeTrace {
                 instrs: 4,
-                busy_cycles: 70 + 40 + 150 + 12,
                 mul_count: 3,
                 simd_wait_cycles: 33,
                 fetch_wait_cycles: 6,
@@ -149,9 +136,6 @@ mod tests {
             McTrace::from(&a),
             McTrace {
                 instrs: 4,
-                busy_cycles: 272,
-                fuc_wait_cycles: 33,
-                blocks_enqueued: 1,
                 finished_at: 500,
             }
         );

@@ -89,7 +89,8 @@ impl Layout {
         self.b_base() + self.cols as u32 * self.b_col_bytes()
     }
 
-    /// First address past the data (for capacity checks).
+    /// First address past the data: the matmul kernel's memory footprint,
+    /// which `pasm::ExperimentKey::validate` checks against a PE's memory.
     pub fn end(&self) -> u32 {
         self.c_base() + self.cols as u32 * self.col_bytes()
     }
@@ -108,12 +109,6 @@ impl Layout {
         assert_eq!(pes.len(), self.p, "need one physical PE per logical PE");
         assert_eq!(a.n, self.n);
         assert_eq!(b.n, self.n);
-        assert!(
-            (self.end() as usize) <= machine.config().pe_mem_bytes,
-            "layout needs {:#X} bytes, PE has {:#X}",
-            self.end(),
-            machine.config().pe_mem_bytes
-        );
         for (l, &pe) in pes.iter().enumerate() {
             let virt0 = self.cols * l;
             let mem = machine.pe_mem_mut(pe);

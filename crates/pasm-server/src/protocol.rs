@@ -1,7 +1,9 @@
 //! Wire types of the simulation service: job specifications in, job states
 //! and results out. Everything crosses the wire as JSON through
-//! `pasm_util::json`; validation happens here so the simulator's internal
-//! `assert!`s never fire on user input.
+//! `pasm_util::json`. This module only parses: whether the parsed key can
+//! run is decided by `ExperimentKey::validate`, the check `pasm-run` and the
+//! runner share, so the simulator's internal `assert!`s never fire on user
+//! input.
 
 use pasm::{ExperimentKey, FaultPlan, Mode, Params};
 use pasm_machine::{MachineConfig, ReleaseMode};
@@ -16,12 +18,6 @@ pub const DEFAULT_SEED: u64 = pasm::figures::DEFAULT_SEED;
 /// catches *global* arrest. The cap turns such runs into a clean
 /// `CycleLimit` failure instead of an unbounded simulation.
 pub const FAULT_MAX_CYCLES: u64 = 50_000_000;
-
-/// Largest `extra_muls` a submission may ask for. The program generators
-/// emit `3 + extra_muls` instructions per inner-loop body before any
-/// deadline can act, so an unbounded value would let one request exhaust
-/// the server's memory; the paper sweeps 0–30.
-pub const MAX_EXTRA_MULS: usize = 1024;
 
 /// A validated submission: what to simulate and how long the client will wait.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +76,8 @@ fn field_usize(body: &Json, name: &str) -> Result<Option<usize>, BadRequest> {
 }
 
 impl JobSpec {
-    /// Parse and validate a `submit` request body.
+    /// Parse a `submit` request body into a key that
+    /// [`ExperimentKey::validate`] accepts.
     pub fn from_json(body: &Json) -> Result<JobSpec, BadRequest> {
         if !matches!(body, Json::Obj(_)) {
             return Err(BadRequest::new("request body must be a JSON object"));
@@ -97,11 +94,6 @@ impl JobSpec {
             _ => field_usize(body, "p")?.unwrap_or(4),
         };
         let extra_muls = field_usize(body, "extra_muls")?.unwrap_or(0);
-        if extra_muls > MAX_EXTRA_MULS {
-            return Err(BadRequest::new(format!(
-                "`extra_muls` must be at most {MAX_EXTRA_MULS}"
-            )));
-        }
         let kernel_name = match body.get("kernel") {
             None | Some(Json::Null) => pasm::MATMUL,
             Some(Json::Str(s)) => s.as_str(),
@@ -122,36 +114,10 @@ impl JobSpec {
             ),
         };
         let mut config = machine_config(body.get("config"))?;
-
-        // Re-state the simulator's own invariants as client errors.
-        if !p.is_power_of_two() || p > config.n_pes {
-            return Err(BadRequest::new(format!(
-                "`p` must be a power of two ≤ n_pes (= {})",
-                config.n_pes
-            )));
-        }
-        if mode == Mode::Serial && !kernel.supports_serial() {
-            return Err(BadRequest::new(format!(
-                "kernel `{}` has no serial variant (parallel modes only)",
-                kernel.name()
-            )));
-        }
-        if mode != Mode::Serial {
-            kernel
-                .validate(n, p)
-                .map_err(|e| BadRequest::new(format!("kernel `{}`: {e}", kernel.name())))?;
-        } else if n == 0 || n > 512 {
-            return Err(BadRequest::new("`n` must be in 1..=512"));
-        }
-
         let fault = match body.get("fault") {
             None | Some(Json::Null) => FaultPlan::default(),
             Some(Json::Str(spec)) => {
-                let plan =
-                    FaultPlan::parse(spec).map_err(|e| BadRequest::new(format!("`fault`: {e}")))?;
-                plan.validate(config.n_pes)
-                    .map_err(|e| BadRequest::new(format!("`fault`: {e}")))?;
-                plan
+                FaultPlan::parse(spec).map_err(|e| BadRequest::new(format!("`fault`: {e}")))?
             }
             Some(_) => {
                 return Err(BadRequest::new(
@@ -163,16 +129,17 @@ impl JobSpec {
             config.max_cycles = FAULT_MAX_CYCLES;
         }
         let chaos = chaos_spec(body.get("chaos"))?;
-
+        let key = ExperimentKey {
+            config,
+            mode,
+            params: Params { n, p, extra_muls },
+            seed,
+            fault,
+            workload: kernel.name(),
+        };
+        key.validate().map_err(BadRequest::new)?;
         Ok(JobSpec {
-            key: ExperimentKey {
-                config,
-                mode,
-                params: Params { n, p, extra_muls },
-                seed,
-                fault,
-                workload: kernel.name(),
-            },
+            key,
             deadline_ms,
             chaos,
         })
@@ -228,12 +195,8 @@ fn machine_config(spec: Option<&Json>) -> Result<MachineConfig, BadRequest> {
         };
     }
     if let Some(cap) = field_usize(spec, "queue_capacity_words")? {
-        if !(4..=1 << 20).contains(&cap) {
-            return Err(BadRequest::new(
-                "`config.queue_capacity_words` must be in 4..=1048576",
-            ));
-        }
-        cfg.queue_capacity_words = cap as u32;
+        // Saturated: `ExperimentKey::validate` bounds the queue.
+        cfg.queue_capacity_words = u32::try_from(cap).unwrap_or(u32::MAX);
     }
     Ok(cfg)
 }
@@ -321,11 +284,28 @@ mod tests {
             (r#"{"mode":"simd","n":16,"p":3}"#, "non-power-of-two p"),
             (r#"{"mode":"simd","n":18,"p":4}"#, "p does not divide n"),
             (r#"{"mode":"simd","n":16,"p":32}"#, "p exceeds n_pes"),
+            (r#"{"mode":"serial","n":512}"#, "serial layout exceeds a PE"),
+            (
+                r#"{"mode":"simd","n":512,"p":2}"#,
+                "SIMD layout exceeds a PE",
+            ),
+            (
+                r#"{"mode":"simd","n":256,"p":4,"config":{"preset":"small"}}"#,
+                "layout exceeds a small-preset PE",
+            ),
             (
                 r#"{"mode":"simd","n":16,"config":{"preset":"huge"}}"#,
                 "bad preset",
             ),
             (r#"{"mode":"simd","n":16,"seed":-4}"#, "negative seed"),
+            (
+                r#"{"mode":"simd","n":16,"config":{"queue_capacity_words":2}}"#,
+                "queue below one instruction",
+            ),
+            (
+                r#"{"mode":"simd","n":16,"config":{"queue_capacity_words":4294967300}}"#,
+                "queue beyond 32 bits",
+            ),
             (
                 r#"{"mode":"simd","n":16,"extra_muls":1099511627776}"#,
                 "extra_muls above MAX_EXTRA_MULS",

@@ -26,4 +26,4 @@ pub use crc::crc32;
 pub use hash::{fnv1a, Fnv1a};
 pub use json::{Json, ToJson};
 pub use rng::Rng;
-pub use span::{SpanEvent, SpanLog, SpanReadStats, SPAN_SCHEMA_VERSION};
+pub use span::{SpanEvent, SpanLog, SPAN_SCHEMA_VERSION};

@@ -7,12 +7,6 @@
 //! stamped with [`SPAN_SCHEMA_VERSION`], the format documented in
 //! `docs/OBSERVABILITY.md` and consumed by external trace tooling.
 //!
-//! The reader ([`SpanLog::from_jsonl`]) is deliberately forgiving where the
-//! writer is strict: span files outlive processes and get concatenated,
-//! truncated, and hand-edited, so a malformed or unknown-version line is
-//! skipped and counted ([`SpanReadStats`]) instead of poisoning the whole
-//! file.
-//!
 //! ```
 //! use pasm_util::span::SpanLog;
 //!
@@ -22,17 +16,13 @@
 //! let jsonl = log.to_jsonl();
 //! assert_eq!(jsonl.lines().count(), 2);
 //! assert!(jsonl.starts_with("{\"source\":\"pe0\""));
-//! let (parsed, stats) = SpanLog::from_jsonl(&jsonl);
-//! assert_eq!(parsed.events, log.events);
-//! assert_eq!(stats.skipped, 0);
 //! ```
 
-use crate::json::{self, Json};
+use crate::json::Json;
 
-/// Version stamped onto every JSONL line the writer emits. Lines carrying a
-/// different version are skipped (and counted) by the reader; lines with no
-/// version field at all are read as version 1 — the format predating the
-/// stamp is identical.
+/// Version stamped onto every JSONL line the writer emits, so trace tooling
+/// can tell formats apart; lines with no version field predate the stamp
+/// and have the same format as version 1.
 pub const SPAN_SCHEMA_VERSION: i64 = 1;
 
 /// One closed interval on a named component's cycle timeline.
@@ -88,16 +78,6 @@ impl SpanEvent {
     }
 }
 
-/// Counters from one [`SpanLog::from_jsonl`] pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanReadStats {
-    /// Lines parsed into events.
-    pub parsed: u64,
-    /// Lines skipped: malformed JSON, missing/invalid fields, or an unknown
-    /// `schema_version`.
-    pub skipped: u64,
-}
-
 /// An append-only collection of [`SpanEvent`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanLog {
@@ -145,38 +125,6 @@ impl SpanLog {
             out.push('\n');
         }
         out
-    }
-
-    /// Parse a JSONL span file back into a log. Malformed lines, lines with
-    /// missing or mistyped fields, and lines stamped with an unknown
-    /// `schema_version` are skipped and counted — never an error: span files
-    /// are long-lived artifacts and one bad line must not discard the rest.
-    /// Blank lines are ignored entirely (not counted as skipped).
-    pub fn from_jsonl(text: &str) -> (SpanLog, SpanReadStats) {
-        let mut log = SpanLog::new();
-        let mut stats = SpanReadStats::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = json::parse(line).ok().and_then(|v| {
-                match v.get("schema_version") {
-                    // Unversioned lines predate the stamp: same format.
-                    None => {}
-                    Some(ver) if ver.as_i64() == Some(SPAN_SCHEMA_VERSION) => {}
-                    Some(_) => return None,
-                }
-                SpanEvent::from_json(&v).ok()
-            });
-            match parsed {
-                Some(event) => {
-                    stats.parsed += 1;
-                    log.events.push(event);
-                }
-                None => stats.skipped += 1,
-            }
-        }
-        (log, stats)
     }
 
     /// Total cycles across all events with the given phase name.
@@ -238,49 +186,6 @@ mod tests {
                 Some(SPAN_SCHEMA_VERSION)
             );
         }
-    }
-
-    #[test]
-    fn jsonl_reader_round_trips_the_writer() {
-        let mut log = SpanLog::new();
-        log.record("pe0", "clear_loop", 0, 880);
-        log.record("pe1", "mac_loop", 880, 5000);
-        let (parsed, stats) = SpanLog::from_jsonl(&log.to_jsonl());
-        assert_eq!(parsed.events, log.events);
-        assert_eq!(
-            stats,
-            SpanReadStats {
-                parsed: 2,
-                skipped: 0
-            }
-        );
-    }
-
-    #[test]
-    fn jsonl_reader_skips_and_counts_bad_lines() {
-        let text = concat!(
-            "{\"source\":\"pe0\",\"name\":\"mac_loop\",\"start\":0,\"end\":9,\"cycles\":9,\"schema_version\":1}\n",
-            "not json at all\n",
-            "{\"source\":\"pe1\",\"name\":\"mac_loop\",\"start\":0,\"end\":7,\"cycles\":7,\"schema_version\":99}\n",
-            "{\"source\":\"pe2\",\"start\":0,\"end\":3}\n",
-            "{\"name\":\"legacy\",\"source\":\"pe3\",\"start\":1,\"end\":4}\n",
-            "\n",
-            "{\"source\":\"pe4\",\"name\":\"mac_loop\",\"start\":3,\"end\":\"x\"}\n",
-        );
-        let (log, stats) = SpanLog::from_jsonl(text);
-        // Good line, unversioned legacy line — kept; garbage, unknown
-        // version, missing field, mistyped field — skipped; blank — ignored.
-        assert_eq!(
-            stats,
-            SpanReadStats {
-                parsed: 2,
-                skipped: 4
-            }
-        );
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.events[0].source, "pe0");
-        assert_eq!(log.events[1].source, "pe3");
-        assert_eq!(log.events[1].cycles(), 3);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! default `matmul` — see `docs/KERNELS.md`) on the 16-PE prototype,
 //! verifies the output against the kernel's scalar host reference, and —
 //! with `--fault` — also runs the fault-free baseline and reports the
-//! measured slowdown. All user errors (unknown mode or kernel,
-//! non-power-of-two `--p`, bad fault spec) exit with a clean one-line
-//! message, never a panic.
+//! measured slowdown. The tool only parses its flags: the run it names is
+//! checked by `ExperimentKey::validate`, the same check `pasm-serve` applies
+//! to a submission, so every user error (unknown mode or kernel, a `--p` or
+//! `--n` the kernel or the machine cannot take, a bad fault spec) exits 1
+//! with one `pasm-run:` line, never a panic.
 
 use pasm_isa::analysis;
 use pasm_machine::{FaultPlan, Machine, MachineConfig};
@@ -67,38 +69,15 @@ fn run_experiment(
     let Some(n) = n else {
         return fail("--mode requires --n (problem size)");
     };
-    let mut config = MachineConfig::prototype();
-    config.max_cycles = max_cycles;
-    if !p.is_power_of_two() || p == 0 {
-        return fail(&format!("--p must be a power of two, got {p}"));
-    }
-    if p > config.n_pes {
-        return fail(&format!(
-            "--p must be at most {} PEs, got {p}",
-            config.n_pes
-        ));
-    }
-    if mode == pasm::Mode::Serial && !kernel.supports_serial() {
-        return fail(&format!(
-            "kernel `{}` has no serial variant (parallel modes only)",
-            kernel.name()
-        ));
-    }
-    if mode != pasm::Mode::Serial {
-        if let Err(e) = kernel.validate(n, p) {
-            return fail(&e);
-        }
-    }
     let fault = match fault_spec {
         None => FaultPlan::default(),
-        Some(spec) => match FaultPlan::parse(spec).and_then(|f| {
-            f.validate(config.n_pes)?;
-            Ok(f)
-        }) {
+        Some(spec) => match FaultPlan::parse(spec) {
             Ok(f) => f,
             Err(e) => return fail(&format!("bad --fault `{spec}`: {e}")),
         },
     };
+    let mut config = MachineConfig::prototype();
+    config.max_cycles = max_cycles;
     let key = pasm::ExperimentKey {
         config,
         mode,
@@ -107,6 +86,9 @@ fn run_experiment(
         fault,
         workload: kernel.name(),
     };
+    if let Err(e) = key.validate() {
+        return fail(&e);
+    }
     let result = match pasm::run_keyed(&key) {
         Ok(r) => r,
         Err(e) => return fail(&e.to_string()),

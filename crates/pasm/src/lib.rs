@@ -37,6 +37,7 @@ pub mod sweep;
 pub use experiment::{
     run_kernel_opts, run_keyed, run_keyed_traced, run_placements, run_span_log, ExperimentKey,
     ExperimentResult, ExperimentTrace, KernelOutcome, Mode, Params, Placement, RunOptions, MATMUL,
+    MAX_EXTRA_MULS,
 };
 pub use metrics::{efficiency, speedup, Breakdown};
 pub use pasm_kernels::{self as kernels, Kernel};

@@ -110,7 +110,9 @@ fn registry_lookup_is_case_insensitive_and_total() {
 fn only_matmul_supports_serial() {
     for kernel in pasm::kernels::kernels() {
         assert_eq!(
-            kernel.supports_serial(),
+            kernel
+                .footprint(pasm::Mode::Serial, pasm::Params::new(16, 1))
+                .is_ok(),
             kernel.name() == pasm::MATMUL,
             "{}",
             kernel.name()

@@ -3,9 +3,11 @@
 //! cache and the bounded queue, and drains the server (ISSUE 2 acceptance).
 
 mod common;
+#[path = "common/grid.rs"]
+mod grid;
 
 use common::{await_terminal, get, job_id, request, request_raw, status_str, submit};
-use pasm_server::{Server, ServerConfig};
+use pasm_server::{JobSpec, Server, ServerConfig};
 use pasm_util::{json, Json};
 use std::net::TcpStream;
 
@@ -368,7 +370,7 @@ fn oversized_extra_muls_is_refused_and_the_server_keeps_serving() {
         resp.get("error").and_then(Json::as_str),
         Some("bad_request")
     );
-    let bound = pasm_server::protocol::MAX_EXTRA_MULS.to_string();
+    let bound = pasm::MAX_EXTRA_MULS.to_string();
     let message = resp.get("message").and_then(Json::as_str).unwrap_or("");
     assert!(
         message.contains(&bound),
@@ -380,5 +382,39 @@ fn oversized_extra_muls_is_refused_and_the_server_keeps_serving() {
     let st = await_terminal(addr, job_id(&resp));
     assert_eq!(status_str(&st), "done", "{st:?}");
 
+    server.shutdown();
+}
+
+/// Every grid key `ExperimentKey::validate` rejects is a 400 `bad_request`
+/// at `/submit`, so none reaches a worker to panic and be quarantined; every
+/// key it accepts parses to the same key from its submit body.
+#[test]
+fn every_rejected_grid_key_is_a_bad_request() {
+    let mut server = start(1, 4);
+    let addr = server.addr();
+    let mut rejected = 0;
+    for case in grid::cases() {
+        let key = case.key();
+        if key.validate().is_ok() {
+            let spec = JobSpec::from_json(&json::parse(&case.body()).unwrap());
+            assert_eq!(spec.map(|s| s.key), Ok(key), "{case:?}");
+            continue;
+        }
+        rejected += 1;
+        let (code, resp) = submit(addr, &case.body());
+        assert_eq!(code, 400, "{case:?}: {resp:?}");
+        assert_eq!(
+            resp.get("error").and_then(Json::as_str),
+            Some("bad_request"),
+            "{case:?}"
+        );
+    }
+    assert!(rejected > 100, "only {rejected} keys rejected");
+    for case in grid::former_panics() {
+        let (code, resp) = submit(addr, &case.body());
+        assert_eq!(code, 400, "{case:?}: {resp:?}");
+    }
+    let (_, stats) = get(addr, "/stats");
+    assert_eq!(stats.get("quarantined").and_then(Json::as_u64), Some(0));
     server.shutdown();
 }

@@ -1,0 +1,84 @@
+//! The validation contract of `ExperimentKey::validate`, the one check that
+//! decides which experiments can run: every key of the grid in
+//! `common/grid.rs` that it accepts loads and starts without a panic, and
+//! every key it rejects is one `pasm-run:` line with exit code 1 from the
+//! CLI. (`integration_server` submits the rejected keys over HTTP.)
+
+#[path = "common/grid.rs"]
+mod grid;
+
+use pasm_machine::RunError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::Command;
+
+/// A budget no run of the grid finishes within, so each accepted key stops
+/// right after it is loaded and started.
+const TINY_MAX_CYCLES: u64 = 64;
+
+#[test]
+fn every_accepted_key_loads_and_stops_at_the_cycle_limit() {
+    let mut accepted = 0;
+    let mut broken = Vec::new();
+    for case in grid::cases() {
+        let mut key = case.key();
+        if key.validate().is_err() {
+            continue;
+        }
+        accepted += 1;
+        key.config.max_cycles = TINY_MAX_CYCLES;
+        match catch_unwind(AssertUnwindSafe(|| pasm::run_keyed(&key))) {
+            Ok(Err(RunError::CycleLimit(_))) => {}
+            Ok(other) => broken.push(format!("{case:?}: {other:?}")),
+            Err(_) => broken.push(format!("{case:?}: panicked")),
+        }
+    }
+    assert!(broken.is_empty(), "{broken:#?}");
+    assert!(accepted > 100, "only {accepted} keys accepted");
+}
+
+#[test]
+fn the_grid_has_both_verdicts_for_every_kernel_and_preset() {
+    let cases = grid::cases();
+    for kernel in pasm::kernels::names() {
+        for small in [false, true] {
+            let verdicts: Vec<bool> = cases
+                .iter()
+                .filter(|c| c.kernel == kernel && c.small == small)
+                .map(|c| c.key().validate().is_ok())
+                .collect();
+            assert!(verdicts.contains(&true), "{kernel} small={small}");
+            assert!(verdicts.contains(&false), "{kernel} small={small}");
+        }
+    }
+    for case in grid::former_panics() {
+        let err = case.key().validate().expect_err("rejected");
+        if case.n != 0 {
+            assert!(err.contains("bytes per PE"), "{case:?}: {err}");
+        }
+    }
+}
+
+#[test]
+fn rejected_inputs_exit_1_with_one_pasm_run_line() {
+    let rejected: Vec<grid::Case> = grid::cases()
+        .into_iter()
+        .filter(|c| !c.small && c.key().validate().is_err())
+        .collect();
+    for case in grid::former_panics().iter().filter(|c| !c.small) {
+        assert!(
+            rejected.iter().any(|r| r.key() == case.key()),
+            "{case:?} is rejected and tried"
+        );
+    }
+    for case in &rejected {
+        let out = Command::new(env!("CARGO_BIN_EXE_pasm-run"))
+            .args(case.cli_args())
+            .output()
+            .expect("pasm-run starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{case:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{case:?}");
+        assert_eq!(stderr.lines().count(), 1, "{case:?}: {stderr}");
+        assert!(stderr.starts_with("pasm-run: "), "{case:?}: {stderr}");
+    }
+}
