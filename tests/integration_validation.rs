@@ -82,3 +82,36 @@ fn rejected_inputs_exit_1_with_one_pasm_run_line() {
         assert!(stderr.starts_with("pasm-run: "), "{case:?}: {stderr}");
     }
 }
+
+/// `pasm-run`'s file-mode summary line, cycle for cycle: instruction count,
+/// run length, MUL/DIV cycles (memory waits included) and memory-wait
+/// cycles of the two example programs.
+#[test]
+fn file_mode_summary_lines_are_pinned() {
+    let cases = [
+        (
+            "sum.s",
+            "304 instructions in 2822 cycles (0.353 ms at 8 MHz); 0 cycles in MULU/MULS/DIVU/DIVS (memory waits included), 994 memory-wait cycles",
+        ),
+        (
+            "mulu_timing.s",
+            "4006 instructions in 143128 cycles (17.891 ms at 8 MHz); 113893 cycles in MULU/MULS/DIVU/DIVS (memory waits included), 15080 memory-wait cycles",
+        ),
+    ];
+    for (file, summary) in cases {
+        let path = format!(
+            "{}/../../examples/programs/{file}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let out = Command::new(env!("CARGO_BIN_EXE_pasm-run"))
+            .args([path.as_str(), "--stats"])
+            .output()
+            .expect("pasm-run starts");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{file}: {stdout}");
+        assert!(
+            stdout.lines().any(|l| l == summary),
+            "{file}: no line `{summary}` in\n{stdout}"
+        );
+    }
+}
