@@ -256,6 +256,21 @@ pub enum DynTerm {
     DbraExpired,
 }
 
+impl DynTerm {
+    /// True for the terms of `MULU`, `MULS`, `DIVU` and `DIVS`, the
+    /// variable-time multiplies and divides.
+    #[inline]
+    pub fn is_mul_div(self) -> bool {
+        matches!(
+            self,
+            DynTerm::MuluOnes
+                | DynTerm::MulsTransitions
+                | DynTerm::DivuQuotient
+                | DynTerm::DivsQuotient
+        )
+    }
+}
+
 /// An instruction's core time split into a compile-time constant and a
 /// run-time term (see [`cycle_split`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

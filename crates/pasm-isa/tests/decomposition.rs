@@ -289,10 +289,17 @@ fn split_resums_to_interpreter_charge_for_every_opcode() {
 /// The `multiply_variance` charge taken from the split is the core time of
 /// a variable-time opcode beyond its floor — 38 (MULU, MULS), 76 (DIVU), 84
 /// (DIVS) — and zero for every other opcode, for every opcode × context.
+/// The split's term also tells exactly those four opcodes apart
+/// (`DynTerm::is_mul_div`, which the cycle account counts them by).
 #[test]
 fn variance_from_split_is_core_time_beyond_the_floor() {
     for i in &all_opcodes() {
         let split = cycle_split(i);
+        let mul_div = matches!(
+            i,
+            Instr::Mulu { .. } | Instr::Muls { .. } | Instr::Divu { .. } | Instr::Divs { .. }
+        );
+        assert_eq!(split.dynamic.is_mul_div(), mul_div, "{i:?}");
         for ctx in &ctx_grid() {
             let (src, dst) = (ctx.src_value as u16, ctx.dst_value);
             let want = match i {

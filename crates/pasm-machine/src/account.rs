@@ -4,8 +4,8 @@
 //! attributed to instruction fetch, data-dependent multiplies, lockstep
 //! barrier waits, and network transfers across SIMD/MIMD/S-MIMD — so the
 //! simulator keeps a [`CycleAccount`] per PE and per MC that buckets every
-//! cycle of the component's lifetime into one of seven [`Bucket`]s, plus a
-//! per-opcode histogram and timestamped phase spans.
+//! cycle of the component's lifetime into one of seven [`Bucket`]s, plus
+//! timestamped phase spans.
 //!
 //! The invariant that makes the accounting auditable (and that the
 //! integration suite asserts for every mode): for a halted component,
@@ -19,11 +19,10 @@
 //! The account is the machine's only per-component record: the hot loop
 //! charges nothing else, and the [`crate::PeTrace`]/[`crate::McTrace`]
 //! summaries of a [`crate::RunResult`] are views derived from it. For that it
-//! also keeps the two facts its buckets, histogram and spans cannot give:
-//! the halt time and the network words sent.
-
-use pasm_isa::Instr;
-use std::ops::Range;
+//! also keeps the facts its buckets and spans cannot give: the halt time,
+//! the network words sent, and the instructions executed, of them the
+//! `MULU`/`MULS`/`DIVU`/`DIVS` and their cycles. Those three counts are
+//! summed per batch next to the bucket charges, never per opcode.
 
 /// Number of distinct phase ids supported by `Mark` instrumentation.
 pub const N_PHASES: usize = 16;
@@ -84,119 +83,6 @@ impl Bucket {
     }
 }
 
-/// Number of distinct opcodes tracked by the histogram.
-pub const N_OPCODES: usize = 46;
-
-/// Mnemonics in histogram-index order (see [`opcode_index`]).
-pub const OPCODE_NAMES: [&str; N_OPCODES] = [
-    "MOVE",
-    "MOVEA",
-    "MOVEQ",
-    "LEA",
-    "CLR",
-    "SWAP",
-    "EXT",
-    "ADD",
-    "ADD-to-mem",
-    "ADDA",
-    "ADDQ",
-    "SUB",
-    "SUB-to-mem",
-    "SUBA",
-    "SUBQ",
-    "NEG",
-    "MULU",
-    "MULS",
-    "DIVU",
-    "DIVS",
-    "AND",
-    "OR",
-    "OR-to-mem",
-    "EOR",
-    "NOT",
-    "SHIFT",
-    "BTST",
-    "CMP",
-    "CMPA",
-    "CMPI",
-    "TST",
-    "Bcc",
-    "DBRA",
-    "JMP",
-    "JSR",
-    "RTS",
-    "NOP",
-    "JMPSIMD",
-    "JMPMIMD",
-    "BARRIER",
-    "SETMASK",
-    "ENQ",
-    "ENQW",
-    "STARTPES",
-    "MARK",
-    "HALT",
-];
-
-/// Histogram index of an instruction (one slot per opcode family).
-pub fn opcode_index(instr: &Instr) -> usize {
-    match instr {
-        Instr::Move { .. } => 0,
-        Instr::Movea { .. } => 1,
-        Instr::Moveq { .. } => 2,
-        Instr::Lea { .. } => 3,
-        Instr::Clr { .. } => 4,
-        Instr::Swap { .. } => 5,
-        Instr::Ext { .. } => 6,
-        Instr::Add { .. } => 7,
-        Instr::AddTo { .. } => 8,
-        Instr::Adda { .. } => 9,
-        Instr::Addq { .. } => 10,
-        Instr::Sub { .. } => 11,
-        Instr::SubTo { .. } => 12,
-        Instr::Suba { .. } => 13,
-        Instr::Subq { .. } => 14,
-        Instr::Neg { .. } => 15,
-        Instr::Mulu { .. } => 16,
-        Instr::Muls { .. } => 17,
-        Instr::Divu { .. } => 18,
-        Instr::Divs { .. } => 19,
-        Instr::And { .. } => 20,
-        Instr::Or { .. } => 21,
-        Instr::OrTo { .. } => 22,
-        Instr::Eor { .. } => 23,
-        Instr::Not { .. } => 24,
-        Instr::Shift { .. } => 25,
-        Instr::Btst { .. } => 26,
-        Instr::Cmp { .. } => 27,
-        Instr::Cmpa { .. } => 28,
-        Instr::Cmpi { .. } => 29,
-        Instr::Tst { .. } => 30,
-        Instr::Bcc { .. } => 31,
-        Instr::Dbra { .. } => 32,
-        Instr::Jmp { .. } => 33,
-        Instr::Jsr { .. } => 34,
-        Instr::Rts => 35,
-        Instr::Nop => 36,
-        Instr::JmpSimd => 37,
-        Instr::JmpMimd { .. } => 38,
-        Instr::Barrier => 39,
-        Instr::SetMask { .. } => 40,
-        Instr::Enqueue { .. } => 41,
-        Instr::EnqueueWords { .. } => 42,
-        Instr::StartPes => 43,
-        Instr::Mark { .. } => 44,
-        Instr::Halt => 45,
-    }
-}
-
-/// Histogram slot of [`Instr::Mark`]: instrumentation, not a machine
-/// instruction, so [`CycleAccount::record_instr`] records nothing there.
-pub const MARK_ROW: usize = 44;
-
-/// Histogram slots of the variable-time opcodes `MULU`, `MULS`, `DIVU` and
-/// `DIVS`, in [`OPCODE_NAMES`] order.
-const MUL_DIV: Range<usize> = 16..20;
-
 /// A closed instrumentation-phase interval on one component's local timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSpan {
@@ -209,7 +95,7 @@ pub struct PhaseSpan {
 }
 
 /// Cycle breakdown of one component (PE or MC).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleAccount {
     /// Local cycle at which the component first became runnable.
     pub started_at: u64,
@@ -217,27 +103,16 @@ pub struct CycleAccount {
     pub(crate) finished_at: u64,
     /// 8-bit network words sent (PEs only).
     pub(crate) net_bytes_sent: u64,
+    /// Instructions executed, phase markers excluded.
+    pub(crate) instrs: u64,
+    /// `MULU`/`MULS`/`DIVU`/`DIVS` instructions executed.
+    pub(crate) mul_div: u64,
+    /// Cycles those instructions took, memory waits included.
+    pub(crate) mul_div_cycles: u64,
     /// Timestamped phase intervals, in close order.
     pub spans: Vec<PhaseSpan>,
     buckets: [u64; N_BUCKETS],
-    op_count: [u64; N_OPCODES],
-    op_cycles: [u64; N_OPCODES],
     phase_open: [Option<u64>; N_PHASES],
-}
-
-impl Default for CycleAccount {
-    fn default() -> Self {
-        CycleAccount {
-            started_at: 0,
-            finished_at: 0,
-            net_bytes_sent: 0,
-            spans: Vec::new(),
-            buckets: [0; N_BUCKETS],
-            op_count: [0; N_OPCODES],
-            op_cycles: [0; N_OPCODES],
-            phase_open: [None; N_PHASES],
-        }
-    }
 }
 
 impl CycleAccount {
@@ -262,19 +137,6 @@ impl CycleAccount {
         self.buckets.iter().sum()
     }
 
-    /// Record one executed instruction in the opcode histogram, by its row
-    /// ([`opcode_index`], precomputed in the instruction table). `duration`
-    /// is its full cost including memory waits. The [`MARK_ROW`] records
-    /// nothing.
-    #[inline]
-    pub fn record_instr(&mut self, row: usize, duration: u64) {
-        if row == MARK_ROW {
-            return;
-        }
-        self.op_count[row] += 1;
-        self.op_cycles[row] += duration;
-    }
-
     /// Handle a phase marker at local time `now`, recording closed intervals.
     /// A phase begun twice or ended without a begin is a program bug
     /// (debug-asserted); in release the second begin restarts the phase and
@@ -295,16 +157,10 @@ impl CycleAccount {
         }
     }
 
-    /// Instructions executed (phase markers excluded).
-    pub(crate) fn instrs(&self) -> u64 {
-        self.op_count.iter().sum()
-    }
-
     /// Executed `MULU`/`MULS`/`DIVU`/`DIVS` instructions and the cycles they
     /// took, memory waits included.
     pub fn mul_div(&self) -> (u64, u64) {
-        let count = self.op_count[MUL_DIV].iter().sum();
-        (count, self.op_cycles[MUL_DIV].iter().sum())
+        (self.mul_div, self.mul_div_cycles)
     }
 
     /// Cycles per phase: the summed length of its closed spans.
@@ -314,14 +170,6 @@ impl CycleAccount {
             out[s.phase as usize] += s.end - s.start;
         }
         out
-    }
-
-    /// Non-empty opcode-histogram rows as `(mnemonic, count, cycles)`.
-    pub fn opcode_histogram(&self) -> Vec<(&'static str, u64, u64)> {
-        (0..N_OPCODES)
-            .filter(|&i| self.op_count[i] > 0)
-            .map(|i| (OPCODE_NAMES[i], self.op_count[i], self.op_cycles[i]))
-            .collect()
     }
 }
 
@@ -371,7 +219,6 @@ impl MachineAccounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pasm_isa::{DataReg, Ea};
 
     #[test]
     fn charge_and_total() {
@@ -381,23 +228,6 @@ mod tests {
         a.charge(Bucket::Compute, 1);
         assert_eq!(a.bucket(Bucket::Compute), 101);
         assert_eq!(a.total(), 108);
-    }
-
-    #[test]
-    fn opcode_names_cover_every_instruction() {
-        let mul = Instr::Mulu {
-            src: Ea::D(DataReg::D1),
-            dst: DataReg::D0,
-        };
-        assert_eq!(OPCODE_NAMES[opcode_index(&mul)], "MULU");
-        assert_eq!(OPCODE_NAMES[opcode_index(&Instr::Halt)], "HALT");
-        let mark = Instr::Mark {
-            begin: true,
-            phase: 0,
-        };
-        assert_eq!(opcode_index(&mark), MARK_ROW);
-        assert_eq!(OPCODE_NAMES[MARK_ROW], "MARK");
-        assert_eq!(OPCODE_NAMES.len(), N_OPCODES);
     }
 
     /// The `multiply_variance` charge is the core time beyond the opcode's
@@ -425,11 +255,6 @@ mod tests {
             "negative early-out"
         );
         assert_eq!(variance_cycles(DynTerm::DivsQuotient, 84 + 6 - 18), 6);
-    }
-
-    #[test]
-    fn mul_div_slots_are_the_variable_time_opcodes() {
-        assert_eq!(&OPCODE_NAMES[MUL_DIV], &["MULU", "MULS", "DIVU", "DIVS"]);
     }
 
     #[test]
@@ -470,18 +295,6 @@ mod tests {
         let mut a = CycleAccount::default();
         a.mark(true, 3, 100);
         a.mark(true, 3, 200);
-    }
-
-    #[test]
-    fn histogram_reports_only_executed_opcodes() {
-        let mut a = CycleAccount::default();
-        let nop = opcode_index(&Instr::Nop);
-        a.record_instr(nop, 4);
-        a.record_instr(nop, 4);
-        a.record_instr(opcode_index(&Instr::Halt), 4);
-        a.record_instr(MARK_ROW, 0);
-        let h = a.opcode_histogram();
-        assert_eq!(h, vec![("NOP", 2, 8), ("HALT", 1, 4)]);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! of every SIMD block, everything a step needs: the static/dynamic cycle
 //! decomposition ([`pasm_isa::timing::cycle_split`]), the instruction
 //! lowered to the handler of its (opcode, EA shape) ([`Op`]; the generic
-//! interpreter for shapes without one), its opcode-histogram row, and a
-//! *stop* flag for instructions that interact with the rest of the machine
-//! (mode switches, Fetch-Unit commands, barriers, `HALT`). The resulting
+//! interpreter for shapes without one), and a *stop* flag for instructions
+//! that interact with the rest of the machine (mode switches, Fetch-Unit
+//! commands, barriers, `HALT`). The resulting
 //! [`CompiledProgram`] is the machine's only copy of a loaded program: the
 //! interpreter, the fast paths and the Fetch Unit all read their
 //! instructions and timing from it, and all execute an entry through
@@ -26,15 +26,14 @@
 //! states a function of the *absolute* cycle an access starts on, so every
 //! path still prices the memory bursts per instruction (`docs/TIMING.md`).
 
-use crate::account::opcode_index;
 use crate::cpu::Op;
 use pasm_isa::timing::{cycle_split, CycleSplit};
 use pasm_isa::{Instr, Program};
 use pasm_util::Fnv1a;
 use std::hash::{Hash, Hasher};
 
-/// One instruction of a loaded program, decoded once: its timing facts, the
-/// handler that executes it and its opcode-histogram row.
+/// One instruction of a loaded program, decoded once: its timing facts and
+/// the handler that executes it.
 #[derive(Debug, Clone, Copy)]
 pub struct InstrMeta {
     /// The instruction.
@@ -44,8 +43,6 @@ pub struct InstrMeta {
     /// The instruction lowered to the handler of its (opcode, EA shape);
     /// [`Op::Generic`] runs the generic interpreter.
     pub op: Op,
-    /// Its opcode-histogram row ([`opcode_index`]).
-    pub row: u8,
     /// The fast path must return to the event scheduler *before* executing
     /// this instruction: it halts, switches mode, or talks to the Fetch Unit.
     pub stop: bool,
@@ -58,7 +55,6 @@ impl InstrMeta {
             instr,
             split: cycle_split(&instr),
             op: Op::of(&instr),
-            row: opcode_index(&instr) as u8,
             stop: is_stop(&instr),
         }
     }

@@ -99,18 +99,35 @@ impl MachineConfig {
         self.n_pes / self.n_mcs
     }
 
-    /// Validate structural constraints; panics with a descriptive message.
-    pub fn assert_valid(&self) {
-        assert!(self.n_pes.is_power_of_two(), "n_pes must be a power of two");
-        assert!(
-            self.n_mcs >= 1 && self.n_pes.is_multiple_of(self.n_mcs),
-            "n_mcs must divide n_pes"
-        );
-        assert!(self.pe_mem_bytes >= 1024, "PE memory unrealistically small");
-        assert!(
-            self.queue_capacity_words >= 4,
-            "queue must hold at least one instruction"
-        );
+    /// Check the structural constraints a machine is built on, naming the
+    /// first one violated. The Fetch Unit's masks are 16 bits wide, so an MC
+    /// controls at most 16 PEs.
+    pub fn validate(&self) -> Result<(), String> {
+        let (n, q) = (self.n_pes, self.n_mcs);
+        if !n.is_power_of_two() {
+            return Err(format!("n_pes must be a power of two, got {n}"));
+        }
+        if q == 0 || !n.is_multiple_of(q) {
+            return Err(format!("n_mcs must divide n_pes (= {n}), got {q}"));
+        }
+        if self.pes_per_mc() > 16 {
+            return Err(format!(
+                "an MC controls at most 16 PEs, got n_pes / n_mcs = {n} / {q}"
+            ));
+        }
+        if self.pe_mem_bytes < 1024 {
+            return Err(format!(
+                "pe_mem_bytes must be at least 1024, got {}",
+                self.pe_mem_bytes
+            ));
+        }
+        if self.queue_capacity_words < 4 {
+            return Err(format!(
+                "queue_capacity_words must hold one instruction (4 words), got {}",
+                self.queue_capacity_words
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -127,7 +144,7 @@ mod tests {
     #[test]
     fn prototype_matches_paper() {
         let c = MachineConfig::prototype();
-        c.assert_valid();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.n_pes, 16);
         assert_eq!(c.n_mcs, 4);
         assert_eq!(c.pes_per_mc(), 4);
@@ -139,17 +156,16 @@ mod tests {
     #[test]
     fn small_config_valid() {
         let c = MachineConfig::small();
-        c.assert_valid();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.pes_per_mc(), 4);
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
     fn invalid_pe_count_rejected() {
         let c = MachineConfig {
             n_pes: 12,
             ..MachineConfig::prototype()
         };
-        c.assert_valid();
+        assert!(c.validate().unwrap_err().contains("power of two"));
     }
 }

@@ -25,9 +25,9 @@
 //! [`pasm_isa::Program`]s into PEs and MCs, establish circuits, and call
 //! [`Machine::run`] to obtain a [`RunResult`]. Every executed instruction is
 //! charged to one record per component, a [`CycleAccount`] bucketing every
-//! simulated cycle by cause ([`account`]); the result carries the accounts
-//! and the per-component [`PeTrace`]/[`McTrace`] summaries derived from
-//! them.
+//! simulated cycle by cause and counting the instructions and multiplies
+//! executed ([`account`]); the result carries the accounts and the
+//! per-component [`PeTrace`]/[`McTrace`] summaries derived from them.
 
 pub mod account;
 pub mod block;

@@ -16,6 +16,7 @@ use crate::cpu::{self, Block, Bus, Cpu, Effect, McEffect, MemBus, StepOutcome, S
 use crate::fault::{FaultPlan, PeFault};
 use crate::fetch_unit::{EntryKind, FetchUnit, FuStats, QueueEntry};
 use crate::trace::{McTrace, PeTrace};
+use pasm_isa::timing::DynTerm;
 use pasm_isa::{Instr, Program, Size};
 use pasm_mem::map::{self, MemMap, NetReg, Region};
 use pasm_mem::{BurstClock, MemTiming, Memory};
@@ -210,6 +211,10 @@ pub struct Machine {
     /// Fast path enabled (default). Timing and accounting are
     /// byte-identical either way — gated by the equivalence tests.
     fast_path: bool,
+    /// Per group bit, the zeroed charges a chain of SIMD group steps sums
+    /// into (see [`Chain`]). Kept between chains, so a chain resets only
+    /// the entries it charged instead of zeroing a fresh array.
+    group_charges: Vec<Charges>,
 }
 
 enum Component {
@@ -221,7 +226,9 @@ enum Component {
 impl Machine {
     /// Build a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        cfg.assert_valid();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid machine config: {e}");
+        }
         let pes = (0..cfg.n_pes)
             .map(|_| Pe {
                 cpu: Cpu::default(),
@@ -256,6 +263,7 @@ impl Machine {
         let pe_faults = vec![None; cfg.n_pes];
         let live = vec![((1u32 << cfg.pes_per_mc()) - 1) as u16; cfg.n_mcs];
         let due = vec![u64::MAX; cfg.n_pes + cfg.n_mcs];
+        let group_charges = (0..cfg.pes_per_mc()).map(|_| Charges::default()).collect();
         Machine {
             cfg,
             pes,
@@ -271,6 +279,7 @@ impl Machine {
             interrupt: None,
             block_cache: HashMap::new(),
             fast_path: true,
+            group_charges,
         }
     }
 
@@ -709,7 +718,7 @@ impl Machine {
         };
         let acc = &mut self.acct.pe[i];
         let mut charges = Charges::default();
-        let new_now = charges.charge(acc, meta.row, &r, now, waits);
+        let new_now = charges.charge(acc, meta.split.dynamic, &r, now, waits);
         charges.flush(acc);
         acc.net_bytes_sent += wrote_net_to.is_some() as u64;
 
@@ -803,14 +812,16 @@ impl Machine {
             budget: FAST_BATCH,
             simd_ok: 0,
             charged: 0,
-            charges: Default::default(),
+            charges: std::mem::take(&mut self.group_charges),
         };
         while let Released::One(rel) = released {
             released = self.group_step(mc, rel, &mut chain);
         }
         for pe in self.group_members(mc, chain.charged) {
-            chain.charges[self.group_bit(pe) as usize].flush(&mut self.acct.pe[pe]);
+            let j = self.group_bit(pe) as usize;
+            std::mem::take(&mut chain.charges[j]).flush(&mut self.acct.pe[pe]);
         }
+        self.group_charges = chain.charges;
     }
 
     /// Real hardware rule: the head entry is released when every PE enabled by
@@ -1175,7 +1186,7 @@ impl Machine {
         };
         let acc = &mut self.acct.mc[i];
         let mut charges = Charges::default();
-        let new_now = charges.charge(acc, meta.row, &r, now, waits);
+        let new_now = charges.charge(acc, meta.split.dynamic, &r, now, waits);
         charges.flush(acc);
         self.set_mc(i, McState::Ready, new_now);
 
@@ -1253,10 +1264,10 @@ struct Chain {
     simd_ok: u16,
     /// Group bits of the PEs with charges in `charges`.
     charged: u16,
-    /// Bucket charges per group bit, flushed into the PE accounts when the
-    /// chain ends: bucket sums commute, and nothing reads an account while
-    /// the machine runs.
-    charges: [Charges; 16],
+    /// Charges per group bit ([`Machine::group_charges`], taken for the
+    /// chain), flushed into the PE accounts when the chain ends: the sums
+    /// commute, and nothing reads an account while the machine runs.
+    charges: Vec<Charges>,
 }
 
 /// A released broadcast instruction as every enabled PE runs it: its
@@ -1360,7 +1371,7 @@ fn exec_one<B: Bus>(
         data: data.burst_delay(fetch_wait, r.data_accesses),
         ..Waits::default()
     };
-    Some(charges.charge(acc, m.row, &r, now, waits))
+    Some(charges.charge(acc, m.split.dynamic, &r, now, waits))
 }
 
 /// Cycles one executed instruction spent beyond its core cycles, by cause.
@@ -1376,8 +1387,8 @@ struct Waits {
     fault: u64,
 }
 
-/// Bucket charges of executed instructions, summed in locals and added to
-/// the account by one [`Charges::flush`]: the result is identical to charging
+/// Charges of executed instructions, summed in locals and added to the
+/// account by one [`Charges::flush`]: the result is identical to charging
 /// per instruction, the cost is one set of read-modify-writes per batch
 /// instead of per step. Every executed instruction is charged through
 /// [`Charges::charge`] — a batch of one on the per-instruction path.
@@ -1389,17 +1400,22 @@ struct Charges {
     memory: u64,
     network: u64,
     fault: u64,
+    /// Instructions executed, phase marks excluded.
+    instrs: u64,
+    /// `MULU`/`MULS`/`DIVU`/`DIVS` executed, and their cycles with waits.
+    mul_div: u64,
+    mul_div_cycles: u64,
 }
 
 impl Charges {
     /// Charge one instruction that started at `now` and return its end time.
-    /// The opcode histogram (at the instruction's table `row`) and the phase
-    /// marks go straight to `acc`.
+    /// `dynamic` is its table entry's data-dependent term, which tells a
+    /// multiply or divide. Phase marks go straight to `acc`.
     #[inline(always)]
     fn charge(
         &mut self,
         acc: &mut CycleAccount,
-        row: u8,
+        dynamic: DynTerm,
         r: &StepResult,
         now: u64,
         w: Waits,
@@ -1412,10 +1428,14 @@ impl Charges {
         self.network += w.network;
         self.fault += w.fault;
         let duration = r.cycles as u64 + w.fetch + w.data + w.network + w.fault;
+        let mul_div = dynamic.is_mul_div() as u64;
+        self.mul_div += mul_div;
+        self.mul_div_cycles += mul_div * duration;
         let end = now + duration;
-        acc.record_instr(row as usize, duration);
         if let Effect::Mark { begin, phase } = r.effect {
             acc.mark(begin, phase, end);
+        } else {
+            self.instrs += 1;
         }
         end
     }
@@ -1427,6 +1447,9 @@ impl Charges {
         acc.charge(Bucket::MemoryWait, self.memory);
         acc.charge(Bucket::Network, self.network);
         acc.charge(Bucket::FaultDetour, self.fault);
+        acc.instrs += self.instrs;
+        acc.mul_div += self.mul_div;
+        acc.mul_div_cycles += self.mul_div_cycles;
     }
 }
 

@@ -56,7 +56,7 @@ fn mimd_charges_dram_waits() {
     // 5 instructions, 4 core cycles each = 20 core cycles; each is 1 word
     // fetched from DRAM at +1 wait state = +5, plus a possible refresh hit.
     assert!(r.makespan >= 25, "got {}", r.makespan);
-    assert!(r.pe[0].fetch_wait_cycles >= 5);
+    assert!(r.accounts.unwrap().pe[0].bucket(Bucket::Fetch) >= 5);
 }
 
 /// Build the canonical SIMD test pair: PE bootstrap + MC broadcast program.
@@ -184,11 +184,12 @@ fn simd_lockstep_costs_the_max_multiply() {
     let lockstep = run_with(ReleaseMode::Lockstep);
     let decoupled = run_with(ReleaseMode::Decoupled);
     // PE 3 (a light PE) pays PE 0's multiply time only under lockstep.
+    let wait = |r: &RunResult| r.accounts.as_ref().unwrap().pe[3].bucket(Bucket::BarrierWait);
     assert!(
-        lockstep.pe[3].simd_wait_cycles > decoupled.pe[3].simd_wait_cycles,
+        wait(&lockstep) > wait(&decoupled),
         "lockstep {} vs decoupled {}",
-        lockstep.pe[3].simd_wait_cycles,
-        decoupled.pe[3].simd_wait_cycles
+        wait(&lockstep),
+        wait(&decoupled)
     );
     let pe_makespan = |r: &RunResult| r.pe.iter().map(|t| t.finished_at).max();
     assert!(pe_makespan(&lockstep) >= pe_makespan(&decoupled));
@@ -234,11 +235,8 @@ fn barrier_synchronizes_mimd_pes() {
     let finish: Vec<u64> = r.pe.iter().take(4).map(|t| t.finished_at).collect();
     let spread = finish.iter().max().unwrap() - finish.iter().min().unwrap();
     assert!(spread <= 16, "finish spread {spread} too large: {finish:?}");
-    assert!(
-        r.pe[1].simd_wait_cycles > 1000,
-        "fast PE waited {}",
-        r.pe[1].simd_wait_cycles
-    );
+    let wait = r.accounts.unwrap().pe[1].bucket(Bucket::BarrierWait);
+    assert!(wait > 1000, "fast PE waited {wait}");
 }
 
 #[test]
@@ -1361,9 +1359,9 @@ const MUL_DIV_BODY: &str = "
 
 /// Multiply-variance golden: a hand-built program runs the MULU, MULS, DIVU
 /// and DIVS cases of [`MUL_DIV_BODY`] in MIMD mode on every PE, then again
-/// as a SIMD broadcast, on both paths. Every PE bucket and the four
-/// variable-time histogram rows are pinned as literals; no registered
-/// kernel divides, so this is what covers DIVU/DIVS accounting.
+/// as a SIMD broadcast, on both paths. Every PE bucket and the PE's MUL/DIV
+/// count and cycles are pinned as literals; no registered kernel divides, so
+/// this is what covers DIVU/DIVS accounting.
 #[test]
 fn multiply_variance_golden_on_both_paths() {
     let body = halting(MUL_DIV_BODY).instrs;
@@ -1402,41 +1400,67 @@ fn multiply_variance_golden_on_both_paths() {
         accounts
             .pe
             .iter()
-            .map(|a| {
-                let rows: Vec<_> = a
-                    .opcode_histogram()
-                    .into_iter()
-                    .filter(|(name, ..)| ["MULU", "MULS", "DIVU", "DIVS"].contains(name))
-                    .collect();
-                (*a.buckets(), rows)
-            })
+            .map(|a| (*a.buckets(), a.mul_div()))
             .collect::<Vec<_>>()
     };
     let (fast, interp) = (run(true), run(false));
     assert_eq!(fast, interp, "fast path vs interpreter");
     // [fetch, compute, multiply_variance, barrier_wait, network,
-    // memory_wait, fault_detour], then (opcode, count, cycles) rows.
-    type Row = (&'static str, u64, u64);
-    let row = |mulu: u64, divu: u64| -> [Row; 4] {
-        [
-            ("MULU", 4, mulu),
-            ("MULS", 2, 143),
-            ("DIVU", 6, divu),
-            ("DIVS", 4, 318),
-        ]
-    };
-    let golden: [([u64; 7], [Row; 4]); 4] = [
-        ([134, 906, 284, 62, 0, 4, 0], row(202, 281)),
-        ([134, 906, 296, 50, 0, 4, 0], row(214, 281)),
-        ([136, 906, 316, 28, 0, 4, 0], row(234, 290)),
-        ([132, 906, 348, 0, 0, 4, 0], row(266, 281)),
+    // memory_wait, fault_detour], then (MUL/DIV count, their cycles). Each
+    // PE runs 4 MULU, 2 MULS, 6 DIVU and 4 DIVS; MULS takes 143 cycles and
+    // DIVS 318 on every PE, and MULU plus DIVU take 202 + 281, 214 + 281,
+    // 234 + 290 and 266 + 281.
+    let golden: [([u64; 7], (u64, u64)); 4] = [
+        ([134, 906, 284, 62, 0, 4, 0], (16, 944)),
+        ([134, 906, 296, 50, 0, 4, 0], (16, 956)),
+        ([136, 906, 316, 28, 0, 4, 0], (16, 985)),
+        ([132, 906, 348, 0, 0, 4, 0], (16, 1008)),
     ];
-    for (pe, ((buckets, rows), (want_buckets, want_rows))) in fast.iter().zip(&golden).enumerate() {
-        assert_eq!(buckets, want_buckets, "PE {pe} buckets");
-        assert_eq!(
-            rows.as_slice(),
-            want_rows.as_slice(),
-            "PE {pe} MUL/DIV rows"
-        );
+    for (pe, (got, want)) in fast.iter().zip(&golden).enumerate() {
+        assert_eq!(got.0, want.0, "PE {pe} buckets");
+        assert_eq!(got.1, want.1, "PE {pe} MUL/DIV count and cycles");
     }
+}
+
+/// What [`Charges`] adds to an account besides the buckets: the instruction
+/// count leaves phase marks out, and the MUL/DIV cycles include the memory
+/// waits of the multiply or divide and nothing of any other instruction.
+#[test]
+fn charges_count_instructions_and_mul_div_cycles_with_waits() {
+    let mark = |begin| Effect::Mark { begin, phase: 2 };
+    // (term, core cycles, variance, effect, fetch wait, data wait)
+    let steps = [
+        (DynTerm::None, 0, 0, mark(true), 0, 0),
+        (DynTerm::MuluOnes, 70, 32, Effect::None, 1, 3),
+        (DynTerm::None, 4, 0, Effect::None, 1, 0),
+        (DynTerm::DivsQuotient, 158, 6, Effect::None, 2, 0),
+        (DynTerm::None, 0, 0, mark(false), 0, 0),
+    ];
+    let mut acc = CycleAccount::default();
+    let mut c = Charges::default();
+    let mut now = 0;
+    for (dynamic, cycles, variance, effect, fetch, data) in steps {
+        let r = StepResult {
+            cycles,
+            fetch_words: 1,
+            data_accesses: 0,
+            variance,
+            effect,
+        };
+        let w = Waits {
+            fetch,
+            data,
+            ..Waits::default()
+        };
+        now = c.charge(&mut acc, dynamic, &r, now, w);
+    }
+    assert_eq!(now, 74 + 5 + 160);
+    // Nothing reaches the account before the flush but the phase span.
+    assert_eq!(acc.mul_div(), (0, 0));
+    c.flush(&mut acc);
+    assert_eq!(acc.mul_div(), (2, 74 + 160));
+    assert_eq!(PeTrace::from(&acc).instrs, 3);
+    assert_eq!(acc.bucket(Bucket::MultiplyVariance), 38);
+    assert_eq!(acc.total(), now);
+    assert_eq!(acc.spans[0].end - acc.spans[0].start, now);
 }

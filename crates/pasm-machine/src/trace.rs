@@ -1,8 +1,8 @@
-//! Per-component summaries: instruction counts, waits, and the phase
+//! Per-component summaries: instruction counts, network words, and the phase
 //! breakdown used to regenerate the paper's Figures 8–10. Both are views of
 //! a component's [`CycleAccount`], built once when the run ends.
 
-use crate::account::{Bucket, CycleAccount, N_PHASES};
+use crate::account::{CycleAccount, N_PHASES};
 
 /// Execution statistics of one PE.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -11,13 +11,6 @@ pub struct PeTrace {
     pub instrs: u64,
     /// Multiply and divide instructions executed.
     pub mul_count: u64,
-    /// Cycles from issuing a SIMD-space request to the release (lockstep wait
-    /// + queue-empty wait).
-    pub simd_wait_cycles: u64,
-    /// Extra cycles charged for instruction-fetch memory waits.
-    pub fetch_wait_cycles: u64,
-    /// Extra cycles charged for operand (data) memory waits.
-    pub data_wait_cycles: u64,
     /// 8-bit network words sent.
     pub net_bytes_sent: u64,
     /// Local time when this PE halted (0 if it never ran).
@@ -29,11 +22,8 @@ pub struct PeTrace {
 impl From<&CycleAccount> for PeTrace {
     fn from(a: &CycleAccount) -> PeTrace {
         PeTrace {
-            instrs: a.instrs(),
-            mul_count: a.mul_div().0,
-            simd_wait_cycles: a.bucket(Bucket::BarrierWait),
-            fetch_wait_cycles: a.bucket(Bucket::Fetch),
-            data_wait_cycles: a.bucket(Bucket::MemoryWait),
+            instrs: a.instrs,
+            mul_count: a.mul_div,
             net_bytes_sent: a.net_bytes_sent,
             finished_at: a.finished_at,
             phase_cycles: a.phase_cycles(),
@@ -53,7 +43,7 @@ pub struct McTrace {
 impl From<&CycleAccount> for McTrace {
     fn from(a: &CycleAccount) -> McTrace {
         McTrace {
-            instrs: a.instrs(),
+            instrs: a.instrs,
             finished_at: a.finished_at,
         }
     }
@@ -62,8 +52,6 @@ impl From<&CycleAccount> for McTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::account::opcode_index;
-    use pasm_isa::{DataReg, Ea, Instr};
 
     #[test]
     fn phase_accounting_accumulates() {
@@ -91,30 +79,15 @@ mod tests {
 
     #[test]
     fn views_derive_from_a_hand_charged_account() {
-        let src = Ea::D(DataReg::D1);
-        let dst = DataReg::D0;
         let mut a = CycleAccount::default();
-        let row = |i: Instr| opcode_index(&i);
-        a.record_instr(row(Instr::Mulu { src, dst }), 70);
-        a.record_instr(row(Instr::Mulu { src, dst }), 40);
-        a.record_instr(row(Instr::Divs { src, dst }), 150);
-        a.record_instr(row(Instr::Enqueue { block: 3 }), 12);
-        a.record_instr(
-            row(Instr::Mark {
-                begin: true,
-                phase: 4,
-            }),
-            0,
-        );
+        a.instrs = 4;
+        a.mul_div = 3;
+        a.finished_at = 500;
+        a.net_bytes_sent = 7;
         a.mark(true, 4, 10);
         a.mark(false, 4, 25);
         a.mark(true, 4, 100);
         a.mark(false, 4, 140);
-        a.charge(Bucket::BarrierWait, 33);
-        a.charge(Bucket::Fetch, 6);
-        a.charge(Bucket::MemoryWait, 9);
-        a.finished_at = 500;
-        a.net_bytes_sent = 7;
 
         let pe = PeTrace::from(&a);
         let mut phase_cycles = [0; N_PHASES];
@@ -124,9 +97,6 @@ mod tests {
             PeTrace {
                 instrs: 4,
                 mul_count: 3,
-                simd_wait_cycles: 33,
-                fetch_wait_cycles: 6,
-                data_wait_cycles: 9,
                 net_bytes_sent: 7,
                 finished_at: 500,
                 phase_cycles,

@@ -7,8 +7,8 @@
 //! * **worker threads** popping that queue and executing
 //!   [`pasm::run_keyed_traced`] simulations,
 //! * a **content-addressed result cache** ([`cache::ResultCache`]) keyed by
-//!   the full [`pasm::ExperimentKey`] — sound because the simulator is
-//!   deterministic — with hit/miss counters,
+//!   the [`pasm::ExperimentKey::fingerprint`] of the full key — sound
+//!   because the simulator is deterministic — with hit/miss counters,
 //! * **job lifecycle endpoints**: `POST /submit`, `GET /status/<id>`,
 //!   `GET /result/<id>`, `POST /cancel/<id>`, `GET /healthz`, `GET /stats`,
 //!   plus a hand-rolled Prometheus-text `GET /metrics` ([`metrics`]) with

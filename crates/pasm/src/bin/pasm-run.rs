@@ -27,7 +27,7 @@
 //! with one `pasm-run:` line, never a panic.
 
 use pasm_isa::analysis;
-use pasm_machine::{FaultPlan, Machine, MachineConfig};
+use pasm_machine::{Bucket, FaultPlan, Machine, MachineConfig};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -235,15 +235,19 @@ fn main() -> ExitCode {
             }
             println!("CCR: {}", cpu.ccr);
             let t = &run.pe[0];
-            let accounts = run.accounts.as_ref().expect("accounting is on by default");
-            let (_, mul_div_cycles) = accounts.pe[0].mul_div();
+            let account = &run
+                .accounts
+                .as_ref()
+                .expect("accounting is on by default")
+                .pe[0];
+            let (_, mul_div_cycles) = account.mul_div();
             println!(
                 "\n{} instructions in {} cycles ({:.3} ms at 8 MHz); {} cycles in MULU/MULS/DIVU/DIVS (memory waits included), {} memory-wait cycles",
                 t.instrs,
                 t.finished_at,
                 pasm_isa::cycles_to_ms(t.finished_at),
                 mul_div_cycles,
-                t.fetch_wait_cycles + t.data_wait_cycles,
+                account.bucket(Bucket::Fetch) + account.bucket(Bucket::MemoryWait),
             );
             if let Some(path) = trace {
                 let log = pasm::run_span_log(&run);

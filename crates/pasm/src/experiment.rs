@@ -279,14 +279,16 @@ impl ExperimentKey {
     }
 
     /// Whether this key can run: the one check the HTTP protocol, `pasm-run`
-    /// and [`run_placements`] share. It rejects an unregistered workload, a
+    /// and [`run_placements`] share. It rejects a machine config
+    /// [`MachineConfig::validate`] refuses, an unregistered workload, a
     /// `p` that is not a power of two within the machine, `extra_muls` above
     /// [`MAX_EXTRA_MULS`], `(n, p)` the kernel's [`Kernel::validate`]
     /// refuses, a mode or size its [`Kernel::footprint`] refuses or that
     /// overflows a PE's memory, a fault plan naming parts the machine lacks,
-    /// and a Fetch Unit queue outside `4..=1048576` words. Every key
-    /// it accepts whose config starts from a preset loads without a panic.
+    /// and a Fetch Unit queue above 1048576 words. A key it accepts loads
+    /// without a panic.
     pub fn validate(&self) -> Result<(), String> {
+        self.config.validate()?;
         let kernel = self.kernel().ok_or_else(|| {
             format!(
                 "unknown workload `{}` (registered: {})",
@@ -295,9 +297,9 @@ impl ExperimentKey {
             )
         })?;
         let queue = self.config.queue_capacity_words;
-        if !(4..=MAX_QUEUE_WORDS).contains(&queue) {
+        if queue > MAX_QUEUE_WORDS {
             return Err(format!(
-                "queue_capacity_words must be in 4..={MAX_QUEUE_WORDS}, got {queue}"
+                "queue_capacity_words must be at most {MAX_QUEUE_WORDS}, got {queue}"
             ));
         }
         check_run(&self.config, kernel, self.mode, self.params)?;
@@ -796,6 +798,45 @@ mod tests {
     fn existing_keys_still_validate() {
         for key in pinned_keys() {
             assert_eq!(key.validate(), Ok(()), "{key:?}");
+        }
+    }
+
+    /// Keys whose machine config cannot be built are refused by the check,
+    /// not by a panic in `Machine::new`: 12 PEs is no power of two, 32 PEs
+    /// per MC overflow the Fetch Unit's 16-bit masks, and zero MCs control
+    /// no PE.
+    #[test]
+    fn keys_with_unbuildable_configs_are_rejected() {
+        let small = MachineConfig::small();
+        for (config, want) in [
+            (
+                MachineConfig {
+                    n_pes: 12,
+                    ..small.clone()
+                },
+                "power of two",
+            ),
+            (
+                MachineConfig {
+                    n_pes: 64,
+                    n_mcs: 2,
+                    ..small.clone()
+                },
+                "at most 16 PEs",
+            ),
+            (MachineConfig { n_mcs: 0, ..small }, "n_mcs must divide"),
+        ] {
+            let key = ExperimentKey {
+                config,
+                mode: Mode::Simd,
+                params: Params::new(4, 4),
+                seed: 7,
+                fault: FaultPlan::default(),
+                workload: MATMUL,
+            };
+            let verdict = std::panic::catch_unwind(|| key.validate());
+            let err = verdict.expect("no panic").expect_err("rejected");
+            assert!(err.contains(want), "{want}: {err}");
         }
     }
 
