@@ -15,8 +15,8 @@
 //! dynamic_cycles(split.dynamic, ctx)` and takes its `multiply_variance`
 //! share from the same term ([`pasm_isa::timing::variance_cycles`]).
 //!
-//! The fast path (see `machine.rs`) leaps a fault-free MIMD PE (or an MC
-//! between Fetch-Unit commands) through the table without returning to the
+//! The fast paths (see `machine.rs`) leap a MIMD PE through the table, and
+//! run a SIMD broadcast on its whole group, without returning to the
 //! global event scheduler, escaping to the per-instruction path at every
 //! stop instruction or memory-mapped access. Tables are cached per
 //! [`program_fingerprint`] and shared by every component running the same

@@ -105,6 +105,12 @@ pub enum StepOutcome {
 pub trait Bus {
     fn read(&mut self, addr: u32, size: Size) -> Result<u32, Block>;
     fn write(&mut self, addr: u32, value: u32, size: Size) -> Result<(), Block>;
+    /// Network cycles the accesses so far added to the instruction: waiting
+    /// out a byte in flight, then the degraded-routing detours (a fault
+    /// surcharge). Plain memory adds none.
+    fn net_cycles(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 /// A trivial bus over a plain memory, for MCs and tests.

@@ -9,8 +9,9 @@
 //!   decisions, so SIMD broadcasts to the surviving PEs still release instead
 //!   of waiting forever on a request that will never come.
 //! * **slow** — every operand memory access costs `extra_wait` additional
-//!   wait states (a marginal DRAM bank, a failing refresh circuit). The extra
-//!   cycles are charged to the `fault_detour` bucket.
+//!   wait states (a marginal DRAM bank, a failing refresh circuit), at most
+//!   [`MAX_SLOW_WAIT`]. The extra cycles are charged to the `fault_detour`
+//!   bucket.
 //! * **stuck-tx** — the PE's network output port wedges: transmits never
 //!   complete. Barrier-mode programs end in a clean deadlock report; polling
 //!   programs hit the cycle limit.
@@ -21,6 +22,11 @@
 
 use pasm_net::NetFault;
 use std::fmt;
+
+/// Largest `extra_wait` of a slow PE. The model's own wait states are single
+/// digits; the bound keeps every surcharge (`extra_wait` × an instruction's
+/// operand accesses) far from `u64` overflow.
+pub const MAX_SLOW_WAIT: u64 = 65_535;
 
 /// One PE's fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,6 +88,11 @@ impl FaultPlan {
         for s in &self.pe {
             if s.pe >= n_pes {
                 return Err(format!("PE {} out of range 0..{n_pes}", s.pe));
+            }
+            if let PeFault::Slow { extra_wait } = s.kind {
+                if extra_wait > MAX_SLOW_WAIT {
+                    return Err(format!("slow-PE wait {extra_wait} above {MAX_SLOW_WAIT}"));
+                }
             }
         }
         let mut pes: Vec<usize> = self.pe.iter().map(|s| s.pe).collect();
@@ -199,6 +210,14 @@ mod tests {
         assert!(FaultPlan::parse("dead:3").unwrap().validate(4).is_ok());
         assert!(FaultPlan::parse("dead:4").unwrap().validate(4).is_err());
         assert!(FaultPlan::parse("box:9:0").unwrap().validate(4).is_err());
+        assert!(FaultPlan::parse("slow:0:65535")
+            .unwrap()
+            .validate(4)
+            .is_ok());
+        assert!(FaultPlan::parse("slow:0:18446744073709551615")
+            .unwrap()
+            .validate(4)
+            .is_err());
         assert!(FaultPlan::parse("dead:1,slow:1:2")
             .unwrap()
             .validate(4)

@@ -19,7 +19,7 @@ use crate::trace::{McTrace, PeTrace};
 use pasm_isa::timing::DynTerm;
 use pasm_isa::{Instr, Program, Size};
 use pasm_mem::map::{self, MemMap, NetReg, Region};
-use pasm_mem::{BurstClock, MemTiming, Memory};
+use pasm_mem::{BurstClock, Memory};
 use pasm_net::{ring_circuits, CircuitId, EscNetwork, NetError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,6 +78,9 @@ struct NetState {
     /// Per-sender extra cycles each transmitted word pays for network stages
     /// beyond the fault-free minimum (nonzero only on degraded networks).
     detour: Vec<u64>,
+    /// Per sender, whether its transmit port never accepts a word (the
+    /// stuck-tx fault).
+    stuck_tx: Vec<bool>,
 }
 
 struct Pe {
@@ -93,6 +96,9 @@ struct Pe {
     /// The loaded program's instruction table, shared via the machine's
     /// fingerprint cache (empty until a program is loaded).
     compiled: Arc<CompiledProgram>,
+    /// Extra wait states each operand access pays (the slow-PE fault; zero
+    /// on a healthy PE).
+    slow_wait: u64,
 }
 
 struct Mc {
@@ -198,8 +204,6 @@ pub struct Machine {
     acct: MachineAccounts,
     /// Whether the result carries `acct` (see [`Machine::set_accounting`]).
     report_accounts: bool,
-    /// Injected per-PE fault models.
-    pe_faults: Vec<Option<PeFault>>,
     /// Per MC, the group-local mask bits of its PEs that are not dead: the
     /// PEs a Fetch-Unit entry can wait for.
     live: Vec<u16>,
@@ -239,6 +243,7 @@ impl Machine {
                 pending: None,
                 cursor: 0,
                 compiled: Arc::default(),
+                slow_wait: 0,
             })
             .collect();
         let mcs = (0..cfg.n_mcs)
@@ -257,10 +262,10 @@ impl Machine {
             dest: vec![None; cfg.n_pes],
             rx: vec![None; cfg.n_pes],
             detour: vec![0; cfg.n_pes],
+            stuck_tx: vec![false; cfg.n_pes],
         };
         let esc = EscNetwork::new(cfg.n_pes.max(2));
         let acct = MachineAccounts::new(cfg.n_pes, cfg.n_mcs);
-        let pe_faults = vec![None; cfg.n_pes];
         let live = vec![((1u32 << cfg.pes_per_mc()) - 1) as u16; cfg.n_mcs];
         let due = vec![u64::MAX; cfg.n_pes + cfg.n_mcs];
         let group_charges = (0..cfg.pes_per_mc()).map(|_| Charges::default()).collect();
@@ -274,7 +279,6 @@ impl Machine {
             esc,
             acct,
             report_accounts: true,
-            pe_faults,
             live,
             interrupt: None,
             block_cache: HashMap::new(),
@@ -385,16 +389,22 @@ impl Machine {
     }
 
     /// Inject a fault plan: network faults go to the ESC (which reconfigures
-    /// its bypass stages for them), PE faults are latched per PE. Must be
-    /// called before circuits are established and PEs are started.
+    /// its bypass stages for them); each PE fault becomes the fact its
+    /// executors read — a dead PE leaves its group's `live` mask, a slow
+    /// PE's operand accesses pay `slow_wait`, a stuck PE's transmit port
+    /// refuses every word. Must be called before circuits are established
+    /// and PEs are started.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), String> {
         plan.validate(self.cfg.n_pes)?;
         self.esc.apply_faults(&plan.net);
         for spec in &plan.pe {
-            self.pe_faults[spec.pe] = Some(spec.kind);
-            if spec.kind == PeFault::Dead {
-                let mc = self.mc_of_pe(spec.pe);
-                self.live[mc] &= !(1 << self.group_bit(spec.pe));
+            match spec.kind {
+                PeFault::Dead => {
+                    let mc = self.mc_of_pe(spec.pe);
+                    self.live[mc] &= !(1 << self.group_bit(spec.pe));
+                }
+                PeFault::Slow { extra_wait } => self.pes[spec.pe].slow_wait = extra_wait,
+                PeFault::StuckTx => self.net.stuck_tx[spec.pe] = true,
             }
         }
         Ok(())
@@ -407,7 +417,7 @@ impl Machine {
     }
 
     fn is_dead(&self, pe: usize) -> bool {
-        matches!(self.pe_faults[pe], Some(PeFault::Dead))
+        self.live[self.mc_of_pe(pe)] & (1 << self.group_bit(pe)) == 0
     }
 
     /// Per-word cycles a circuit pays for stages beyond the fault-free
@@ -588,41 +598,65 @@ impl Machine {
     // PE stepping
     // ------------------------------------------------------------------
 
-    /// Fast path for a PE: execute straight-line MIMD work
+    /// Fast path for a PE, the MIMD batch: execute straight-line MIMD work
     /// without returning to the event scheduler between instructions.
     ///
     /// Sound because a Ready MIMD-mode PE touching only its own memory cannot
     /// interact with any other component: nothing external mutates a Ready
     /// PE, and instructions without machine effects have none outward — so
     /// running the PE arbitrarily far ahead of global time commutes with any
-    /// scheduler interleaving. The batch leaves (and the per-instruction path
-    /// takes over) at every *stop* instruction (mode switch, barrier, halt)
-    /// and at any memory-mapped access ([`Block::Mmio`], raised before any
-    /// state changes); see [`exec_batch`].
+    /// scheduler interleaving. Each instruction is priced by [`exec_one`],
+    /// slow-PE waits included. The batch leaves (and the per-instruction
+    /// path takes over) at every *stop* instruction (mode switch, barrier,
+    /// halt), at any memory-mapped access ([`Block::Mmio`], raised before
+    /// any state changes — a stuck transmit port is only reached that way),
+    /// at a pc past the program end (for the per-instruction path to
+    /// report), past the cycle budget, and after [`FAST_BATCH`]
+    /// instructions, so interrupts stay responsive.
     ///
     /// Returns `true` if at least one instruction was executed.
     fn try_fast_pe(&mut self, i: usize) -> bool {
         let pe = &mut self.pes[i];
-        // A faulted PE's timing differs from the main-memory bus's (slow-PE
-        // wait states, stuck ports): it takes the per-instruction path.
-        if pe.mode != PeMode::Mimd || pe.pending.is_some() || self.pe_faults[i].is_some() {
+        if pe.mode != PeMode::Mimd || pe.pending.is_some() {
             return false;
         }
-        if pe.compiled.meta.get(pe.cpu.pc).is_none_or(|m| m.stop) {
+        let acc = &mut self.acct.pe[i];
+        let bus = &mut MainOnlyBus(&mut pe.mem);
+        let mut now = pe.ready_at;
+        // Incremental refresh phase: same delays as `BurstClock::new(…, now)`
+        // at every step, without the per-instruction modulo.
+        let mut clock = BurstClock::new(self.cfg.pe_dram, now);
+        let mut charges = Charges::default();
+        let mut executed = false;
+        for _ in 0..FAST_BATCH {
+            if now > self.cfg.max_cycles {
+                break;
+            }
+            let Some(m) = pe.compiled.meta.get(pe.cpu.pc).filter(|m| !m.stop) else {
+                break;
+            };
+            let Ok((end, _)) = exec_one(
+                &mut pe.cpu,
+                bus,
+                acc,
+                m,
+                now,
+                &clock,
+                &clock,
+                pe.slow_wait,
+                &mut charges,
+            ) else {
+                break;
+            };
+            clock.advance(end - now);
+            now = end;
+            executed = true;
+        }
+        if !executed {
             return false;
         }
-        let Some(end) = exec_batch(
-            &mut pe.cpu,
-            &mut MainOnlyBus(&mut pe.mem),
-            &pe.compiled,
-            &mut self.acct.pe[i],
-            pe.ready_at,
-            self.cfg.pe_dram,
-            self.cfg.max_cycles,
-        ) else {
-            return false;
-        };
-        self.set_pe(i, PeState::Ready, end);
+        charges.flush(acc);
+        self.set_pe(i, PeState::Ready, now);
         true
     }
 
@@ -650,75 +684,54 @@ impl Machine {
         };
         let instr = meta.instr;
 
-        // Execute against the PE bus.
-        let outcome;
-        let extra_cycles;
-        let detour_cycles;
-        let wrote_net_to;
-        let consumed_rx;
-        {
-            let detour_per_word = self.net.detour[i];
-            let stuck_tx = matches!(self.pe_faults[i], Some(PeFault::StuckTx));
-            let pe = &mut self.pes[i];
-            let mut bus = PeBus {
-                mem: &mut pe.mem,
-                net: &mut self.net,
-                pe: i,
-                now,
-                net_word_cycles: self.cfg.net_word_cycles,
-                detour_per_word,
-                stuck_tx,
-                extra_cycles: 0,
-                detour_cycles: 0,
-                wrote_net_to: None,
-                consumed_rx: false,
-            };
-            outcome = cpu::step(&mut pe.cpu, &mut bus, &meta);
-            extra_cycles = bus.extra_cycles;
-            detour_cycles = bus.detour_cycles;
-            wrote_net_to = bus.wrote_net_to;
-            consumed_rx = bus.consumed_rx;
-        }
-
-        let r = match outcome {
-            StepOutcome::Blocked(Block::NetTxFull) => {
-                self.set_pe(i, PeState::AwaitNetTx { since: now }, now);
-                return;
-            }
-            StepOutcome::Blocked(Block::NetRxEmpty) => {
-                self.set_pe(i, PeState::AwaitNetRx { since: now }, now);
-                return;
-            }
-            StepOutcome::Blocked(Block::Mmio) => {
-                unreachable!("PE {i}: full bus raised the fast-path-only Mmio block")
-            }
-            StepOutcome::Done(r) => r,
-        };
-
-        // Charge memory waits: instruction words come from the queue (SRAM) in
-        // SIMD mode, from PE DRAM in MIMD mode; operand traffic is always DRAM.
+        // Instruction words come from the queue (SRAM) in SIMD mode, from PE
+        // DRAM in MIMD mode; operand traffic is always DRAM.
         let data = BurstClock::new(self.cfg.pe_dram, now);
         let fetch = if simd_delivered {
             BurstClock::new(self.cfg.fu_sram, now)
         } else {
             data
         };
-        let fetch_wait = fetch.burst_delay(0, r.fetch_words);
-        let data_wait = data.burst_delay(fetch_wait, r.data_accesses);
-        // Slow-PE fault model: every operand access pays extra wait states.
-        let slow_wait = match self.pe_faults[i] {
-            Some(PeFault::Slow { extra_wait }) => extra_wait * r.data_accesses as u64,
-            _ => 0,
-        };
-        let waits = Waits {
-            fetch: fetch_wait,
-            data: data_wait,
-            network: extra_cycles,
-            fault: detour_cycles + slow_wait,
-        };
+        let pe = &mut self.pes[i];
         let acc = &mut self.acct.pe[i];
+        let mut bus = PeBus {
+            mem: &mut pe.mem,
+            net: &mut self.net,
+            pe: i,
+            now,
+            net_word_cycles: self.cfg.net_word_cycles,
+            extra_cycles: 0,
+            detour_cycles: 0,
+            wrote_net_to: None,
+            consumed_rx: false,
+        };
         let mut charges = Charges::default();
-        let new_now = charges.charge(acc, meta.split.dynamic, &r, now, waits);
+        let outcome = exec_one(
+            &mut pe.cpu,
+            &mut bus,
+            acc,
+            &meta,
+            now,
+            &fetch,
+            &data,
+            pe.slow_wait,
+            &mut charges,
+        );
+        let (wrote_net_to, consumed_rx) = (bus.wrote_net_to, bus.consumed_rx);
+        let (new_now, effect) = match outcome {
+            Ok(done) => done,
+            Err(Block::NetTxFull) => {
+                self.set_pe(i, PeState::AwaitNetTx { since: now }, now);
+                return;
+            }
+            Err(Block::NetRxEmpty) => {
+                self.set_pe(i, PeState::AwaitNetRx { since: now }, now);
+                return;
+            }
+            Err(Block::Mmio) => {
+                unreachable!("PE {i}: full bus raised the fast-path-only Mmio block")
+            }
+        };
         charges.flush(acc);
         acc.net_bytes_sent += wrote_net_to.is_some() as u64;
 
@@ -749,7 +762,7 @@ impl Machine {
             self.pes[i].pending = None;
         }
 
-        match r.effect {
+        match effect {
             Effect::None | Effect::Mark { .. } => {
                 if self.pes[i].mode == PeMode::Simd {
                     self.issue_simd_request(i, new_now);
@@ -981,8 +994,8 @@ impl Machine {
     /// as long as the release check they trigger releases nothing. The step
     /// ends at anything else:
     ///
-    /// * an enabled PE that is not a fault-free SIMD-mode PE (checked once
-    ///   per chain: neither changes while it runs);
+    /// * an enabled PE not in SIMD mode (checked once per chain: its mode
+    ///   does not change while the chain runs);
     /// * another PE of the group `Ready` at or before `rel.at` (a tie is
     ///   settled by PE index, which this check does not model), or blocked
     ///   on the network (another group can wake it at any time);
@@ -994,7 +1007,7 @@ impl Machine {
         let rounds = rel.enabled.count_ones();
         let unchecked = rel.enabled & !chain.simd_ok;
         for pe in self.group_members(mc, unchecked) {
-            if self.pes[pe].mode != PeMode::Simd || self.pe_faults[pe].is_some() {
+            if self.pes[pe].mode != PeMode::Simd {
                 return false;
             }
         }
@@ -1030,16 +1043,17 @@ impl Machine {
     }
 
     /// One round of the group step: PE `i` executes the released broadcast
-    /// `b` on the main-memory-only bus with the charges [`Machine::step_pe`]
-    /// makes for a SIMD-delivered instruction (fetch waits from the queue
-    /// SRAM, data waits from PE DRAM), summed into `charges`, then requests
-    /// its next word. Returns `false`, with nothing changed, if the
-    /// instruction touched memory-mapped space.
+    /// `b` on the main-memory-only bus, priced by [`exec_one`] as
+    /// [`Machine::step_pe`] prices a SIMD-delivered instruction (fetch waits
+    /// from the queue SRAM, data waits from PE DRAM, the PE's slow-fault
+    /// waits), summed into `charges`, then requests its next word. Returns
+    /// `false`, with nothing changed, if the instruction touched
+    /// memory-mapped space.
     fn group_exec(&mut self, i: usize, b: &Broadcast, charges: &mut Charges) -> bool {
         let pe = &mut self.pes[i];
         let bus = &mut MainOnlyBus(&mut pe.mem);
         let acc = &mut self.acct.pe[i];
-        let Some(end) = exec_one(
+        let Ok((end, _)) = exec_one(
             &mut pe.cpu,
             bus,
             acc,
@@ -1047,6 +1061,7 @@ impl Machine {
             b.at,
             &b.fetch,
             &b.data,
+            pe.slow_wait,
             charges,
         ) else {
             return false;
@@ -1113,44 +1128,18 @@ impl Machine {
     // MC stepping
     // ------------------------------------------------------------------
 
-    /// Fast path for an MC: the control-flow arithmetic between
-    /// Fetch-Unit commands runs without scheduler round-trips. Every
-    /// Fetch-Unit command (and `HALT`) is a stop instruction, so interaction
-    /// points — including the enqueue stall check — always go through
-    /// [`Machine::step_mc`]. MCs execute against plain memory (no MMIO), so
-    /// the only exits are stops, the cycle budget, and the batch cap.
-    fn try_fast_mc(&mut self, i: usize) -> bool {
-        let mc = &mut self.mcs[i];
-        if mc.compiled.meta.get(mc.cpu.pc).is_none_or(|m| m.stop) {
-            return false;
-        }
-        let Some(end) = exec_batch(
-            &mut mc.cpu,
-            &mut MemBus(&mut mc.mem),
-            &mc.compiled,
-            &mut self.acct.mc[i],
-            mc.ready_at,
-            self.cfg.mc_dram,
-            self.cfg.max_cycles,
-        ) else {
-            return false;
-        };
-        self.set_mc(i, McState::Ready, end);
-        true
-    }
-
     fn step_mc(&mut self, i: usize) {
         if self.mc_step(i) {
             self.check_release(i);
         }
     }
 
-    /// One MC step without the release check an enqueue command triggers;
-    /// returns whether it enqueued a block, so the caller runs that check.
+    /// One MC instruction without the release check an enqueue command
+    /// triggers; returns whether it enqueued a block, so the caller runs
+    /// that check. MCs always step one instruction at a time: the
+    /// control-flow arithmetic between their Fetch-Unit commands is a few
+    /// instructions at most.
     fn mc_step(&mut self, i: usize) -> bool {
-        if self.fast_path && self.try_fast_mc(i) {
-            return false;
-        }
         let now = self.mcs[i].ready_at;
         let pc = self.mcs[i].cpu.pc;
         let Some(&meta) = self.mcs[i].compiled.meta.get(pc) else {
@@ -1167,30 +1156,27 @@ impl Machine {
             return false;
         }
 
-        let outcome = {
-            let mc = &mut self.mcs[i];
-            cpu::step(&mut mc.cpu, &mut MemBus(&mut mc.mem), &meta)
-        };
-        let r = match outcome {
-            StepOutcome::Done(r) => r,
-            StepOutcome::Blocked(b) => panic!("MC {i} blocked on {b:?} — MCs have no network"),
-        };
-
-        let clock = BurstClock::new(self.cfg.mc_dram, now);
-        let fetch_wait = clock.burst_delay(0, r.fetch_words);
-        let data_wait = clock.burst_delay(fetch_wait, r.data_accesses);
-        let waits = Waits {
-            fetch: fetch_wait,
-            data: data_wait,
-            ..Waits::default()
-        };
+        let mc = &mut self.mcs[i];
         let acc = &mut self.acct.mc[i];
+        let clock = BurstClock::new(self.cfg.mc_dram, now);
         let mut charges = Charges::default();
-        let new_now = charges.charge(acc, meta.split.dynamic, &r, now, waits);
+        let bus = &mut MemBus(&mut mc.mem);
+        let (new_now, effect) = exec_one(
+            &mut mc.cpu,
+            bus,
+            acc,
+            &meta,
+            now,
+            &clock,
+            &clock,
+            0,
+            &mut charges,
+        )
+        .unwrap_or_else(|b| panic!("MC {i} blocked on {b:?} — MCs have no network"));
         charges.flush(acc);
         self.set_mc(i, McState::Ready, new_now);
 
-        match r.effect {
+        match effect {
             Effect::None | Effect::Mark { .. } => {}
             Effect::Halt => {
                 self.set_mc(i, McState::Halted, new_now);
@@ -1260,7 +1246,7 @@ const FAST_BATCH: u32 = 4096;
 struct Chain {
     /// Scheduler turns left before the chain yields (see [`FAST_BATCH`]).
     budget: u32,
-    /// Group bits of the PEs found in SIMD mode and fault-free.
+    /// Group bits of the PEs found in SIMD mode.
     simd_ok: u16,
     /// Group bits of the PEs with charges in `charges`.
     charged: u16,
@@ -1298,53 +1284,15 @@ enum Released {
     Many,
 }
 
-/// The batch loop of both fast paths: execute compiled instructions from
-/// `now` on `bus`, pricing memory accesses on `timing`, until a stop
-/// instruction, a bus refusal (a PE's memory-mapped access), the cycle
-/// budget, or [`FAST_BATCH`] instructions — so interrupts stay responsive. A
-/// pc past the program end also ends the batch, for the per-instruction
-/// path to report. Returns the end time, or `None` if nothing executed.
-fn exec_batch<B: Bus>(
-    cpu: &mut Cpu,
-    bus: &mut B,
-    compiled: &CompiledProgram,
-    acc: &mut CycleAccount,
-    mut now: u64,
-    timing: MemTiming,
-    max_cycles: u64,
-) -> Option<u64> {
-    // Incremental refresh phase: same delays as `timing.burst_delay(now, …)`
-    // without the per-access modulo (property-tested in `pasm-mem`).
-    let mut clock = BurstClock::new(timing, now);
-    let mut charges = Charges::default();
-    let mut executed = false;
-    for _ in 0..FAST_BATCH {
-        if now > max_cycles {
-            break;
-        }
-        let Some(m) = compiled.meta.get(cpu.pc) else {
-            break;
-        };
-        if m.stop {
-            break;
-        }
-        let Some(end) = exec_one(cpu, bus, acc, m, now, &clock, &clock, &mut charges) else {
-            break;
-        };
-        clock.advance(end - now);
-        now = end;
-        executed = true;
-    }
-    charges.flush(acc);
-    executed.then_some(now)
-}
-
-/// Execute one compiled instruction at `now` on `bus` and charge it: the
-/// executor of both batch loops and of the SIMD group step, through the
-/// handler of the instruction's shape ([`cpu::step`], always inlined).
-/// Instruction words are priced on `fetch`, operands on `data` (both
-/// tracking `now`). Returns the end time, or `None` if the bus refused an
-/// access before any state changed.
+/// Execute one compiled instruction at `now` on `bus`, price it and charge
+/// it: the only code that does so, on every path — the per-instruction PE
+/// and MC steps, the MIMD batch and the SIMD group step — through the
+/// handler of the instruction's shape ([`cpu::step`], always inlined). Instruction words wait on `fetch`,
+/// operands on `data` (both tracking `now`), every operand access pays
+/// `slow_wait` more (a slow PE's fault surcharge), and the bus adds its
+/// network and detour cycles ([`Bus::net_cycles`]). Returns the end time and
+/// the instruction's effect, or why the bus refused an access before any
+/// state changed.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn exec_one<B: Bus>(
@@ -1355,27 +1303,28 @@ fn exec_one<B: Bus>(
     now: u64,
     fetch: &BurstClock,
     data: &BurstClock,
+    slow_wait: u64,
     charges: &mut Charges,
-) -> Option<u64> {
-    let StepOutcome::Done(r) = cpu::step(cpu, bus, m) else {
-        return None;
+) -> Result<(u64, Effect), Block> {
+    let r = match cpu::step(cpu, bus, m) {
+        StepOutcome::Done(r) => r,
+        StepOutcome::Blocked(b) => return Err(b),
     };
-    // Only `Mark` has an effect here: every other effectful instruction is
-    // a stop.
-    if !matches!(r.effect, Effect::None | Effect::Mark { .. }) {
-        unreachable!("fast path executed effectful {:?}", r.effect);
-    }
+    let (network, detour) = bus.net_cycles();
     let fetch_wait = fetch.burst_delay(0, r.fetch_words);
     let waits = Waits {
         fetch: fetch_wait,
         data: data.burst_delay(fetch_wait, r.data_accesses),
-        ..Waits::default()
+        network,
+        fault: detour + slow_wait * r.data_accesses as u64,
     };
-    Some(charges.charge(acc, m.split.dynamic, &r, now, waits))
+    Ok((
+        charges.charge(acc, m.split.dynamic, &r, now, waits),
+        r.effect,
+    ))
 }
 
 /// Cycles one executed instruction spent beyond its core cycles, by cause.
-#[derive(Default)]
 struct Waits {
     /// Instruction-fetch memory wait states.
     fetch: u64,
@@ -1391,7 +1340,8 @@ struct Waits {
 /// account by one [`Charges::flush`]: the result is identical to charging
 /// per instruction, the cost is one set of read-modify-writes per batch
 /// instead of per step. Every executed instruction is charged through
-/// [`Charges::charge`] — a batch of one on the per-instruction path.
+/// [`Charges::charge`], by [`exec_one`] — a batch of one on the
+/// per-instruction paths.
 #[derive(Default)]
 struct Charges {
     compute: u64,
@@ -1491,11 +1441,6 @@ struct PeBus<'a> {
     pe: usize,
     now: u64,
     net_word_cycles: u64,
-    /// Per-word degraded-routing surcharge of this PE's circuit (see
-    /// `NetState::detour`); paid by the sender on each transmit.
-    detour_per_word: u64,
-    /// Stuck-tx fault model: the transmit port never accepts a word.
-    stuck_tx: bool,
     /// Extra cycles discovered during execution (waiting out a byte in flight).
     extra_cycles: u64,
     /// Cycles attributable to injected faults (degraded-routing detours).
@@ -1527,7 +1472,7 @@ impl Bus for PeBus<'_> {
             },
             Region::Net(NetReg::Status) => {
                 let tx_ready = match self.net.dest[self.pe] {
-                    Some(d) => !self.stuck_tx && self.net.rx[d].is_none(),
+                    Some(d) => !self.net.stuck_tx[self.pe] && self.net.rx[d].is_none(),
                     None => false,
                 };
                 let rx_valid = self.net.rx[self.pe].is_some_and(|b| b.valid_at <= self.now);
@@ -1544,7 +1489,7 @@ impl Bus for PeBus<'_> {
                 Ok(())
             }
             Region::Net(NetReg::Dtr) => {
-                if self.stuck_tx {
+                if self.net.stuck_tx[self.pe] {
                     return Err(Block::NetTxFull);
                 }
                 let dest = self.net.dest[self.pe].unwrap_or_else(|| {
@@ -1556,10 +1501,11 @@ impl Bus for PeBus<'_> {
                 // A degraded circuit (extra stage in the data path) holds the
                 // sender for the additional stage traversal and delivers the
                 // word correspondingly later.
-                self.detour_cycles += self.detour_per_word;
+                let detour = self.net.detour[self.pe];
+                self.detour_cycles += detour;
                 self.net.rx[dest] = Some(RxByte {
                     value: value as u8,
-                    valid_at: self.now + self.net_word_cycles + self.detour_per_word,
+                    valid_at: self.now + self.net_word_cycles + detour,
                 });
                 self.wrote_net_to = Some(dest);
                 Ok(())
@@ -1569,6 +1515,10 @@ impl Bus for PeBus<'_> {
                 panic!("PE {}: write to reserved region {addr:#X}", self.pe)
             }
         }
+    }
+
+    fn net_cycles(&self) -> (u64, u64) {
+        (self.extra_cycles, self.detour_cycles)
     }
 }
 

@@ -938,8 +938,8 @@ fn random_simd_job(m: &mut Machine, rng: &mut TestRng, mc: usize, live: u16) {
 /// drained entries, heads a PE releases while later PEs of its group have
 /// not run the current one, zero-cycle instructions with zero release
 /// overhead (so a new release ties the current one), instant controller
-/// moves, 4-word queues, PEs left out of the group, dead PEs, two MCs. The
-/// complete run state must match.
+/// moves, 4-word queues, PEs left out of the group, dead and slow PEs, two
+/// MCs. The complete run state must match.
 #[test]
 fn random_simd_programs_match_the_interpreter() {
     check_random_simd_programs(1..=2000);
@@ -989,6 +989,7 @@ fn check_random_simd_programs(seeds: std::ops::RangeInclusive<u64>) {
                 }
                 random_simd_job(&mut m, &mut rng, mc, live);
             }
+            maybe_slow_pe(&mut m, &mut rng);
             let result = m.run();
             let cpus: Vec<String> = (0..4).map(|p| format!("{:?}", m.pe_cpu(p))).collect();
             (result, cpus)
@@ -1186,7 +1187,7 @@ fn ring_transfer(rng: &mut TestRng, b: &mut ProgramBuilder, labels: &mut usize) 
 /// random body with ring transfers and, in S/MIMD, barriers — and per-PE
 /// registers and input. In S/MIMD the MC starts the PEs and feeds the
 /// barrier words in chunks, spinning between its commands; in MIMD the PEs
-/// start at random times.
+/// start at random times. The caller connects the ring.
 fn random_mimd_job(m: &mut Machine, rng: &mut TestRng, smimd: bool) {
     use pasm_isa::AddrReg::{A0, A1};
     use DataReg::*;
@@ -1222,7 +1223,6 @@ fn random_mimd_job(m: &mut Machine, rng: &mut TestRng, smimd: bool) {
     b.branch(Instr::Dbra { dst: D7, target: 0 }, top);
     b.emit(Instr::Halt);
     let pe = b.build().unwrap();
-    m.connect_ring(&[0, 1, 2, 3]).unwrap();
     for p in 0..4 {
         m.load_pe_program(p, pe.clone());
         let input: Vec<u16> = (0..256).map(|_| rng.below(1 << 16) as u16).collect();
@@ -1266,12 +1266,24 @@ fn random_mimd_job(m: &mut Machine, rng: &mut TestRng, smimd: bool) {
     m.load_mc_program(0, mc.build().unwrap());
 }
 
+/// For one seed in three, a `slow:P:W` fault (W in 1..=8) on one of the
+/// small machine's PEs. Drawn after every other draw of the seed, so the
+/// fault never changes a seed's program or machine shape.
+fn maybe_slow_pe(m: &mut Machine, rng: &mut TestRng) {
+    if rng.below(3) == 0 {
+        let pe = rng.below(4) as usize;
+        let extra_wait = 1 + rng.below(8);
+        m.apply_fault_plan(&FaultPlan::pe_single(pe, PeFault::Slow { extra_wait }))
+            .unwrap();
+    }
+}
+
 /// Seeded differential test of the MIMD fast path against the
 /// per-instruction interpreter, on generated MIMD and S/MIMD programs:
 /// loops, data-dependent multiplies and divides, timer reads, status-polled
 /// and blocking ring transfers, barriers, an MC computing between its
-/// commands, and now and then a cycle budget the run exceeds. The complete
-/// run state must match: the run's result, every PE's registers and its
+/// commands, a slow PE, and now and then a cycle budget the run exceeds.
+/// The complete run state must match: the run's result, every PE's registers and its
 /// output memory.
 #[test]
 fn random_mimd_programs_match_the_interpreter() {
@@ -1303,6 +1315,8 @@ fn check_random_mimd_programs(seeds: std::ops::RangeInclusive<u64>) {
             let mut m = Machine::new(cfg);
             m.set_fast_path(fast);
             random_mimd_job(&mut m, &mut rng, seed % 2 == 0);
+            maybe_slow_pe(&mut m, &mut rng);
+            m.connect_ring(&[0, 1, 2, 3]).unwrap();
             let result = m.run();
             let state: Vec<String> = (0..4)
                 .map(|p| {
@@ -1450,7 +1464,8 @@ fn charges_count_instructions_and_mul_div_cycles_with_waits() {
         let w = Waits {
             fetch,
             data,
-            ..Waits::default()
+            network: 0,
+            fault: 0,
         };
         now = c.charge(&mut acc, dynamic, &r, now, w);
     }

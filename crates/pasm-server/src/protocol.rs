@@ -349,6 +349,7 @@ mod tests {
             r#"{"mode":"simd","n":16,"fault":"dead:99"}"#,
             r#"{"mode":"simd","n":16,"fault":42}"#,
             r#"{"mode":"simd","n":16,"fault":"box:9:0"}"#,
+            r#"{"mode":"simd","n":16,"fault":"slow:0:18446744073709551615"}"#,
         ] {
             assert!(JobSpec::from_json(&parse(body).unwrap()).is_err(), "{body}");
         }

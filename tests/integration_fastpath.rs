@@ -105,17 +105,28 @@ fn network_faults_are_identical_on_both_paths() {
 
 #[test]
 fn pe_faults_invalidate_blocks_identically_on_both_paths() {
-    // PE faults disable the faulty PE's fast path (the compiled program is
-    // dropped for it); the degraded run must match the interpreter even in
-    // how it *fails*. A dead ring neighbor starves `smooth`: in SIMD that
-    // is a detected deadlock, in MIMD/S-MIMD the survivors busy-poll the
-    // network register, so the run must hit the cycle limit — at the same
-    // limit, on both paths (bounded, as in `integration_faults`).
+    // A faulted PE takes the fast paths like a healthy one: a slow PE's
+    // operand waits are priced in the executor every path shares, a stuck
+    // transmit port is reached only through a memory-mapped access, and a
+    // dead PE never starts. The degraded run must match the interpreter
+    // even in how it *fails*: where a dead or stuck PE starves the others,
+    // both paths must end in the same deadlock report or hit the same cycle
+    // limit (bounded, as in `integration_faults`).
     let mut cfg = small_cfg();
     cfg.max_cycles = 2_000_000;
-    for kind in [PeFault::Dead, PeFault::Slow { extra_wait: 3 }] {
-        for mode in [Mode::Simd, Mode::Mimd, Mode::Smimd] {
-            assert_identical_on(&cfg, "smooth", mode, 16, 4, &FaultPlan::pe_single(1, kind));
+    for kernel in pasm::kernels::kernels() {
+        if kernel.validate(16, 4).is_err() {
+            continue;
+        }
+        for kind in [
+            PeFault::Dead,
+            PeFault::Slow { extra_wait: 3 },
+            PeFault::StuckTx,
+        ] {
+            for mode in [Mode::Simd, Mode::Mimd, Mode::Smimd] {
+                let fault = FaultPlan::pe_single(1, kind);
+                assert_identical_on(&cfg, kernel.name(), mode, 16, 4, &fault);
+            }
         }
     }
 }
