@@ -56,8 +56,12 @@ echo "==> CLI smoke-runs (pasm-run programs and S/MIMD matmul, pasm-serve --help
 cargo run --release -q -p pasm --bin pasm-run -- examples/programs/sum.s --stats >/dev/null
 cargo run --release -q -p pasm --bin pasm-run -- examples/programs/mulu_timing.s --stats >/dev/null
 cargo run --release -q -p pasm --bin pasm-run -- --mode smimd --n 16 --p 4 | grep "output correct" >/dev/null
-# Runs whose matmul layout does not fit a PE's memory: one error line, exit 1.
-for args in "--mode serial --n 418" "--mode simd --n 512 --p 2"; do
+# Runs whose matmul layout does not fit a PE's memory, and a program file
+# with no HALT (it runs off its end): one error line, exit 1.
+no_halt=$(mktemp)
+trap 'rm -f "$no_halt"' EXIT
+printf 'MOVEQ #1,D0\n' > "$no_halt"
+for args in "--mode serial --n 418" "--mode simd --n 512 --p 2" "$no_halt"; do
     code=0
     msg=$(target/release/pasm-run $args 2>&1) || code=$?
     if [ "$code" -ne 1 ] || [ "$(printf '%s\n' "$msg" | wc -l)" -ne 1 ] || [ "${msg#pasm-run: }" = "$msg" ]; then

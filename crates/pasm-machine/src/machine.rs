@@ -171,6 +171,9 @@ pub enum RunError {
     /// full-machine ring under an interior-box fault, which the ESC cannot
     /// route in one pass. Carries the underlying [`pasm_net::NetError`] text.
     Net(String),
+    /// A program did what the machine cannot execute — it ran past its last
+    /// instruction. Names the component, its pc and the cycle.
+    Fault(String),
 }
 
 impl std::fmt::Display for RunError {
@@ -180,6 +183,7 @@ impl std::fmt::Display for RunError {
             RunError::CycleLimit(c) => write!(f, "cycle limit {c} exceeded"),
             RunError::Interrupted => write!(f, "interrupted"),
             RunError::Net(s) => write!(f, "network: {s}"),
+            RunError::Fault(s) => write!(f, "fault: {s}"),
         }
     }
 }
@@ -219,6 +223,8 @@ pub struct Machine {
     /// into (see [`Chain`]). Kept between chains, so a chain resets only
     /// the entries it charged instead of zeroing a fresh array.
     group_charges: Vec<Charges>,
+    /// Scheduler picks [`Machine::run`] made (see [`Machine::rounds`]).
+    rounds: u64,
 }
 
 enum Component {
@@ -284,6 +290,7 @@ impl Machine {
             block_cache: HashMap::new(),
             fast_path: true,
             group_charges,
+            rounds: 0,
         }
     }
 
@@ -313,6 +320,17 @@ impl Machine {
     /// this changes only [`RunResult::accounts`], never the simulation.
     pub fn set_accounting(&mut self, enabled: bool) {
         self.report_accounts = enabled;
+    }
+
+    /// The number of scheduler rounds [`Machine::run`] has made: its picks
+    /// of the component with the earliest next event, each followed by
+    /// that component's step, and the last pick, which ends the run.
+    /// Host-side only, like [`Machine::set_fast_path`]: it measures how the
+    /// simulator ran, never what it simulated, so it stays out of
+    /// [`RunResult`] (which the fast path must reproduce exactly) and out
+    /// of [`MachineConfig`].
+    pub fn rounds(&self) -> u64 {
+        self.rounds
     }
 
     /// The configuration this machine was built with.
@@ -515,10 +533,11 @@ impl Machine {
     /// then MCs by index (the first minimum of `due`), then Fetch Unit
     /// controllers by index.
     fn next_runnable(&mut self) -> Option<(Component, u64)> {
-        let t = self.due.iter().copied().min().unwrap_or(u64::MAX);
+        // One pass; `min_by_key` keeps the first of equal minima.
+        let (k, t) = (self.due.iter().copied().enumerate())
+            .min_by_key(|&(_, d)| d)
+            .unwrap_or((0, u64::MAX));
         let mut best = (t != u64::MAX).then(|| {
-            let k = self.due.iter().position(|&d| d == t);
-            let k = k.expect("the minimum of `due` is one of its entries");
             let c = match k.checked_sub(self.pes.len()) {
                 None => Component::Pe(k),
                 Some(m) => Component::Mc(m),
@@ -537,10 +556,9 @@ impl Machine {
 
     /// Run until everything halts (or idles). Returns the collected result.
     pub fn run(&mut self) -> Result<RunResult, RunError> {
-        let mut steps: u32 = 0;
         loop {
-            steps = steps.wrapping_add(1);
-            if steps & 0x3FF == 0 {
+            self.rounds += 1;
+            if self.rounds & 0x3FF == 0 {
                 if let Some(flag) = &self.interrupt {
                     if flag.load(Ordering::Relaxed) {
                         return Err(RunError::Interrupted);
@@ -552,8 +570,8 @@ impl Machine {
                 Some((_, t)) if t > self.cfg.max_cycles => {
                     return Err(RunError::CycleLimit(self.cfg.max_cycles));
                 }
-                Some((Component::Pe(i), _)) => self.step_pe(i),
-                Some((Component::Mc(i), _)) => self.step_mc(i),
+                Some((Component::Pe(i), _)) => self.step_pe(i)?,
+                Some((Component::Mc(i), _)) => self.step_mc(i)?,
                 Some((Component::Fuc(i), t)) => self.step_fuc(i, t),
                 None => break,
             }
@@ -598,28 +616,26 @@ impl Machine {
     // PE stepping
     // ------------------------------------------------------------------
 
-    /// Fast path for a PE, the MIMD batch: execute straight-line MIMD work
-    /// without returning to the event scheduler between instructions.
+    /// The MIMD batch, on the fast path the rest of a PE step whose first
+    /// instruction ([`Machine::step_pe`]) left PE `i` `Ready` in MIMD mode:
+    /// execute straight-line MIMD work without returning to the event
+    /// scheduler between instructions.
     ///
     /// Sound because a Ready MIMD-mode PE touching only its own memory cannot
     /// interact with any other component: nothing external mutates a Ready
     /// PE, and instructions without machine effects have none outward — so
     /// running the PE arbitrarily far ahead of global time commutes with any
     /// scheduler interleaving. Each instruction is priced by [`exec_one`],
-    /// slow-PE waits included. The batch leaves (and the per-instruction
-    /// path takes over) at every *stop* instruction (mode switch, barrier,
-    /// halt), at any memory-mapped access ([`Block::Mmio`], raised before
-    /// any state changes — a stuck transmit port is only reached that way),
-    /// at a pc past the program end (for the per-instruction path to
-    /// report), past the cycle budget, and after [`FAST_BATCH`]
-    /// instructions, so interrupts stay responsive.
-    ///
-    /// Returns `true` if at least one instruction was executed.
-    fn try_fast_pe(&mut self, i: usize) -> bool {
+    /// slow-PE waits included. The batch stops (and the PE's next step
+    /// takes over) before every *stop* instruction (mode switch, barrier,
+    /// halt), before any memory-mapped access ([`Block::Mmio`], raised
+    /// before any state changes — a stuck transmit port is only reached that
+    /// way), at a pc past the program end (for the next step to report),
+    /// past the cycle budget, and after [`FAST_BATCH`] instructions, so
+    /// interrupts stay responsive. It may execute nothing.
+    fn try_fast_pe(&mut self, i: usize) {
         let pe = &mut self.pes[i];
-        if pe.mode != PeMode::Mimd || pe.pending.is_some() {
-            return false;
-        }
+        debug_assert!(pe.mode == PeMode::Mimd && pe.pending.is_none());
         let acc = &mut self.acct.pe[i];
         let bus = &mut MainOnlyBus(&mut pe.mem);
         let mut now = pe.ready_at;
@@ -627,7 +643,6 @@ impl Machine {
         // at every step, without the per-instruction modulo.
         let mut clock = BurstClock::new(self.cfg.pe_dram, now);
         let mut charges = Charges::default();
-        let mut executed = false;
         for _ in 0..FAST_BATCH {
             if now > self.cfg.max_cycles {
                 break;
@@ -650,22 +665,21 @@ impl Machine {
             };
             clock.advance(end - now);
             now = end;
-            executed = true;
-        }
-        if !executed {
-            return false;
         }
         charges.flush(acc);
         self.set_pe(i, PeState::Ready, now);
-        true
     }
 
-    fn step_pe(&mut self, i: usize) {
-        if self.fast_path && self.try_fast_pe(i) {
-            return;
-        }
+    /// One scheduler round of PE `i`: its next instruction — the pending
+    /// broadcast in SIMD mode, its own program's at `pc` in MIMD mode — on
+    /// the full [`PeBus`], with network registers, blocking, wake-ups and
+    /// stops. On the fast path, an instruction that leaves the PE `Ready`
+    /// in MIMD mode with no machine effect continues into the MIMD batch
+    /// ([`Machine::try_fast_pe`]) in the same round, so a memory-mapped
+    /// access costs one round, not two. A pc past the program's end is a
+    /// [`RunError::Fault`], raised before any state changes.
+    fn step_pe(&mut self, i: usize) -> Result<(), RunError> {
         let now = self.pes[i].ready_at;
-
         let (meta, simd_delivered) = match self.pes[i].pending {
             Some(QueueEntry {
                 kind: EntryKind::Instr(k),
@@ -677,7 +691,9 @@ impl Machine {
             _ => {
                 let pc = self.pes[i].cpu.pc;
                 let Some(&m) = self.pes[i].compiled.meta.get(pc) else {
-                    panic!("PE {i}: pc {pc} fell off the program");
+                    return Err(RunError::Fault(format!(
+                        "PE {i} ran off the end of its program: pc {pc} at cycle {now}"
+                    )));
                 };
                 (m, false)
             }
@@ -722,11 +738,11 @@ impl Machine {
             Ok(done) => done,
             Err(Block::NetTxFull) => {
                 self.set_pe(i, PeState::AwaitNetTx { since: now }, now);
-                return;
+                return Ok(());
             }
             Err(Block::NetRxEmpty) => {
                 self.set_pe(i, PeState::AwaitNetRx { since: now }, now);
-                return;
+                return Ok(());
             }
             Err(Block::Mmio) => {
                 unreachable!("PE {i}: full bus raised the fast-path-only Mmio block")
@@ -763,11 +779,11 @@ impl Machine {
         }
 
         match effect {
-            Effect::None | Effect::Mark { .. } => {
-                if self.pes[i].mode == PeMode::Simd {
-                    self.issue_simd_request(i, new_now);
-                }
-            }
+            Effect::None | Effect::Mark { .. } => match self.pes[i].mode {
+                PeMode::Simd => self.issue_simd_request(i, new_now),
+                PeMode::Mimd if self.fast_path => self.try_fast_pe(i),
+                PeMode::Mimd => {}
+            },
             Effect::Halt => {
                 self.set_pe(i, PeState::Halted, new_now);
                 self.acct.pe[i].finished_at = new_now;
@@ -793,6 +809,7 @@ impl Machine {
             }
             Effect::Mc(_) => panic!("PE {i} executed an MC-only operation: {instr}"),
         }
+        Ok(())
     }
 
     fn issue_simd_request(&mut self, i: usize, at: u64) {
@@ -1028,7 +1045,13 @@ impl Machine {
             let m = &self.mcs[mc];
             let mc_due = (m.state == McState::Ready).then_some(m.ready_at);
             let enqueued = match (mc_due, fuc) {
-                (Some(t), _) if t < rel.at && fuc.is_none_or(|c| t <= c) => self.mc_step(mc),
+                (Some(t), _) if t < rel.at && fuc.is_none_or(|c| t <= c) => {
+                    // A fault is the scheduler's to report, at the MC's turn.
+                    let Ok(enqueued) = self.mc_step(mc) else {
+                        return false;
+                    };
+                    enqueued
+                }
                 (_, Some(c)) if c < rel.at => {
                     self.fuc_move(mc, c);
                     true
@@ -1128,22 +1151,26 @@ impl Machine {
     // MC stepping
     // ------------------------------------------------------------------
 
-    fn step_mc(&mut self, i: usize) {
-        if self.mc_step(i) {
+    fn step_mc(&mut self, i: usize) -> Result<(), RunError> {
+        if self.mc_step(i)? {
             self.check_release(i);
         }
+        Ok(())
     }
 
     /// One MC instruction without the release check an enqueue command
     /// triggers; returns whether it enqueued a block, so the caller runs
     /// that check. MCs always step one instruction at a time: the
     /// control-flow arithmetic between their Fetch-Unit commands is a few
-    /// instructions at most.
-    fn mc_step(&mut self, i: usize) -> bool {
+    /// instructions at most. A pc past the program's end is a
+    /// [`RunError::Fault`], raised before any state changes.
+    fn mc_step(&mut self, i: usize) -> Result<bool, RunError> {
         let now = self.mcs[i].ready_at;
         let pc = self.mcs[i].cpu.pc;
         let Some(&meta) = self.mcs[i].compiled.meta.get(pc) else {
-            panic!("MC {i}: pc {pc} fell off the program");
+            return Err(RunError::Fault(format!(
+                "MC {i} ran off the end of its program: pc {pc} at cycle {now}"
+            )));
         };
         let instr = meta.instr;
 
@@ -1153,7 +1180,7 @@ impl Machine {
             && !self.fus[i].command_done()
         {
             self.set_mc(i, McState::AwaitFuc { since: now }, now);
-            return false;
+            return Ok(false);
         }
 
         let mc = &mut self.mcs[i];
@@ -1188,7 +1215,7 @@ impl Machine {
                     let (first, block) = self.mcs[i].compiled.simd_block(b as usize);
                     let earliest = new_now + self.cfg.fuc_command_cycles;
                     self.fus[i].command_block(first, block, earliest);
-                    return true;
+                    return Ok(true);
                 }
                 McEffect::EnqueueWords(c) => {
                     self.fus[i].command_data_words(c, new_now + self.cfg.fuc_command_cycles);
@@ -1208,7 +1235,7 @@ impl Machine {
             },
             other => panic!("MC {i} produced PE effect {other:?}"),
         }
-        false
+        Ok(false)
     }
 
     // ------------------------------------------------------------------

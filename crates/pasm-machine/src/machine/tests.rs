@@ -435,6 +435,73 @@ fn cycle_limit_is_enforced() {
     assert_eq!(m.run().unwrap_err(), RunError::CycleLimit(10_000));
 }
 
+/// A program that runs past its last instruction ends the run with a
+/// [`RunError::Fault`] naming the component, its pc and the cycle, the
+/// same on both paths: a PE whose MIMD batch stops at its program's end,
+/// and an MC that runs off while its PEs take the SIMD group step (whose
+/// horizon leaves the fault to the scheduler).
+#[test]
+fn running_off_the_program_is_a_fault_on_both_paths() {
+    let run = |fast: bool, simd: bool| {
+        let mut m = small_machine();
+        m.set_fast_path(fast);
+        if simd {
+            let mut pe = ProgramBuilder::new();
+            pe.emit(Instr::JmpSimd);
+            pe.emit(Instr::Halt);
+            let pe = pe.build().unwrap();
+            let mut mc = ProgramBuilder::new();
+            let b0 = mc.begin_block();
+            for _ in 0..64 {
+                mc.emit(Instr::Nop);
+            }
+            mc.emit(Instr::JmpMimd { target: 1 });
+            mc.end_block();
+            mc.emit(Instr::SetMask { mask: 0xF });
+            mc.emit(Instr::StartPes);
+            mc.emit(Instr::Enqueue { block: b0.0 });
+            mc.emit(Instr::Moveq {
+                value: 5,
+                dst: DataReg::D1,
+            });
+            let spin = mc.here("spin");
+            mc.emit(Instr::Nop);
+            mc.branch(
+                Instr::Dbra {
+                    dst: DataReg::D1,
+                    target: 0,
+                },
+                spin,
+            );
+            for i in 0..4 {
+                m.load_pe_program(i, pe.clone());
+            }
+            m.load_mc_program(0, mc.build().unwrap());
+        } else {
+            m.load_pe_program(0, assemble("MOVEQ #1,D0\nNOP\nNOP\n").unwrap());
+            m.start_pe(0, 0);
+        }
+        m.run().unwrap_err()
+    };
+    for (simd, want) in [
+        (
+            false,
+            "PE 0 ran off the end of its program: pc 3 at cycle 28",
+        ),
+        (
+            true,
+            "MC 0 ran off the end of its program: pc 6 at cycle 219",
+        ),
+    ] {
+        assert_eq!(run(true, simd), RunError::Fault(want.into()), "fast path");
+        assert_eq!(
+            run(false, simd),
+            RunError::Fault(want.into()),
+            "interpreter"
+        );
+    }
+}
+
 #[test]
 fn phase_marks_accumulate_on_pes() {
     let mut m = small_machine();

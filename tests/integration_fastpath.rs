@@ -11,8 +11,8 @@
 //! at paper scale (n up to 1024) and also times the two paths.
 
 use pasm::{
-    run_kernel_opts, ExperimentResult, FaultPlan, MachineConfig, Mode, NetFault, Params, PeFault,
-    ReleaseMode, RunOptions, RunResult,
+    run_kernel_opts, ExperimentResult, FaultPlan, Machine, MachineConfig, Mode, NetFault, Params,
+    PeFault, ReleaseMode, RunOptions, RunResult,
 };
 
 /// A 4-PE machine whose half-machine partition spreads across two MCs —
@@ -228,4 +228,34 @@ fn simd_run_state_is_identical_on_both_paths() {
         }
     }
     assert!(compared >= 40, "only {compared} cells compared");
+}
+
+/// Scheduler rounds of the paper's matmul in MIMD and S/MIMD (n=32, p=16,
+/// input seed 1, the prototype), as exact counts and per PE instruction.
+/// The rounds measure the fast path's host cost, not simulated time, so
+/// they are read from [`Machine::rounds`] beside the run, never from the
+/// `RunResult` the tests above compare. A PE step runs its first
+/// instruction on the full bus and continues in the MIMD batch, so a
+/// polled network access costs one round, not two.
+#[test]
+fn scheduler_rounds_are_pinned() {
+    let cfg = MachineConfig::prototype();
+    let kernel = pasm::kernels::find("matmul").expect("registered kernel");
+    let params = Params::new(32, 16);
+    let input = kernel.generate(params.n, 1);
+    for (mode, want, max_per_instr) in [(Mode::Mimd, 136_064, 0.26), (Mode::Smimd, 67_999, 0.21)] {
+        let vm = pasm_prog::select_vm(&cfg, params.p);
+        let mut machine = Machine::new(cfg.clone());
+        kernel
+            .load(&mut machine, mode, params, &vm, &input)
+            .expect("the ring connects");
+        let run = machine.run().expect("the run completes");
+        let rounds = machine.rounds();
+        let per_instr = rounds as f64 / run.pe_instrs() as f64;
+        assert_eq!(rounds, want, "{mode}: scheduler rounds");
+        assert!(
+            per_instr <= max_per_instr,
+            "{mode}: {per_instr:.4} rounds per PE instruction, want ≤ {max_per_instr}"
+        );
+    }
 }

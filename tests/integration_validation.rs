@@ -115,3 +115,24 @@ fn file_mode_summary_lines_are_pinned() {
         );
     }
 }
+
+/// A file-mode program that runs past its last instruction is a run error,
+/// not a panic: exit 1 with one `pasm-run:` line naming the PE, pc and
+/// cycle.
+#[test]
+fn a_program_without_halt_exits_1_with_one_pasm_run_line() {
+    let path = std::env::temp_dir().join(format!("pasm-run-no-halt-{}.s", std::process::id()));
+    std::fs::write(&path, "MOVEQ #1,D0\n").expect("temp file written");
+    let out = Command::new(env!("CARGO_BIN_EXE_pasm-run"))
+        .arg(&path)
+        .output()
+        .expect("pasm-run starts");
+    std::fs::remove_file(&path).expect("temp file removed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        stderr,
+        "pasm-run: fault: PE 0 ran off the end of its program: pc 1 at cycle 16\n"
+    );
+}
