@@ -2,7 +2,7 @@
 //!
 //! Runs every registered kernel in all three parallel modes on every grid
 //! cell, [`REPEATS`] times per path — the fast path (the MIMD batch loop
-//! over the instruction table and the SIMD group step) and the
+//! over the instruction table and the SIMD lockstep chain) and the
 //! per-instruction interpreter (`RunOptions::fast_path = false`),
 //! alternating — and reports the median, minimum and maximum host wall
 //! time of each path and the ratio of the medians. Before timing is
@@ -26,7 +26,7 @@
 //!   must reach [`MIN_SPEEDUP`]× — the fast path has to actually pay for
 //!   its table.
 //!
-//! The best SIMD speed-up at n = 1024, p = 16 (the SIMD group step) is
+//! The best SIMD speed-up at n = 1024, p = 16 (the SIMD lockstep chain) is
 //! reported next to the gate as `simd_best_speedup`, without a gate.
 //!
 //! `ci.sh` runs `blockbench --quick` (small n, equivalence gate only),
@@ -224,7 +224,7 @@ fn main() -> ExitCode {
     let gate_best = best_at_gate(false);
     let simd_best = best_at_gate(true);
     if !quick {
-        println!("blockbench: best SIMD n={GATE_N} p={GATE_P} speedup {simd_best:.1}x (group step, reported only)");
+        println!("blockbench: best SIMD n={GATE_N} p={GATE_P} speedup {simd_best:.1}x (lockstep chain, reported only)");
         if gate_best >= MIN_SPEEDUP {
             println!(
                 "blockbench: best MIMD/S-MIMD n={GATE_N} p={GATE_P} speedup {gate_best:.1}x \

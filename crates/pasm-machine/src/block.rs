@@ -7,7 +7,8 @@
 //! lowered to the handler of its (opcode, EA shape) ([`Op`]; the generic
 //! interpreter for shapes without one), and a *stop* flag for instructions
 //! that interact with the rest of the machine (mode switches, Fetch-Unit
-//! commands, barriers, `HALT`). The resulting
+//! commands, barriers, `HALT`, absolute network-register and timer
+//! operands). The resulting
 //! [`CompiledProgram`] is the machine's only copy of a loaded program: the
 //! interpreter, the fast paths and the Fetch Unit all read their
 //! instructions and timing from it, and all execute an entry through
@@ -28,7 +29,8 @@
 
 use crate::cpu::Op;
 use pasm_isa::timing::{cycle_split, CycleSplit};
-use pasm_isa::{Instr, Program};
+use pasm_isa::{Ea, Instr, Program};
+use pasm_mem::map::MemMap;
 use pasm_util::Fnv1a;
 use std::hash::{Hash, Hasher};
 
@@ -43,8 +45,9 @@ pub struct InstrMeta {
     /// The instruction lowered to the handler of its (opcode, EA shape);
     /// [`Op::Generic`] runs the generic interpreter.
     pub op: Op,
-    /// The fast path must return to the event scheduler *before* executing
-    /// this instruction: it halts, switches mode, or talks to the Fetch Unit.
+    /// The fast paths must return to the event scheduler *before* executing
+    /// this instruction: it halts, switches mode, talks to the Fetch Unit, or
+    /// accesses a fixed memory-mapped address (see [`is_stop`]).
     pub stop: bool,
 }
 
@@ -89,13 +92,16 @@ impl CompiledProgram {
     }
 }
 
-/// True for instructions the fast path must not execute: they produce
+/// True for instructions the fast paths must not execute: they produce
 /// machine-level effects (mode switches, barrier reads, Fetch-Unit commands,
-/// PE start-up, halting) that require the global scheduler's view.
-/// [`Instr::Mark`] is *not* a stop — the fast path applies phase marks
-/// inline.
+/// PE start-up, halting) that require the global scheduler's view, or they
+/// access a fixed address outside main memory (an absolute operand naming a
+/// network register or the timer), which only the full PE bus serves. An
+/// operand whose address is computed at run time (`(An)`, `d16(An)`) is
+/// found only when the fast path's bus refuses it. [`Instr::Mark`] is *not*
+/// a stop — the fast paths apply phase marks inline.
 pub fn is_stop(i: &Instr) -> bool {
-    matches!(
+    let effect = matches!(
         i,
         Instr::JmpSimd
             | Instr::JmpMimd { .. }
@@ -105,7 +111,50 @@ pub fn is_stop(i: &Instr) -> bool {
             | Instr::EnqueueWords { .. }
             | Instr::StartPes
             | Instr::Halt
-    )
+    );
+    effect
+        || accessed_operands(i)
+            .into_iter()
+            .flatten()
+            .any(|ea| match ea {
+                Ea::AbsW(w) => !MemMap.is_main(w as u32),
+                Ea::AbsL(l) => !MemMap.is_main(l),
+                _ => false,
+            })
+}
+
+/// The effective-address operands `i` reads or writes (`LEA` computes an
+/// address and accesses nothing).
+fn accessed_operands(i: &Instr) -> [Option<Ea>; 2] {
+    match *i {
+        Instr::Move { src, dst, .. } => [Some(src), Some(dst)],
+        Instr::Movea { src, .. }
+        | Instr::Add { src, .. }
+        | Instr::Adda { src, .. }
+        | Instr::Sub { src, .. }
+        | Instr::Suba { src, .. }
+        | Instr::Mulu { src, .. }
+        | Instr::Muls { src, .. }
+        | Instr::Divu { src, .. }
+        | Instr::Divs { src, .. }
+        | Instr::And { src, .. }
+        | Instr::Or { src, .. }
+        | Instr::Cmp { src, .. }
+        | Instr::Cmpa { src, .. } => [Some(src), None],
+        Instr::Clr { dst, .. }
+        | Instr::AddTo { dst, .. }
+        | Instr::Addq { dst, .. }
+        | Instr::SubTo { dst, .. }
+        | Instr::Subq { dst, .. }
+        | Instr::Neg { dst, .. }
+        | Instr::OrTo { dst, .. }
+        | Instr::Eor { dst, .. }
+        | Instr::Not { dst, .. }
+        | Instr::Btst { dst, .. }
+        | Instr::Cmpi { dst, .. }
+        | Instr::Tst { dst, .. } => [Some(dst), None],
+        _ => [None, None],
+    }
 }
 
 /// Deterministic identity of an instruction stream: FNV-1a over the `Hash`
@@ -155,7 +204,8 @@ mod tests {
         divs_cycles, divu_cycles, dynamic_cycles, muls_cycles, mulu_cycles, variance_cycles,
         ExecCtx,
     };
-    use pasm_isa::{DataReg::*, Ea, ProgramBuilder, Size};
+    use pasm_isa::{DataReg::*, ProgramBuilder, Size};
+    use pasm_mem::map;
 
     fn loop_program() -> Vec<Instr> {
         vec![
@@ -290,6 +340,31 @@ mod tests {
             assert!(is_stop(&i), "{i:?}");
             assert!(InstrMeta::of(i).stop, "{i:?}");
         }
+        // Fixed memory-mapped operands: the network registers the kernels
+        // poll and move bytes through, and the timer.
+        for i in [
+            Instr::Move {
+                size: Size::Byte,
+                src: Ea::AbsL(map::NET_DRR),
+                dst: Ea::D(D0),
+            },
+            Instr::Move {
+                size: Size::Byte,
+                src: Ea::D(D0),
+                dst: Ea::AbsL(map::NET_DTR),
+            },
+            Instr::Btst {
+                bit: 0,
+                dst: Ea::AbsL(map::NET_STATUS),
+            },
+            Instr::Move {
+                size: Size::Word,
+                src: Ea::AbsL(map::TIMER),
+                dst: Ea::D(D4),
+            },
+        ] {
+            assert!(is_stop(&i), "{i:?}");
+        }
         for i in [
             Instr::Nop,
             Instr::Dbra { dst: D0, target: 0 },
@@ -298,6 +373,21 @@ mod tests {
             Instr::Mark {
                 begin: true,
                 phase: 0,
+            },
+            // Main memory by absolute address, and an address computation.
+            Instr::Move {
+                size: Size::Word,
+                src: Ea::AbsW(0x100),
+                dst: Ea::AbsL(0x200),
+            },
+            Instr::Lea {
+                src: Ea::AbsL(map::TIMER),
+                dst: pasm_isa::AddrReg::A0,
+            },
+            Instr::Move {
+                size: Size::Word,
+                src: Ea::Ind(pasm_isa::AddrReg::A1),
+                dst: Ea::D(D6),
             },
         ] {
             assert!(!is_stop(&i), "{i:?}");

@@ -453,8 +453,8 @@ impl Op {
 /// `split.static_cycles` plus the shape's dynamic term, exactly as the
 /// generic interpreter charges them.
 ///
-/// The one entry point of every executor: the fast path's batch loop, the
-/// SIMD group step and the per-instruction PE and MC steps.
+/// The one entry point of every executor: the MIMD batch, the SIMD
+/// lockstep chain and the per-instruction PE and MC steps.
 #[inline(always)]
 pub fn step<B: Bus + ?Sized>(cpu: &mut Cpu, bus: &mut B, m: &InstrMeta) -> StepOutcome {
     const W: Size = Size::Word;

@@ -438,7 +438,7 @@ fn cycle_limit_is_enforced() {
 /// A program that runs past its last instruction ends the run with a
 /// [`RunError::Fault`] naming the component, its pc and the cycle, the
 /// same on both paths: a PE whose MIMD batch stops at its program's end,
-/// and an MC that runs off while its PEs take the SIMD group step (whose
+/// and an MC that runs off while its PEs run a SIMD lockstep chain (whose
 /// horizon leaves the fault to the scheduler).
 #[test]
 fn running_off_the_program_is_a_fault_on_both_paths() {
@@ -876,8 +876,8 @@ impl TestRng {
 
 /// One random SIMD broadcast instruction: variable-time multiplies,
 /// main-memory operands, zero-cycle phase marks (whole-group blocks only,
-/// so every PE sees both ends) and memory-mapped timer reads, which the
-/// group step must leave to the per-instruction path.
+/// so every PE sees both ends) and absolute timer reads, stop instructions
+/// the lockstep chain must leave to the per-instruction path.
 fn random_broadcast(rng: &mut TestRng, out: &mut Vec<Instr>, marks: bool) {
     use pasm_isa::AddrReg::A0;
     use DataReg::*;
@@ -926,7 +926,8 @@ fn random_broadcast(rng: &mut TestRng, out: &mut Vec<Instr>, marks: bool) {
 /// (so they enter SIMD mode at different times), then run broadcast blocks
 /// under random masks — the whole group, subsets, disjoint subsets, and the
 /// empty mask that drains — while the MC computes between enqueue commands.
-fn random_simd_job(m: &mut Machine, rng: &mut TestRng, mc: usize, live: u16) {
+/// Returns the MC program so far; [`finish_simd_job`] ends and loads it.
+fn random_simd_job(m: &mut Machine, rng: &mut TestRng, mc: usize, live: u16) -> ProgramBuilder {
     use DataReg::*;
     let mut pe = ProgramBuilder::new();
     pe.emit(Instr::Dbra { dst: D5, target: 0 });
@@ -965,9 +966,6 @@ fn random_simd_job(m: &mut Machine, rng: &mut TestRng, mc: usize, live: u16) {
             }
         }
     }
-    let done = prog.begin_block();
-    prog.emit(Instr::JmpMimd { target: 2 });
-    prog.end_block();
     prog.emit(Instr::StartPes);
     for (k, (id, mask, spin)) in blocks.into_iter().enumerate() {
         prog.emit(Instr::SetMask { mask });
@@ -982,39 +980,82 @@ fn random_simd_job(m: &mut Machine, rng: &mut TestRng, mc: usize, live: u16) {
             prog.branch(Instr::Dbra { dst: D1, target: 0 }, l);
         }
     }
-    prog.emit(Instr::SetMask { mask: live });
-    prog.emit(Instr::Enqueue { block: done.0 });
-    prog.emit(Instr::Halt);
-    m.load_mc_program(mc, prog.build().unwrap());
-
-    for p in m.group_pes(mc).collect::<Vec<_>>() {
-        if live & (1 << m.group_bit(p)) == 0 {
-            continue;
-        }
+    for p in live_pes(m, mc, live) {
         m.load_pe_program(p, pe.clone());
         let cpu = m.pe_cpu_mut(p);
         cpu.d[2] = rng.below(1 << 16) as u32;
         cpu.d[5] = rng.below(30) as u32;
         cpu.a[0] = 0x100 + 2 * rng.below(64) as u32;
     }
+    prog
 }
 
-/// Seeded differential test of the SIMD group step against the
+/// The PEs of MC `mc`'s group whose bits are set in `live`.
+fn live_pes(m: &Machine, mc: usize, live: u16) -> Vec<usize> {
+    m.group_pes(mc)
+        .filter(|&p| live & (1 << m.group_bit(p)) != 0)
+        .collect()
+}
+
+/// A last whole-group block whose operand address differs per PE: each PE's
+/// A1 points at the timer or at main memory, so `MOVE.W (A1),D6` runs on
+/// some members of a broadcast and is refused on others, after earlier
+/// members ran it. Random broadcasts sit between the reads.
+fn mmio_block(m: &mut Machine, rng: &mut TestRng, mc: usize, live: u16, prog: &mut ProgramBuilder) {
+    let read = Instr::Move {
+        size: Size::Word,
+        src: Ea::Ind(pasm_isa::AddrReg::A1),
+        dst: Ea::D(DataReg::D6),
+    };
+    let mut body = vec![read];
+    for _ in 0..1 + rng.below(3) {
+        random_broadcast(rng, &mut body, true);
+        body.push(read);
+    }
+    let id = prog.begin_block();
+    prog.emit_all(body);
+    prog.end_block();
+    prog.emit(Instr::SetMask { mask: live });
+    prog.emit(Instr::Enqueue { block: id.0 });
+    for p in live_pes(m, mc, live) {
+        m.pe_cpu_mut(p).a[1] = match rng.below(2) {
+            0 => map::TIMER,
+            _ => 0x300 + 2 * rng.below(32) as u32,
+        };
+    }
+}
+
+/// End a [`random_simd_job`]'s MC program — one whole-group block sends the
+/// PEs back to MIMD mode to halt — and load it.
+fn finish_simd_job(m: &mut Machine, mc: usize, live: u16, mut prog: ProgramBuilder) {
+    let done = prog.begin_block();
+    prog.emit(Instr::JmpMimd { target: 2 });
+    prog.end_block();
+    prog.emit(Instr::SetMask { mask: live });
+    prog.emit(Instr::Enqueue { block: done.0 });
+    prog.emit(Instr::Halt);
+    m.load_mc_program(mc, prog.build().unwrap());
+}
+
+/// Seeded differential test of the SIMD lockstep chain against the
 /// per-instruction interpreter, on random programs and machine shapes the
 /// registered kernels never produce: several heads released in one pass,
 /// drained entries, heads a PE releases while later PEs of its group have
 /// not run the current one, zero-cycle instructions with zero release
 /// overhead (so a new release ties the current one), instant controller
 /// moves, 4-word queues, PEs left out of the group, dead and slow PEs, two
-/// MCs. The complete run state must match.
+/// MCs, and for one seed in three a last block whose operand is
+/// memory-mapped on some PEs only ([`mmio_block`]; drawn after every other
+/// draw of the seed, like [`maybe_slow_pe`], so it changes no seed's other
+/// blocks or machine shape). The complete run state must match.
 #[test]
 fn random_simd_programs_match_the_interpreter() {
     check_random_simd_programs(1..=2000);
 }
 
 /// [`random_simd_programs_match_the_interpreter`] over 20 000 seeds, for a
-/// release build (`ci.sh` runs it): the group step's skipped release and
-/// controller checks are exact only as far as this generator reaches.
+/// release build (`ci.sh` runs it): the lockstep chain's skipped release
+/// and controller checks are exact only as far as this generator reaches.
 #[test]
 #[ignore]
 fn random_simd_programs_match_the_interpreter_20k_seeds() {
@@ -1043,6 +1084,7 @@ fn check_random_simd_programs(seeds: std::ops::RangeInclusive<u64>) {
                     .unwrap();
             }
             let group = 4 / n_mcs;
+            let mut jobs = Vec::new();
             for mc in 0..n_mcs {
                 let mut live = 0u16;
                 for j in 0..group {
@@ -1054,9 +1096,16 @@ fn check_random_simd_programs(seeds: std::ops::RangeInclusive<u64>) {
                 if live == 0 {
                     continue;
                 }
-                random_simd_job(&mut m, &mut rng, mc, live);
+                jobs.push((mc, live, random_simd_job(&mut m, &mut rng, mc, live)));
             }
             maybe_slow_pe(&mut m, &mut rng);
+            let mmio = rng.below(3) == 0;
+            for (mc, live, mut prog) in jobs {
+                if mmio {
+                    mmio_block(&mut m, &mut rng, mc, live, &mut prog);
+                }
+                finish_simd_job(&mut m, mc, live, prog);
+            }
             let result = m.run();
             let cpus: Vec<String> = (0..4).map(|p| format!("{:?}", m.pe_cpu(p))).collect();
             (result, cpus)
@@ -1064,7 +1113,7 @@ fn check_random_simd_programs(seeds: std::ops::RangeInclusive<u64>) {
         let (fast, interp) = (run(true), run(false));
         assert!(
             fast == interp,
-            "seed {seed}: group step diverged from the interpreter\nfast:   {fast:?}\ninterp: {interp:?}"
+            "seed {seed}: lockstep chain diverged from the interpreter\nfast:   {fast:?}\ninterp: {interp:?}"
         );
     }
 }
