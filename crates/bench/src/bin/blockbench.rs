@@ -27,7 +27,10 @@
 //!   its table.
 //!
 //! The best SIMD speed-up at n = 1024, p = 16 (the SIMD lockstep chain) is
-//! reported next to the gate as `simd_best_speedup`, without a gate.
+//! reported next to the gate as `simd_best_speedup`, without a gate. Each
+//! row also records the scheduler rounds of a fast-path run
+//! ([`pasm::Machine::rounds`]): the host cost the fast path removes,
+//! without wall-clock noise.
 //!
 //! `ci.sh` runs `blockbench --quick` (small n, equivalence gate only),
 //! which writes under `target/bench-quick/`. Full runs write the top-level
@@ -80,6 +83,8 @@ struct Row {
     n: usize,
     p: usize,
     cycles: u64,
+    /// Scheduler rounds of the fast-path run ([`pasm::Machine::rounds`]).
+    rounds: u64,
     fast_ms: Spread,
     interp_ms: Spread,
     /// Ratio of the median wall times, interpreter over fast path.
@@ -95,6 +100,7 @@ impl ToJson for Row {
             ("n", Json::Int(self.n as i64)),
             ("p", Json::Int(self.p as i64)),
             ("cycles", Json::Int(self.cycles as i64)),
+            ("rounds", Json::Int(self.rounds as i64)),
             ("fast_wall_ms", Json::Float(self.fast_ms.median)),
             ("fast_wall_ms_min", Json::Float(self.fast_ms.min)),
             ("fast_wall_ms_max", Json::Float(self.fast_ms.max)),
@@ -128,6 +134,23 @@ fn run_cell(
     Ok((ExperimentResult::from_kernel_outcome(&out, seed), wall))
 }
 
+/// The scheduler rounds of one fast-path run of a cell: host cost that is
+/// free of wall-clock noise, read from a `Machine`-level run because the
+/// experiment result leaves it out.
+fn rounds(
+    cfg: &MachineConfig,
+    kernel: &'static dyn pasm::Kernel,
+    mode: Mode,
+    params: Params,
+    input: &[u16],
+) -> Result<u64, pasm_machine::RunError> {
+    let mut machine = pasm::Machine::new(cfg.clone());
+    let vm = pasm_prog::select_vm(cfg, params.p);
+    kernel.load(&mut machine, mode, params, &vm, input)?;
+    machine.run()?;
+    Ok(machine.rounds())
+}
+
 fn main() -> ExitCode {
     let quick = bench::quick_mode();
     let cfg = MachineConfig::prototype();
@@ -140,8 +163,8 @@ fn main() -> ExitCode {
 
     println!("== fast path vs per-instruction interpreter ==");
     println!(
-        "{:>8} {:>6} {:>6} {:>4} {:>12} {:>10} {:>10} {:>8} {:>6}",
-        "kernel", "mode", "n", "p", "cycles", "interp ms", "fast ms", "speedup", "equal"
+        "{:>8} {:>6} {:>6} {:>4} {:>12} {:>8} {:>10} {:>10} {:>8} {:>6}",
+        "kernel", "mode", "n", "p", "cycles", "rounds", "interp ms", "fast ms", "speedup", "equal"
     );
     for kernel in pasm::kernels::kernels().iter().copied() {
         for &n in sizes(kernel.name(), quick) {
@@ -159,7 +182,10 @@ fn main() -> ExitCode {
                     let samples = (0..repeats)
                         .map(|_| Ok((run(false)?, run(true)?)))
                         .collect::<Result<Vec<_>, pasm_machine::RunError>>();
-                    let samples = match samples {
+                    let samples = samples.and_then(|samples| {
+                        Ok((samples, rounds(&cfg, kernel, mode, params, &input)?))
+                    });
+                    let (samples, rounds) = match samples {
                         Ok(samples) => samples,
                         Err(e) => {
                             failures.push(format!("{} {mode} n={n} p={p}: {e}", kernel.name()));
@@ -185,12 +211,13 @@ fn main() -> ExitCode {
                     let fast_ms = Spread::of(&samples.iter().map(|s| s.1 .1).collect::<Vec<_>>());
                     let speedup = interp_ms.median / fast_ms.median.max(1e-9);
                     println!(
-                        "{:>8} {:>6} {:>6} {:>4} {:>12} {:>10.2} {:>10.2} {:>7.2}x {:>6}",
+                        "{:>8} {:>6} {:>6} {:>4} {:>12} {:>8} {:>10.2} {:>10.2} {:>7.2}x {:>6}",
                         kernel.name(),
                         format!("{mode}"),
                         n,
                         p,
                         fast_res.cycles,
+                        rounds,
                         interp_ms.median,
                         fast_ms.median,
                         speedup,
@@ -202,6 +229,7 @@ fn main() -> ExitCode {
                         n,
                         p,
                         cycles: fast_res.cycles,
+                        rounds,
                         fast_ms,
                         interp_ms,
                         speedup,

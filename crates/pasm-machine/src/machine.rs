@@ -73,6 +73,9 @@ struct RxByte {
 struct NetState {
     /// Established circuit destination per PE.
     dest: Vec<Option<usize>>,
+    /// Established circuit source per PE: the inverse of `dest`. The ESC
+    /// claims each output port once, so one circuit ends at each PE.
+    sender: Vec<Option<usize>>,
     /// In-flight / parked byte per destination PE.
     rx: Vec<Option<RxByte>>,
     /// Per-sender extra cycles each transmitted word pays for network stages
@@ -81,6 +84,24 @@ struct NetState {
     /// Per sender, whether its transmit port never accepts a word (the
     /// stuck-tx fault).
     stuck_tx: Vec<bool>,
+}
+
+impl NetState {
+    /// Record the circuit `src → dst`, whose words pay `detour` extra cycles.
+    /// It replaces `src`'s previous circuit and the previous circuit into
+    /// `dst`: the ESC established it, so those were released, and `dest`
+    /// and `sender` stay inverse maps.
+    fn set_circuit(&mut self, src: usize, dst: usize, detour: u64) {
+        if let Some(old) = self.dest[src].take() {
+            self.sender[old] = None;
+        }
+        if let Some(old) = self.sender[dst] {
+            self.dest[old] = None;
+        }
+        self.dest[src] = Some(dst);
+        self.sender[dst] = Some(src);
+        self.detour[src] = detour;
+    }
 }
 
 struct Pe {
@@ -265,6 +286,7 @@ impl Machine {
             .collect();
         let net = NetState {
             dest: vec![None; cfg.n_pes],
+            sender: vec![None; cfg.n_pes],
             rx: vec![None; cfg.n_pes],
             detour: vec![0; cfg.n_pes],
             stuck_tx: vec![false; cfg.n_pes],
@@ -448,8 +470,8 @@ impl Machine {
     /// Establish one circuit `src → dst` (consuming boxes in the ESC network).
     pub fn connect(&mut self, src: usize, dst: usize) -> Result<(), NetError> {
         let id = self.esc.establish(src, dst)?;
-        self.net.dest[src] = Some(dst);
-        self.net.detour[src] = self.detour_cycles_for(id);
+        let detour = self.detour_cycles_for(id);
+        self.net.set_circuit(src, dst, detour);
         Ok(())
     }
 
@@ -459,8 +481,8 @@ impl Machine {
         let ids = ring_circuits(&mut self.esc, pes)?;
         let p = pes.len();
         for (k, &src) in pes.iter().enumerate() {
-            self.net.dest[src] = Some(pes[(k + p - 1) % p]);
-            self.net.detour[src] = self.detour_cycles_for(ids[k]);
+            let detour = self.detour_cycles_for(ids[k]);
+            self.net.set_circuit(src, pes[(k + p - 1) % p], detour);
         }
         Ok(())
     }
@@ -708,17 +730,7 @@ impl Machine {
         };
         let pe = &mut self.pes[i];
         let acc = &mut self.acct.pe[i];
-        let mut bus = PeBus {
-            mem: &mut pe.mem,
-            net: &mut self.net,
-            pe: i,
-            now,
-            net_word_cycles: self.cfg.net_word_cycles,
-            extra_cycles: 0,
-            detour_cycles: 0,
-            wrote_net_to: None,
-            consumed_rx: false,
-        };
+        let mut bus = PeBus::new(&mut pe.mem, &mut self.net, i, now, self.cfg.net_word_cycles);
         let mut charges = Charges::default();
         let outcome = exec_one(
             &mut pe.cpu,
@@ -759,14 +771,12 @@ impl Machine {
             }
         }
         if consumed_rx {
-            // Senders blocked on our receive register may proceed.
-            for s in 0..self.pes.len() {
-                if self.net.dest[s] == Some(i) {
-                    if let PeState::AwaitNetTx { since } = self.pes[s].state {
-                        let wake = new_now.max(since);
-                        self.acct.pe[s].charge(Bucket::Network, wake - since);
-                        self.set_pe(s, PeState::Ready, wake);
-                    }
+            // The sender blocked on our receive register may proceed.
+            if let Some(s) = self.net.sender[i] {
+                if let PeState::AwaitNetTx { since } = self.pes[s].state {
+                    let wake = new_now.max(since);
+                    self.acct.pe[s].charge(Bucket::Network, wake - since);
+                    self.set_pe(s, PeState::Ready, wake);
                 }
             }
         }
@@ -921,30 +931,37 @@ impl Machine {
     /// instruction; its end is its next request. When the next head enables
     /// exactly the members, the loop releases it at max(entry ready, latest
     /// end) + release overhead, each member waiting `release − end`, with the
-    /// counts and the pop of [`Machine::release_lockstep`].
+    /// counts and the pop of [`Machine::release_lockstep`]. On an empty
+    /// queue, [`Machine::replay_to_head`] first runs the group's MC and
+    /// controller up to the move that lands the next head. A network byte
+    /// transfer runs in the loop too, on the full bus
+    /// ([`Machine::net_broadcast`]), when the group's circuits are closed.
     ///
     /// Sound because a broadcast that is not a stop and touches only main
     /// memory changes nothing but the executing PE's own registers, memory
-    /// and account. The only components that can observe the order of the
-    /// members' rounds are the group's MC, its Fetch Unit controller and its
-    /// other PEs, so [`Machine::group_horizon_clear`] first replays the MC's
-    /// and the controller's events due before each release. The release
-    /// check a member's request makes runs only where it can act
+    /// and account, and a transfer over closed circuits also only the
+    /// members' receive registers, which nothing else reads. The only
+    /// components that can observe the order of the members' rounds are the
+    /// group's MC, its Fetch Unit controller and its other PEs, so
+    /// [`Machine::group_horizon_clear`] first replays the MC's and the
+    /// controller's events due before each release. The release check a
+    /// member's request makes runs only where it can act
     /// ([`Machine::release_may_act`]).
     ///
     /// PE state is written only when the chain leaves: before a broadcast,
     /// at the cycle budget, a blocked horizon, a horizon whose release check
-    /// could act, or a stop instruction (memory-mapped absolute operands
-    /// included, see [`block::is_stop`]); within a broadcast, at a member
-    /// whose access the bus refuses, or after a member whose release check
-    /// could act; after it, at an empty queue, a head with another mask or
-    /// a data word, or a released head followed by one that could release
-    /// too. Members that ran the broadcast then request their next word
-    /// since their end, the others are `Ready` at the release with the head
-    /// pending, and the release check of [`Machine::release_lockstep`] runs,
-    /// where the per-instruction path would run it: the machine is always
-    /// left in a state that path passes through. Returns what that check
-    /// released.
+    /// could act, or a stop instruction other than a transfer over closed
+    /// circuits (memory-mapped absolute operands included, see
+    /// [`block::is_stop`]); within a broadcast, at a member whose access the
+    /// bus refuses, or after a member whose release check could act; after
+    /// it, at an empty queue whose replay stops before a head lands, a head
+    /// with another mask or a data word, or a released head followed by one
+    /// that could release too. Members that ran the broadcast then request
+    /// their next word since their end, the others are `Ready` at the
+    /// release with the head pending, and the release check of
+    /// [`Machine::release_lockstep`] runs, where the per-instruction path
+    /// would run it: the machine is always left in a state that path passes
+    /// through. Returns what that check released.
     fn lockstep_chain(&mut self, mc: usize, rel: Release, budget: &mut u32) -> Released {
         let mut members = std::mem::take(&mut self.lockstep);
         members.clear();
@@ -976,49 +993,56 @@ impl Machine {
                 unreachable!("the chain releases only broadcast instructions")
             };
             let meta = self.mcs[mc].compiled.simd[k as usize];
-            if meta.stop {
-                break 0;
-            }
-            let fetch = BurstClock::new(self.cfg.fu_sram, at);
-            let data = BurstClock::new(self.cfg.pe_dram, at);
-            let mut unrun = enabled;
-            let mut max_end = 0;
-            for (r, m) in members.iter_mut().enumerate() {
-                let pe = &mut self.pes[m.pe];
-                let Ok((end, _)) = exec_one(
-                    &mut pe.cpu,
-                    &mut MainOnlyBus(&mut pe.mem),
-                    &mut self.acct.pe[m.pe],
-                    &meta,
-                    at,
-                    &fetch,
-                    &data,
-                    pe.slow_wait,
-                    &mut m.charges,
-                ) else {
-                    break 'chain r;
-                };
-                m.end = end;
-                max_end = max_end.max(end);
-                // Members run in mask-bit order: this one is the lowest
-                // bit left.
-                unrun &= unrun - 1;
-                *budget -= 1;
-                if unrun != 0 && self.release_may_act(mc, unrun) {
-                    break 'chain r + 1;
+            let max_end = if meta.stop {
+                match self.net_broadcast(mc, &mut members, enabled, &meta, at, budget) {
+                    Ok(max_end) => max_end,
+                    Err(ran) => break ran,
                 }
-            }
-            // The last request's release check, inline while the head goes
-            // to the same members.
-            let next = match self.fus[mc].queue.front() {
-                Some(&next)
-                    if next.mask & self.live[mc] == enabled
-                        && matches!(next.kind, EntryKind::Instr(_)) =>
-                {
-                    next
+            } else {
+                let fetch = BurstClock::new(self.cfg.fu_sram, at);
+                let data = BurstClock::new(self.cfg.pe_dram, at);
+                let mut unrun = enabled;
+                let mut max_end = 0;
+                for (r, m) in members.iter_mut().enumerate() {
+                    let pe = &mut self.pes[m.pe];
+                    let Ok((end, _)) = exec_one(
+                        &mut pe.cpu,
+                        &mut MainOnlyBus(&mut pe.mem),
+                        &mut self.acct.pe[m.pe],
+                        &meta,
+                        at,
+                        &fetch,
+                        &data,
+                        pe.slow_wait,
+                        &mut m.charges,
+                    ) else {
+                        break 'chain r;
+                    };
+                    m.end = end;
+                    max_end = max_end.max(end);
+                    // Members run in mask-bit order: this one is the lowest
+                    // bit left.
+                    unrun &= unrun - 1;
+                    *budget -= 1;
+                    if unrun != 0 && self.release_may_act(mc, unrun) {
+                        break 'chain r + 1;
+                    }
                 }
-                _ => break members.len(),
+                max_end
             };
+            // The last request's release check, inline while the head goes
+            // to the same members; on an empty queue, after the group's own
+            // events up to the move that lands the next head.
+            let next = match self.fus[mc].queue.front() {
+                Some(&next) => next,
+                None => match self.replay_to_head(mc, enabled, budget) {
+                    Some(next) => next,
+                    None => break members.len(),
+                },
+            };
+            if next.mask & self.live[mc] != enabled || !matches!(next.kind, EntryKind::Instr(_)) {
+                break members.len();
+            }
             let release = self.pop_released(mc, next.ready_at, max_end);
             for m in &mut members {
                 m.wait += release - m.end;
@@ -1084,15 +1108,8 @@ impl Machine {
         let rounds = enabled.count_ones();
         let cpw = self.cfg.fuc_cycles_per_word;
         loop {
-            if *budget < rounds {
+            if *budget < rounds || !self.others_quiet(mc, enabled, at) {
                 return false;
-            }
-            for pe in self.group_members(mc, self.live[mc] & !enabled) {
-                match self.pes[pe].state {
-                    PeState::Ready if self.pes[pe].ready_at <= at => return false,
-                    PeState::AwaitNetTx { .. } | PeState::AwaitNetRx { .. } => return false,
-                    _ => {}
-                }
             }
             let fuc = self.fus[mc].next_move_completion(cpw);
             let m = &self.mcs[mc];
@@ -1115,6 +1132,133 @@ impl Machine {
                 return false;
             }
         }
+    }
+
+    /// Whether no live PE of MC `mc`'s group outside `enabled` (group bits)
+    /// is due by `by` — the scheduler would step it first, PEs winning
+    /// ties — or blocked on the network, where another group can wake it
+    /// at any time.
+    fn others_quiet(&self, mc: usize, enabled: u16, by: u64) -> bool {
+        self.group_members(mc, self.live[mc] & !enabled)
+            .all(|pe| match self.pes[pe].state {
+                PeState::Ready => self.pes[pe].ready_at > by,
+                PeState::AwaitNetTx { .. } | PeState::AwaitNetRx { .. } => false,
+                _ => true,
+            })
+    }
+
+    /// A lockstep chain's network broadcast: the `MOVE.B` to DTR or from DRR
+    /// `meta`, released at `at`, on each of the `members` (group bits
+    /// `enabled`) on the full [`PeBus`], in mask-bit order, as
+    /// [`Machine::step_pe`] runs it in their rounds at `at`. Returns the
+    /// latest end, or — as the main-memory loop of
+    /// [`Machine::lockstep_chain`] breaks — how many members ran it: none if
+    /// `meta` is another stop or the group's circuits are not closed, those
+    /// before a member whose access the bus refuses (before any state
+    /// changes), those up to a member whose release check could act.
+    ///
+    /// Sound only when every circuit that starts or ends at a member also
+    /// starts and ends at a member: then no other PE reads or writes a
+    /// receive register the members use, and no wake-up of the
+    /// per-instruction path can fire — a circuit's other end is a member,
+    /// and members neither wait on the network nor run out of this order.
+    #[inline(never)]
+    fn net_broadcast(
+        &mut self,
+        mc: usize,
+        members: &mut [Member],
+        enabled: u16,
+        meta: &InstrMeta,
+        at: u64,
+        budget: &mut u32,
+    ) -> Result<u64, usize> {
+        let n_mcs = self.cfg.n_mcs;
+        let member = |p: usize| p % n_mcs == mc && enabled & (1 << (p / n_mcs)) != 0;
+        let net = &self.net;
+        let closed = || {
+            (members.iter())
+                .all(|m| net.dest[m.pe].is_none_or(member) && net.sender[m.pe].is_none_or(member))
+        };
+        if !block::is_net_transfer(&meta.instr) || !closed() {
+            return Err(0);
+        }
+        let fetch = BurstClock::new(self.cfg.fu_sram, at);
+        let data = BurstClock::new(self.cfg.pe_dram, at);
+        let mut unrun = enabled;
+        let mut max_end = 0;
+        for (r, m) in members.iter_mut().enumerate() {
+            let pe = &mut self.pes[m.pe];
+            let acc = &mut self.acct.pe[m.pe];
+            let mut bus = PeBus::new(
+                &mut pe.mem,
+                &mut self.net,
+                m.pe,
+                at,
+                self.cfg.net_word_cycles,
+            );
+            let Ok((end, _)) = exec_one(
+                &mut pe.cpu,
+                &mut bus,
+                acc,
+                meta,
+                at,
+                &fetch,
+                &data,
+                pe.slow_wait,
+                &mut m.charges,
+            ) else {
+                return Err(r);
+            };
+            acc.net_bytes_sent += bus.wrote_net_to.is_some() as u64;
+            m.end = end;
+            max_end = max_end.max(end);
+            unrun &= unrun - 1;
+            *budget -= 1;
+            if unrun != 0 && self.release_may_act(mc, unrun) {
+                return Err(r + 1);
+            }
+        }
+        Ok(max_end)
+    }
+
+    /// After the members `enabled` (group bits) of a lockstep chain
+    /// requested their next word from MC `mc`'s empty queue: replay the
+    /// MC's steps and its controller's moves in the scheduler's order —
+    /// the MC wins a tie with its controller — until a move lands a head,
+    /// and return it; its release check is the caller's. Every release
+    /// check before that move finds the queue empty and changes nothing.
+    /// The replay stops, returning `None`, where the scheduler could pick
+    /// something else of the group first or would end the run: at an event
+    /// past `max_cycles`, when [`Machine::others_quiet`] fails at the
+    /// event's time, at an MC step that faults, when the group has no event
+    /// left, or when the [`FAST_BATCH`] `budget` is spent. As in
+    /// [`Machine::group_horizon_clear`], each turn's controller check (with
+    /// its `fuc_blocked` side effect) stands for the scheduler's checks
+    /// until the next change of the controller.
+    #[inline(never)]
+    fn replay_to_head(&mut self, mc: usize, enabled: u16, budget: &mut u32) -> Option<QueueEntry> {
+        let cpw = self.cfg.fuc_cycles_per_word;
+        while *budget > 0 {
+            let fuc = self.fus[mc].next_move_completion(cpw);
+            let m = &self.mcs[mc];
+            let mc_due = (m.state == McState::Ready).then_some(m.ready_at);
+            let (t, mc_first) = match (mc_due, fuc) {
+                (Some(t), _) if fuc.is_none_or(|c| t <= c) => (t, true),
+                (_, Some(c)) => (c, false),
+                _ => return None,
+            };
+            if t > self.cfg.max_cycles || !self.others_quiet(mc, enabled, t) {
+                return None;
+            }
+            *budget -= 1;
+            if !mc_first {
+                self.fuc_move(mc, t);
+                return self.fus[mc].queue.front().copied();
+            }
+            // An enqueue's release check finds the queue still empty.
+            self.mc_step(mc).ok()?;
+        }
+        None
     }
 
     /// Ablation rule: each PE receives entries at its own pace (as if it had a
@@ -1487,6 +1631,28 @@ struct PeBus<'a> {
     wrote_net_to: Option<usize>,
     /// The receive register was consumed.
     consumed_rx: bool,
+}
+
+impl<'a> PeBus<'a> {
+    fn new(
+        mem: &'a mut Memory,
+        net: &'a mut NetState,
+        pe: usize,
+        now: u64,
+        net_word_cycles: u64,
+    ) -> Self {
+        PeBus {
+            mem,
+            net,
+            pe,
+            now,
+            net_word_cycles,
+            extra_cycles: 0,
+            detour_cycles: 0,
+            wrote_net_to: None,
+            consumed_rx: false,
+        }
+    }
 }
 
 impl Bus for PeBus<'_> {

@@ -1025,6 +1025,98 @@ fn mmio_block(m: &mut Machine, rng: &mut TestRng, mc: usize, live: u16, prog: &m
     }
 }
 
+/// For one seed in two, a ring of byte transfers over the live PEs of one
+/// job — its circuits start and end in one MC's group, so the lockstep
+/// chain runs them in place — or, for half the seeds with two jobs, over
+/// both jobs' PEs, whose circuits cross the groups (a stop for the chain).
+/// Each job of the ring broadcasts `MOVE.B D0,DTR` and `MOVE.B DRR,D7`,
+/// random broadcasts, then forwards the received byte; for one ring in
+/// three a broadcast to the group's first PE alone follows, and for one in
+/// two an MC spin. One ring in five runs on a
+/// degraded network (a detour per word), one in five has a stuck
+/// transmitter (the run ends in a deadlock) and one in five a slow PE.
+/// Drawn after every other draw of the seed, like [`mmio_block`].
+fn maybe_ring(m: &mut Machine, rng: &mut TestRng, jobs: &mut [(usize, u16, ProgramBuilder)]) {
+    use DataReg::*;
+    if jobs.is_empty() || rng.below(2) == 0 {
+        return;
+    }
+    let ring_jobs = match jobs.len() {
+        2 if rng.below(2) == 0 => 0..2,
+        n => {
+            let k = rng.below(n as u64) as usize;
+            k..k + 1
+        }
+    };
+    let mut ring: Vec<usize> = (jobs[ring_jobs.clone()].iter())
+        .flat_map(|&(mc, live, _)| live_pes(m, mc, live))
+        .collect();
+    ring.sort_unstable();
+    let pick = ring[rng.below(ring.len() as u64) as usize];
+    let fault = match rng.below(5) {
+        0 => FaultPlan::net_single(pasm_net::NetFault::Box {
+            stage: 1,
+            box_idx: rng.below(2) as usize,
+        }),
+        1 => FaultPlan::pe_single(pick, PeFault::StuckTx),
+        2 => FaultPlan::pe_single(
+            pick,
+            PeFault::Slow {
+                extra_wait: 1 + rng.below(8),
+            },
+        ),
+        _ => FaultPlan::default(),
+    };
+    m.apply_fault_plan(&fault).unwrap();
+    if m.connect_ring(&ring).is_err() {
+        return;
+    }
+    let send = |src| Instr::Move {
+        size: Size::Byte,
+        src: Ea::D(src),
+        dst: dtr_ea(),
+    };
+    let receive = Instr::Move {
+        size: Size::Byte,
+        src: drr_ea(),
+        dst: Ea::D(D7),
+    };
+    for (_, live, prog) in &mut jobs[ring_jobs] {
+        let mut body = vec![send(D0)];
+        for _ in 0..rng.below(3) {
+            random_broadcast(rng, &mut body, true);
+        }
+        body.extend([receive, send(D7), receive]);
+        let id = prog.begin_block();
+        prog.emit_all(body);
+        prog.end_block();
+        prog.emit(Instr::SetMask { mask: *live });
+        prog.emit(Instr::Enqueue { block: id.0 });
+        // A broadcast to the group's first PE alone: queued behind the
+        // last receive, it is released while later PEs still receive.
+        if rng.below(3) == 0 {
+            let mut body = Vec::new();
+            random_broadcast(rng, &mut body, false);
+            let id = prog.begin_block();
+            prog.emit_all(body);
+            prog.end_block();
+            prog.emit(Instr::SetMask {
+                mask: *live & live.wrapping_neg(),
+            });
+            prog.emit(Instr::Enqueue { block: id.0 });
+        }
+        if rng.below(2) == 0 {
+            prog.emit(Instr::Moveq {
+                value: rng.below(40) as i8,
+                dst: D1,
+            });
+            let l = prog.here("ring_spin");
+            prog.emit(Instr::Nop);
+            prog.branch(Instr::Dbra { dst: D1, target: 0 }, l);
+        }
+    }
+}
+
 /// End a [`random_simd_job`]'s MC program — one whole-group block sends the
 /// PEs back to MIMD mode to halt — and load it.
 fn finish_simd_job(m: &mut Machine, mc: usize, live: u16, mut prog: ProgramBuilder) {
@@ -1044,10 +1136,14 @@ fn finish_simd_job(m: &mut Machine, mc: usize, live: u16, mut prog: ProgramBuild
 /// not run the current one, zero-cycle instructions with zero release
 /// overhead (so a new release ties the current one), instant controller
 /// moves, 4-word queues, PEs left out of the group, dead and slow PEs, two
-/// MCs, and for one seed in three a last block whose operand is
+/// MCs, for one seed in three a last block whose operand is
 /// memory-mapped on some PEs only ([`mmio_block`]; drawn after every other
 /// draw of the seed, like [`maybe_slow_pe`], so it changes no seed's other
-/// blocks or machine shape). The complete run state must match.
+/// blocks or machine shape), and for one seed in two a ring of network byte
+/// transfers inside one group or across two, on a degraded network or with
+/// a stuck or slow PE for some ([`maybe_ring`]), and for one seed in eight
+/// a cycle budget the run may exceed (both drawn last). The complete run
+/// state must match.
 #[test]
 fn random_simd_programs_match_the_interpreter() {
     check_random_simd_programs(1..=2000);
@@ -1099,12 +1195,17 @@ fn check_random_simd_programs(seeds: std::ops::RangeInclusive<u64>) {
                 jobs.push((mc, live, random_simd_job(&mut m, &mut rng, mc, live)));
             }
             maybe_slow_pe(&mut m, &mut rng);
-            let mmio = rng.below(3) == 0;
-            for (mc, live, mut prog) in jobs {
-                if mmio {
-                    mmio_block(&mut m, &mut rng, mc, live, &mut prog);
+            if rng.below(3) == 0 {
+                for (mc, live, prog) in &mut jobs {
+                    mmio_block(&mut m, &mut rng, *mc, *live, prog);
                 }
+            }
+            maybe_ring(&mut m, &mut rng, &mut jobs);
+            for (mc, live, prog) in jobs {
                 finish_simd_job(&mut m, mc, live, prog);
+            }
+            if rng.below(8) == 0 {
+                m.cfg.max_cycles = 1_000 + rng.below(20_000);
             }
             let result = m.run();
             let cpus: Vec<String> = (0..4).map(|p| format!("{:?}", m.pe_cpu(p))).collect();

@@ -230,25 +230,31 @@ fn simd_run_state_is_identical_on_both_paths() {
     assert!(compared >= 40, "only {compared} cells compared");
 }
 
-/// Scheduler rounds of the paper's matmul in SIMD, MIMD and S/MIMD (n=32,
-/// p=16, input seed 1, the prototype), as exact counts and per PE
-/// instruction.
+/// Scheduler rounds on the prototype (input seed 1): the paper's matmul
+/// at n=32, p=16 in SIMD, MIMD and S/MIMD, and two SIMD cells whose group
+/// is one MC, matmul n=32 and reduce n=16384 at p=4, as exact counts and
+/// per PE instruction.
 /// The rounds measure the fast path's host cost, not simulated time, so
 /// they are read from [`Machine::rounds`] beside the run, never from the
 /// `RunResult` the tests above compare. A PE step runs its first
 /// instruction on the full bus and continues in the MIMD batch, so a
-/// polled network access costs one round, not two.
+/// polled network access costs one round, not two. The SIMD lockstep
+/// chain runs a ring transfer whose circuits stay inside the group (p=4)
+/// and the MC's work behind an empty queue in place; a transfer between
+/// groups (p=16) still costs one round per member.
 #[test]
 fn scheduler_rounds_are_pinned() {
     let cfg = MachineConfig::prototype();
-    let kernel = pasm::kernels::find("matmul").expect("registered kernel");
-    let params = Params::new(32, 16);
-    let input = kernel.generate(params.n, 1);
-    for (mode, want, max_per_instr) in [
-        (Mode::Simd, 69_202, 0.26),
-        (Mode::Mimd, 136_064, 0.26),
-        (Mode::Smimd, 67_999, 0.21),
+    for (kernel, n, p, mode, want, max_per_instr) in [
+        ("matmul", 32, 16, Mode::Simd, 69_186, 0.26),
+        ("matmul", 32, 16, Mode::Mimd, 136_064, 0.26),
+        ("matmul", 32, 16, Mode::Smimd, 67_999, 0.21),
+        ("matmul", 32, 4, Mode::Simd, 293, 0.003),
+        ("reduce", 16_384, 4, Mode::Simd, 58, 0.004),
     ] {
+        let kernel = pasm::kernels::find(kernel).expect("registered kernel");
+        let params = Params::new(n, p);
+        let input = kernel.generate(params.n, 1);
         let vm = pasm_prog::select_vm(&cfg, params.p);
         let mut machine = Machine::new(cfg.clone());
         kernel
@@ -257,10 +263,11 @@ fn scheduler_rounds_are_pinned() {
         let run = machine.run().expect("the run completes");
         let rounds = machine.rounds();
         let per_instr = rounds as f64 / run.pe_instrs() as f64;
-        assert_eq!(rounds, want, "{mode}: scheduler rounds");
+        let cell = format!("{} {mode} n={n} p={p}", kernel.name());
+        assert_eq!(rounds, want, "{cell}: scheduler rounds");
         assert!(
             per_instr <= max_per_instr,
-            "{mode}: {per_instr:.4} rounds per PE instruction, want ≤ {max_per_instr}"
+            "{cell}: {per_instr:.6} rounds per PE instruction, want ≤ {max_per_instr}"
         );
     }
 }
